@@ -5,6 +5,11 @@ Every trial owns two random streams derived from (master seed, trial index),
 one for the channel draw and one for the swarm, so trials are independent,
 reproducible in isolation, and shared across sweep values (the same trial
 index sees the same channel at every power, making curves comparable).
+
+With aligned phases and the equalizing split, a placement's max-min rate
+rises with the transmit power for every placement, so the best placement
+does not depend on it. A power-sweep trial therefore runs its swarm once, at
+the highest sweep power, and reads every power's record off that placement.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
@@ -20,6 +26,7 @@ import numpy as np
 from .baseline import BaselineConfig, evaluate_baseline, star_ris_placement
 from .channel import (
     DENSE_MAX_PRESETS,
+    ChannelRealization,
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
@@ -27,8 +34,9 @@ from .channel import (
     plane_wave_field,
     synthesize_channel,
 )
-from .geometry import SurfaceGeometry, partition_surface
-from .pso import PsoConfig, optimize
+from .geometry import Placement, SurfaceGeometry, partition_surface
+from .pso import PsoConfig, history_at, optimize
+from .rate import RateReport, evaluate
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -86,17 +94,26 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep not in SWEEP_AXES:
             raise ValueError(f"sweep must be one of {SWEEP_AXES}, got {self.sweep!r}")
-        if self.n_trials < 1:
-            raise ValueError("need at least one trial")
+        for name in ("n_trials", "n_particles", "n_iterations", "n_subareas"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if isinstance(self.power_dbm, (list, tuple)):
-            # a list here doubles as the power-sweep values
-            object.__setattr__(self, "power_dbm", tuple(self.power_dbm))
+            raise ValueError("power_dbm must be a scalar; put sweep values in power_sweep_dbm")
+        if isinstance(self.min_spacing, str):
+            if self.min_spacing != "half-lambda":
+                raise ValueError(
+                    f"min_spacing must be 'half-lambda' or meters, got {self.min_spacing!r}"
+                )
+        elif self.min_spacing <= 0:
+            raise ValueError(f"min_spacing must be positive, got {self.min_spacing}")
         for name in ("power_sweep_dbm", "area_sweep_m2"):
             seq = getattr(self, name)
             if not isinstance(seq, tuple):
                 object.__setattr__(self, name, tuple(seq))
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be nonempty")
+        if any(a <= 0 for a in self.area_sweep_m2):
+            raise ValueError(f"area_sweep_m2 must hold positive areas, got {self.area_sweep_m2}")
         if self.grid is not None and not isinstance(self.grid, tuple):
             object.__setattr__(self, "grid", tuple(self.grid))
 
@@ -162,19 +179,54 @@ class TrialRecord:
     history: tuple[float, ...]
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = None) -> TrialRecord:
-    """One repetition: draw angles and channels, optimize the fluid surface,
-    evaluate the fixed baseline. Deterministic in (cfg.seed, trial_index)."""
-    if isinstance(cfg.power_dbm, tuple):
-        raise ValueError("a trial needs a scalar transmit power; got a sweep list")
+@dataclass(frozen=True, eq=False)
+class _TrialSwarm:
+    """A trial's channel draw and the swarm's result on it at the reference
+    power (watts)."""
+
+    geom: SurfaceGeometry
+    realization: ChannelRealization
+    pso_cfg: PsoConfig
+    power: float
+    placement: Placement
+    report: RateReport
+    history: np.ndarray
+    trajectory: list
+
+
+@dataclass(eq=False)
+class _SharedSwarm:
+    """The swarm of one trial, shared by the run_trial calls that differ from
+    `cfg` only in power_dbm while it is the current share."""
+
+    cfg: ExperimentConfig
+    trial_index: int
+    area_m2: float | None
+    swarm: _TrialSwarm | None = None
+
+    def serves(self, cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -> bool:
+        return (
+            trial_index == self.trial_index
+            and area_m2 == self.area_m2
+            and replace(cfg, power_dbm=self.cfg.power_dbm) == self.cfg
+        )
+
+
+# set by _sweep_worker for the duration of one trial's sweep values
+_shared_swarm: ContextVar[_SharedSwarm | None] = ContextVar("shared_swarm", default=None)
+
+
+def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -> _TrialSwarm:
+    """Draw the trial's channel and run the swarm at the reference power: the
+    highest sweep power on the power axis, cfg.power_dbm otherwise."""
     geom = geometry_from_config(cfg, area_m2)
     corr = _field_model(geom)
     channel_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(trial_index,)))
     links = trial_links(cfg, channel_rng)
     realization = synthesize_channel(geom, *links, rng=channel_rng, corr=corr)
 
-    power = dbm_to_watts(float(cfg.power_dbm))
-    noise = dbm_to_watts(cfg.noise_dbm)
+    reference_dbm = max(cfg.power_sweep_dbm) if cfg.sweep == "power" else cfg.power_dbm
+    power = dbm_to_watts(float(reference_dbm))
     pso_seed = int(
         np.random.SeedSequence(cfg.seed, spawn_key=(trial_index, 1)).generate_state(1, np.uint64)[0]
     )
@@ -189,16 +241,57 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
         objective=cfg.objective,
     )
     injected = [star_ris_placement(geom)] if cfg.inject_baseline else None
-    _, report, history = optimize(
-        realization, geom, pso_cfg, power, noise, initial_placements=injected
+    trajectory: list = []
+    placement, report, history = optimize(
+        realization, geom, pso_cfg, power, dbm_to_watts(cfg.noise_dbm),
+        initial_placements=injected, trajectory=trajectory,
     )
-    baseline = evaluate_baseline(realization, geom, power, noise, BaselineConfig(cfg.m_hat))
+    return _TrialSwarm(geom, realization, pso_cfg, power, placement, report, history, trajectory)
+
+
+def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = None) -> TrialRecord:
+    """One repetition: draw angles and channels, optimize the fluid surface,
+    evaluate the fixed baseline. Deterministic in (cfg.seed, trial_index).
+
+    On the power axis the swarm runs at the highest sweep power and the
+    record is that placement's at cfg.power_dbm, with the swarm's history
+    re-scored at that power. Inside run_sweep the powers of one trial share
+    that swarm; the records are the same either way.
+    """
+    shared = _shared_swarm.get()
+    if shared is not None and shared.serves(cfg, trial_index, area_m2):
+        if shared.swarm is None:
+            shared.swarm = _run_swarm(cfg, trial_index, area_m2)
+        swarm = shared.swarm
+    else:
+        swarm = _run_swarm(cfg, trial_index, area_m2)
+
+    power = dbm_to_watts(float(cfg.power_dbm))
+    noise = dbm_to_watts(cfg.noise_dbm)
+    if power == swarm.power:
+        report, history = swarm.report, swarm.history
+    else:
+        report = evaluate(swarm.realization, swarm.placement, swarm.geom, power, noise)
+        history = history_at(swarm.trajectory, swarm.realization, power, noise, swarm.pso_cfg)
+    baseline = evaluate_baseline(
+        swarm.realization, swarm.geom, power, noise, BaselineConfig(cfg.m_hat)
+    )
     return TrialRecord(
         trial_index=trial_index,
         fires_rate=float(report.effective),
         baseline_rate=float(baseline.effective),
-        history=tuple(float(h) for h in history),
+        history=_float_tuple(history),
     )
+
+
+def _float_tuple(history) -> tuple[float, ...]:
+    """A best-so-far history as a tuple of floats, one float object per run
+    of equal values. Such a history is flat between its few improvements, so
+    this keeps it at about a third of the memory of one object per entry."""
+    values: list[float] = []
+    for h in np.asarray(history, dtype=float).tolist():
+        values.append(values[-1] if values and values[-1] == h else h)
+    return tuple(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,9 +316,16 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1) / np.sqrt(len(values)))
 
 
-def _sweep_worker(args) -> tuple[int, int, TrialRecord]:
-    value_idx, trial_index, cfg, area = args
-    return value_idx, trial_index, run_trial(cfg, trial_index, area)
+def _sweep_worker(job) -> list[tuple[int, int, TrialRecord]]:
+    """Records of one trial at each (value index, config, area) of the job.
+    The job's variants share the trial's swarm where run_trial allows it."""
+    trial_index, variants = job
+    _, cfg, area = variants[0]
+    token = _shared_swarm.set(_SharedSwarm(cfg, trial_index, area))
+    try:
+        return [(i, trial_index, run_trial(c, trial_index, a)) for i, c, a in variants]
+    finally:
+        _shared_swarm.reset(token)
 
 
 def _collect_trials(jobs, threads: int):
@@ -234,21 +334,22 @@ def _collect_trials(jobs, threads: int):
             results = list(pool.map(_sweep_worker, jobs, chunksize=1))
     else:
         results = [_sweep_worker(j) for j in jobs]
-    return results
+    return [triple for result in results for triple in result]
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
     """One ResultRecord per sweep value, each over cfg.n_trials trials.
 
     Trial substreams depend only on (seed, trial index), so every sweep value
-    reuses the same channel draws. The iterations axis runs each trial once
+    reuses the same channel draws. The power axis runs one job per trial,
+    whose powers share one swarm. The iterations axis runs each trial once
     at the full schedule and reads the records off the best-so-far history.
     """
     digest = cfg.digest()
     trials = range(cfg.n_trials)
 
     if cfg.sweep == "iterations":
-        jobs = [(0, t, cfg, None) for t in trials]
+        jobs = [(t, [(0, cfg, None)]) for t in trials]
         by_trial = _gather(jobs, threads, n_values=1)[0]
         histories = np.array([rec.history for rec in by_trial])
         baselines = np.array([rec.baseline_rate for rec in by_trial])
@@ -271,20 +372,17 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
         return records
 
     if cfg.sweep == "power":
-        values = cfg.power_dbm if isinstance(cfg.power_dbm, tuple) else cfg.power_sweep_dbm
-        variants = [(p, replace(cfg, power_dbm=float(p)), None) for p in values]
+        variants = [(p, replace(cfg, power_dbm=float(p)), None) for p in cfg.power_sweep_dbm]
     elif cfg.sweep == "area":
         variants = [(a, cfg, float(a)) for a in cfg.area_sweep_m2]
     else:  # none
-        if isinstance(cfg.power_dbm, tuple):
-            raise ValueError("sweep axis 'none' needs a scalar transmit power")
         variants = [(float(cfg.power_dbm), cfg, None)]
 
-    jobs = [
-        (i, t, variant_cfg, area)
-        for i, (_, variant_cfg, area) in enumerate(variants)
-        for t in trials
-    ]
+    indexed = [(i, variant_cfg, area) for i, (_, variant_cfg, area) in enumerate(variants)]
+    if cfg.sweep == "power":
+        jobs = [(t, indexed) for t in trials]
+    else:
+        jobs = [(t, [variant]) for variant in indexed for t in trials]
     per_value = _gather(jobs, threads, n_values=len(variants))
     records = []
     for (value, _, _), recs in zip(variants, per_value):

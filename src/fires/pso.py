@@ -3,10 +3,12 @@
 A particle encodes one full placement (all M element positions jointly).
 Per-subarea clamping keeps every particle inside its feasible rectangles;
 the minimum-spacing constraint is handled by a large additive penalty plus
-a final repair pass, and the power-budget penalty is carried along even
-though the equalizing energy split always meets the budget exactly. The
-swarm's result is then polished by best-response sweeps over the elements
-on their preset lattices.
+a final repair pass. The equalizing energy split meets the power budget
+exactly, so the budget needs no penalty. The swarm's result is then polished
+by best-response sweeps over the elements on their preset lattices.
+
+Every search scores lattice indices through the per-preset amplitude
+weights of its realization (`rate.amplitude_weights`, `rate.lattice_rates`).
 
 A brute-force lattice enumerator doubles as the testing oracle.
 """
@@ -28,7 +30,7 @@ from .geometry import (
     spacing_violations,
     subarea_corners,
 )
-from .rate import RateReport, evaluate, split_and_rates
+from .rate import RateReport, amplitude_weights, evaluate, lattice_rates
 
 _OBJECTIVES = ("min", "sum")
 
@@ -109,11 +111,6 @@ def update_position(pos, v, geom: SurfaceGeometry) -> np.ndarray:
     return clamp_to_subareas(np.asarray(pos, dtype=float) + np.asarray(v, dtype=float), geom)
 
 
-def penalty_power(p_r, p_t, p_total):
-    """Excess of the combined user powers over the budget, floored at zero."""
-    return np.maximum(0.0, np.asarray(p_r, dtype=float) + np.asarray(p_t, dtype=float) - p_total)
-
-
 def _pair_violation_counts(positions: np.ndarray, d_min: float) -> np.ndarray:
     """Spacing-violation count per placement in a (n, M, 2) batch."""
     m = positions.shape[-2]
@@ -128,37 +125,32 @@ def _pair_violation_counts(positions: np.ndarray, d_min: float) -> np.ndarray:
 
 def _batch_scores(
     positions: np.ndarray,
-    realization: ChannelRealization,
+    weights,
     geom: SurfaceGeometry,
     power: float,
     noise_power: float,
     cfg: PsoConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(fitness, effective rate) for a (n, M, 2) batch of placements."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fitness, lattice indices, spacing-violation counts) for a (n, M, 2)
+    batch of placements."""
     idx = snap_to_subarea_presets(positions, geom)
     violations = _pair_violation_counts(positions, geom.d_min)
-    return _scores_at(idx, violations, realization, power, noise_power, cfg)
+    return _scores_at(idx, violations, weights, power, noise_power, cfg), idx, violations
 
 
 def _scores_at(
     idx: np.ndarray,
     violations,
-    realization: ChannelRealization,
+    weights,
     power: float,
     noise_power: float,
     cfg: PsoConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(fitness, effective rate) for (n, M) lattice indices whose placements
-    have the given spacing-violation counts."""
-    config, report = split_and_rates(
-        realization.h_f[idx], realization.h_r[idx], realization.h_t[idx], power, noise_power
-    )
+) -> np.ndarray:
+    """Fitness of (n, M) lattice indices whose placements have the given
+    spacing-violation counts: the objective minus tau per violation."""
+    report = lattice_rates(weights, idx, power, noise_power)
     base = report.effective if cfg.objective == "min" else report.rate_r + report.rate_t
-    over_budget = penalty_power(
-        np.asarray(config.beta_r) * power, np.asarray(config.beta_t) * power, power
-    )
-    fitness_vals = base - cfg.tau * (over_budget + violations)
-    return fitness_vals, report.effective
+    return base - cfg.tau * violations
 
 
 def fitness(
@@ -170,9 +162,10 @@ def fitness(
     cfg: PsoConfig,
 ) -> float:
     """Penalized objective of one placement: base rate term minus
-    tau * (power excess + spacing violations)."""
-    fit, _ = _batch_scores(
-        placement.positions[None, :, :], realization, geom, power, noise_power, cfg
+    tau * spacing violations."""
+    weights = amplitude_weights(realization)
+    fit, _, _ = _batch_scores(
+        placement.positions[None, :, :], weights, geom, power, noise_power, cfg
     )
     return float(fit[0])
 
@@ -193,6 +186,7 @@ def repair_spacing(
     distance. Ties resolve to the smaller flat index.
     """
     pos = np.asarray(positions, dtype=float).copy()
+    weights = amplitude_weights(realization)
     d2min = geom.d_min**2
     for i in range(1, geom.n_subareas):
         fixed = pos[:i]
@@ -206,10 +200,7 @@ def repair_spacing(
             trials = np.repeat(pos[None, :, :], len(cands), axis=0)
             trials[:, i, :] = cands
             idx = snap_to_subarea_presets(trials, geom)
-            _, report = split_and_rates(
-                realization.h_f[idx], realization.h_r[idx], realization.h_t[idx],
-                power, noise_power,
-            )
+            report = lattice_rates(weights, idx, power, noise_power)
             pos[i] = cands[int(np.argmax(report.effective))]
         else:
             pos[i] = block[int(np.argmax(dd.min(axis=1)))]
@@ -239,10 +230,11 @@ def best_response(
     d2min = geom.d_min**2
     blocks = [preset_grid(geom, i + 1) for i in range(m)]  # ascending flat index
     flats = [preset_flat_indices(geom, i + 1) - 1 for i in range(m)]
-    idx = snap_to_subarea_presets(pos, geom)
-    fit, _ = _batch_scores(pos[None], realization, geom, power, noise_power, cfg)
+    weights = amplitude_weights(realization)
+    fit, idx, violations = _batch_scores(pos[None], weights, geom, power, noise_power, cfg)
     current = float(fit[0])
-    violations = int(_pair_violation_counts(pos[None], geom.d_min)[0])
+    idx = idx[0]
+    violations = int(violations[0])
     # elements known to be best responses to the others as they stand; the
     # search ends when all m are, as after a full sweep without a move
     stable = 0
@@ -258,7 +250,7 @@ def best_response(
             # candidates clear every other element, which leaves the
             # violations among the others
             held = violations - np.count_nonzero(((others - pos[i]) ** 2).sum(axis=-1) < d2min)
-            fit, _ = _scores_at(trials, held, realization, power, noise_power, cfg)
+            fit = _scores_at(trials, held, weights, power, noise_power, cfg)
             top = int(np.argmax(fit))
             if fit[top] > current:
                 pos[i] = blocks[i][clear][top]
@@ -277,6 +269,7 @@ def optimize(
     power: float,
     noise_power: float,
     initial_placements: list[Placement] | None = None,
+    trajectory: list | None = None,
 ) -> tuple[Placement, RateReport, np.ndarray]:
     """Run the swarm and return (best placement, its rate report, history).
 
@@ -287,9 +280,12 @@ def optimize(
     still violates spacing, a repair pass rebuilds it; best-response sweeps
     (`best_response`) then polish the placement, and the returned report
     reflects the final placement. The history is the swarm's own and does
-    not include the polish.
+    not include the polish. When `trajectory` is a list, the global best's
+    lattice indices and spacing-violation count after each iteration are
+    appended to it, which `history_at` re-scores at another power.
     """
     rng = np.random.default_rng(cfg.seed)
+    weights = amplitude_weights(realization)
     state = init_swarm(geom, cfg, rng)
     if initial_placements:
         if len(initial_placements) > cfg.n_particles:
@@ -297,8 +293,10 @@ def optimize(
         for k, pl in enumerate(initial_placements):
             state.positions[k] = clamp_to_subareas(pl.positions, geom)
     v_max = np.array([geom.subarea_w, geom.subarea_h])
+    best = None  # (lattice indices, violations) of the global best
 
-    def record_bests(fit: np.ndarray) -> None:
+    def record_bests(fit: np.ndarray, idx: np.ndarray, violations: np.ndarray) -> None:
+        nonlocal best
         improved = fit > state.personal_best_fit
         state.personal_best_pos[improved] = state.positions[improved]
         state.personal_best_fit[improved] = fit[improved]
@@ -306,10 +304,12 @@ def optimize(
         if fit[leader] > state.global_best_fit:
             state.global_best_fit = float(fit[leader])
             state.global_best_pos = state.positions[leader].copy()
+            best = (idx[leader].copy(), int(violations[leader]))
         state.history.append(state.global_best_fit)
+        if trajectory is not None:
+            trajectory.append(best)
 
-    fit, _ = _batch_scores(state.positions, realization, geom, power, noise_power, cfg)
-    record_bests(fit)
+    record_bests(*_batch_scores(state.positions, weights, geom, power, noise_power, cfg))
 
     for _ in range(cfg.n_iterations):
         vel = update_velocity(
@@ -318,15 +318,30 @@ def optimize(
         )
         state.velocities = np.clip(vel, -v_max, v_max)
         state.positions = update_position(state.positions, state.velocities, geom)
-        fit, _ = _batch_scores(state.positions, realization, geom, power, noise_power, cfg)
-        record_bests(fit)
+        record_bests(*_batch_scores(state.positions, weights, geom, power, noise_power, cfg))
 
-    best = state.global_best_pos
-    if spacing_violations(Placement(best), geom.d_min) > 0:
-        best = repair_spacing(best, realization, geom, power, noise_power)
-    placement = Placement(best_response(best, realization, geom, power, noise_power, cfg))
+    best_pos = state.global_best_pos
+    if spacing_violations(Placement(best_pos), geom.d_min) > 0:
+        best_pos = repair_spacing(best_pos, realization, geom, power, noise_power)
+    placement = Placement(best_response(best_pos, realization, geom, power, noise_power, cfg))
     report = evaluate(realization, placement, geom, power, noise_power)
     return placement, report, np.asarray(state.history)
+
+
+def history_at(
+    trajectory: list,
+    realization: ChannelRealization,
+    power: float,
+    noise_power: float,
+    cfg: PsoConfig,
+) -> np.ndarray:
+    """The history of a swarm run at another power: the running max of the
+    fitness at `power` of the global best after each iteration, from the
+    `trajectory` that optimize recorded."""
+    idx = np.array([entry[0] for entry in trajectory])
+    violations = np.array([entry[1] for entry in trajectory])
+    fit = _scores_at(idx, violations, amplitude_weights(realization), power, noise_power, cfg)
+    return np.maximum.accumulate(fit)
 
 
 def brute_force_oracle(
@@ -350,15 +365,16 @@ def brute_force_oracle(
         raise ValueError(f"{total} lattice combinations exceed the cap of {cap}")
     blocks = np.stack([preset_grid(geom, j + 1) for j in range(m)])  # (M, K, 2)
     flats = np.stack([preset_flat_indices(geom, j + 1) for j in range(m)]) - 1
-    weights = k ** np.arange(m - 1, -1, -1)  # combo id -> per-subarea digits
+    digits = k ** np.arange(m - 1, -1, -1)  # combo id -> per-subarea digits
 
+    weights = amplitude_weights(realization)
     best_rate = -np.inf
     best_positions = None
     d2min = geom.d_min**2
     iu, ju = np.triu_indices(m, k=1)
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total))
-        local = (ids[:, None] // weights[None, :]) % k  # lexicographic order
+        local = (ids[:, None] // digits[None, :]) % k  # lexicographic order
         pos = blocks[np.arange(m)[None, :], local]  # (n, M, 2)
         if m > 1:
             diff = pos[:, :, None, :] - pos[:, None, :, :]
@@ -369,13 +385,7 @@ def brute_force_oracle(
         if not feasible.any():
             continue
         lattice_idx = flats[np.arange(m)[None, :], local[feasible]]
-        _, report = split_and_rates(
-            realization.h_f[lattice_idx],
-            realization.h_r[lattice_idx],
-            realization.h_t[lattice_idx],
-            power,
-            noise_power,
-        )
+        report = lattice_rates(weights, lattice_idx, power, noise_power)
         top = int(np.argmax(report.effective))  # first max: smallest combo id
         if report.effective[top] > best_rate:
             best_rate = float(report.effective[top])

@@ -108,26 +108,17 @@ def wrap_phases(phases) -> np.ndarray:
     return np.where(w == 0.0, _TWO_PI, w)
 
 
-def split_and_rates(h_f, h_r, h_t, power, noise_power) -> tuple[SplitConfig, RateReport]:
-    """Optimal phases, equalizing split, and the resulting rates.
-
-    With both gains positive the two rates coincide; the effective rate is
-    their min in every case.
-    """
-    g_r = power * amplitude_sum(h_f, h_r) ** 2 / noise_power
-    g_t = power * amplitude_sum(h_f, h_t) ** 2 / noise_power
+def _split_rates(s_r, s_t, power, noise_power):
+    """(beta_r, beta_t, report) of the equalizing split for amplitude sums
+    s_r and s_t, the gains under phase alignment being power * s^2 / noise."""
+    g_r = power * s_r**2 / noise_power
+    g_t = power * s_t**2 / noise_power
     beta_r = optimal_split(g_r, g_t)
     beta_t = 1.0 - np.asarray(beta_r)
     snr_r = beta_r * g_r
     snr_t = beta_t * g_t
     rate_r = np.log2(1.0 + snr_r)
     rate_t = np.log2(1.0 + snr_t)
-    config = SplitConfig(
-        beta_r=beta_r,
-        beta_t=float(beta_t) if np.ndim(beta_t) == 0 else beta_t,
-        phases_r=wrap_phases(optimal_phases(h_f, h_r)),
-        phases_t=wrap_phases(optimal_phases(h_f, h_t)),
-    )
     report = RateReport(
         rate_r=rate_r,
         rate_t=rate_t,
@@ -135,7 +126,49 @@ def split_and_rates(h_f, h_r, h_t, power, noise_power) -> tuple[SplitConfig, Rat
         snr_r=snr_r,
         snr_t=snr_t,
     )
+    return beta_r, beta_t, report
+
+
+def split_and_rates(h_f, h_r, h_t, power, noise_power) -> tuple[SplitConfig, RateReport]:
+    """Optimal phases, equalizing split, and the resulting rates.
+
+    With both gains positive the two rates coincide; the effective rate is
+    their min in every case.
+    """
+    beta_r, beta_t, report = _split_rates(
+        amplitude_sum(h_f, h_r), amplitude_sum(h_f, h_t), power, noise_power
+    )
+    config = SplitConfig(
+        beta_r=beta_r,
+        beta_t=float(beta_t) if np.ndim(beta_t) == 0 else beta_t,
+        phases_r=wrap_phases(optimal_phases(h_f, h_r)),
+        phases_t=wrap_phases(optimal_phases(h_f, h_t)),
+    )
     return config, report
+
+
+def amplitude_weights(realization: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
+    """Per-preset products |h_f| |h_r| and |h_f| |h_t|, shape (L,) each.
+
+    Under phase alignment a placement's amplitude sums are these weights
+    summed over its presets, so they are all a placement search needs.
+    """
+    amp_f = np.abs(realization.h_f)
+    return amp_f * np.abs(realization.h_r), amp_f * np.abs(realization.h_t)
+
+
+def lattice_rates(weights, idx, power, noise_power) -> RateReport:
+    """Rate report of a batch of (..., M) flat lattice indices, from the
+    `amplitude_weights` of a realization.
+
+    Equal, bit for bit, to split_and_rates on the channels at those presets,
+    without computing phases or the split configuration.
+    """
+    w_r, w_t = weights
+    _, _, report = _split_rates(
+        np.sum(w_r[idx], axis=-1), np.sum(w_t[idx], axis=-1), power, noise_power
+    )
+    return report
 
 
 def evaluate(

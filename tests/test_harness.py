@@ -1,9 +1,11 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fires import harness
 from fires.channel import CorrelationModel, PlaneWaveField
 from fires.cli import main as cli_main
 from fires.harness import (
@@ -78,6 +80,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(power_sweep_dbm=())
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_particles", 0),
+            ("n_iterations", 0),
+            ("n_subareas", 0),
+            ("min_spacing", "quarter-lambda"),
+            ("min_spacing", 0.0),
+            ("area_sweep_m2", (1.0, -4.0)),
+        ],
+    )
+    def test_bad_field_named_at_load(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_power_dbm_list_rejected(self):
+        with pytest.raises(ValueError, match="power_dbm.*power_sweep_dbm"):
+            ExperimentConfig(sweep="power", power_dbm=[25.0, 35.0], **FAST)
+        with pytest.raises(ValueError, match="power_dbm"):
+            ExperimentConfig(power_dbm=(25.0,), **FAST)
+
 
 class TestTrials:
     def test_trial_is_deterministic(self):
@@ -136,14 +159,42 @@ class TestSweeps:
         assert [r.sweep_value for r in records] == [1.0, 4.0]
         assert all(r.n_trials == cfg.n_trials for r in records)
 
-    def test_power_list_doubles_as_sweep_values(self):
-        cfg = ExperimentConfig(sweep="power", power_dbm=[25.0, 35.0], **FAST)
-        records = run_sweep(cfg)
-        assert [r.sweep_value for r in records] == [25.0, 35.0]
-        with pytest.raises(ValueError, match="scalar"):
-            run_trial(cfg, 0)
-        with pytest.raises(ValueError, match="scalar"):
-            run_sweep(ExperimentConfig(sweep="none", power_dbm=[25.0], **FAST))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_power_records_equal_separate_runs(self, seed, monkeypatch):
+        cfg = ExperimentConfig(sweep="power", seed=seed, **FAST)
+        swept = {}
+        plain_run_trial = harness.run_trial
+
+        def recording(c, trial_index, area_m2=None):
+            swept[c.power_dbm, trial_index] = rec = plain_run_trial(c, trial_index, area_m2)
+            return rec
+
+        monkeypatch.setattr(harness, "run_trial", recording)
+        run_sweep(cfg)
+        monkeypatch.undo()
+        assert len(swept) == len(cfg.power_sweep_dbm) * cfg.n_trials
+        for (power, t), rec in swept.items():
+            alone = run_trial(replace(cfg, sweep="none", power_dbm=power), t)
+            assert rec.fires_rate == alone.fires_rate
+            assert rec.baseline_rate == alone.baseline_rate
+            assert rec.history == alone.history
+
+    def test_one_swarm_per_trial_on_the_power_axis(self, monkeypatch):
+        calls = []
+        plain_optimize = harness.optimize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return plain_optimize(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "optimize", counting)
+        cfg = ExperimentConfig(sweep="power", **FAST)
+        run_sweep(cfg)
+        assert len(calls) == cfg.n_trials
+        calls.clear()
+        run_trial(cfg, 0)
+        run_trial(cfg, 0)
+        assert len(calls) == 2  # no memo outside run_sweep
 
     def test_iterations_sweep_is_mean_history(self):
         cfg = ExperimentConfig(sweep="iterations", **FAST)

@@ -19,9 +19,9 @@ from fires.pso import (
     best_response,
     brute_force_oracle,
     fitness,
+    history_at,
     init_swarm,
     optimize,
-    penalty_power,
     repair_spacing,
     update_position,
     update_velocity,
@@ -79,17 +79,6 @@ class TestUpdates:
         pos = np.array([[0.10, 0.5], [1.5, 0.5]])
         vel = np.array([[0.05, 0.0], [0.0, 0.0]])
         assert np.allclose(update_position(pos, vel, geom)[0, 0], 0.15)
-
-
-class TestPenalty:
-    def test_budget_boundary(self):
-        assert penalty_power(0.6, 0.4, 1.0) == 0.0
-
-    def test_excess(self):
-        assert np.isclose(penalty_power(0.9, 0.6, 1.0), 0.5)
-
-    def test_idle(self):
-        assert penalty_power(0.0, 0.0, 1.0) == 0.0
 
 
 class TestInit:
@@ -187,6 +176,17 @@ class TestOptimize:
         assert rep_a.effective == rep_b.effective
         assert len(hist_a) == cfg.n_iterations + 1
         assert np.all(np.diff(hist_a) >= 0)
+
+    def test_trajectory_rescores_the_history(self):
+        geom, real = tiny_instance(seed=16)
+        cfg = PsoConfig(n_particles=20, n_iterations=30, seed=6)
+        trajectory = []
+        _, _, hist = optimize(real, geom, cfg, P, S2, trajectory=trajectory)
+        assert len(trajectory) == len(hist)
+        assert np.array_equal(history_at(trajectory, real, P, S2, cfg), hist)
+        # the swarm takes the same steps at every power on this instance
+        _, _, hist_low = optimize(real, geom, cfg, P / 100, S2)
+        assert np.array_equal(history_at(trajectory, real, P / 100, S2, cfg), hist_low)
 
     def test_positions_stay_feasible(self):
         geom, real = tiny_instance(seed=12)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from fires.channel import correlation_matrix, synthesize_channel
+from fires.channel import ChannelRealization, correlation_matrix, synthesize_channel
 from fires.geometry import Placement, partition_surface
 from fires.rate import (
     aligned_rate,
+    amplitude_weights,
     evaluate,
+    lattice_rates,
     optimal_phases,
     optimal_split,
     snr,
@@ -199,3 +201,28 @@ class TestEvaluate:
         for i in range(7):
             _, row = split_and_rates(h[i], g[i], k[i], 1.0, 1.0)
             assert np.isclose(report.effective[i], row.effective)
+
+
+class TestLatticeRates:
+    @pytest.mark.parametrize("m", [1, 4, 9])
+    def test_equals_split_and_rates_bit_for_bit(self, m):
+        rng = np.random.default_rng(40 + m)
+        h = rng.standard_normal((3, 60)) + 1j * rng.standard_normal((3, 60))
+        h[1, :10] = 0.0  # presets 0-9: no reflect gain
+        h[2, 10:20] = 0.0  # presets 10-19: no transmit gain
+        h[1:, 20:25] = 0.0  # presets 20-24: neither
+        real = ChannelRealization(h_f=h[0], h_r=h[1], h_t=h[2])
+        idx = np.concatenate(
+            [
+                rng.integers(0, 60, size=(200, m)),
+                rng.integers(0, 10, size=(5, m)),
+                rng.integers(10, 20, size=(5, m)),
+                rng.integers(20, 25, size=(5, m)),
+            ]
+        )
+        for power, noise in ((1.0, 1.0), (10.0, 1e-12), (0.1, 1e-12)):
+            got = lattice_rates(amplitude_weights(real), idx, power, noise)
+            _, expect = split_and_rates(real.h_f[idx], real.h_r[idx], real.h_t[idx], power, noise)
+            for name in ("effective", "rate_r", "rate_t", "snr_r", "snr_t"):
+                assert np.array_equal(getattr(got, name), getattr(expect, name)), name
+        assert np.all(got.effective[-15:] == 0.0)
