@@ -8,9 +8,11 @@ sinc correlation over the preset lattice: two presets a distance d apart have
 correlation sinc(2 d / wavelength). Two models draw that field, and both are
 built once per geometry and shared by all links:
 
-- `correlation_matrix`: the dense L x L sinc matrix, colored through its
-  eigendecomposition. It is exact and is the reference, but its memory grows
-  with L^2 and its time with L^3.
+- `correlation_matrix`: the dense L x L sinc matrix, colored by its
+  symmetric square root. It is exact and is the reference, but its memory
+  grows with L^2. The lattice is mirror-symmetric along both axes, so the
+  square root splits into four blocks of about L / 4 (Cantoni and Butler,
+  Linear Algebra Appl. 1976) and its time grows with L^3 / 16.
 - `plane_wave_field`: a finite sum of plane waves on a wavenumber grid inside
   the visible disk |k| <= 2 pi / wavelength (the Fourier plane-wave model of
   Pizzo, Marzetta and Sanguinetti, IEEE JSAC 2020). Its memory and time grow
@@ -28,7 +30,7 @@ import numpy as np
 
 from .geometry import Placement, SurfaceGeometry, lattice_points, placement_in_subareas, snap_to_subarea_presets
 
-# above this lattice size the L x L eigendecomposition needs several GB
+# above this lattice size the dense L x L matrices need several GB
 DENSE_MAX_PRESETS = 8000
 # wavenumber grid spacing of the plane-wave model is 2 pi / (q * side) per
 # axis, so the field repeats every q aperture sides. q = 8 keeps the implied
@@ -60,17 +62,18 @@ class LinkParams:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationModel:
-    """Spatial correlation matrix with its clamped eigendecomposition.
+    """Spatial correlation matrix with its symmetric square root.
 
-    `coloring` maps i.i.d. unit-variance draws to draws with covariance
-    `matrix`; it is the eigenvector matrix with columns scaled by the square
-    roots of the (nonnegative-clamped) eigenvalues.
+    `coloring` is the symmetric square root V sqrt(eigvals) V^T of `matrix`,
+    with negative eigenvalues clamped to zero. It maps i.i.d. unit-variance
+    draws to draws with covariance `matrix`, and unlike V sqrt(eigvals) it
+    does not depend on which eigenvectors the decomposition picked among
+    (near-)degenerate ones, so draws agree across LAPACK builds.
     """
 
     matrix: np.ndarray  # (L, L) real symmetric, unit diagonal
-    eigvecs: np.ndarray  # (L, L)
-    eigvals: np.ndarray  # (L,) clamped at zero
-    coloring: np.ndarray  # (L, L) = eigvecs * sqrt(eigvals)
+    eigvals: np.ndarray  # (L,) ascending, clamped at zero
+    coloring: np.ndarray  # (L, L) symmetric square root of matrix
 
     @property
     def n_presets(self) -> int:
@@ -78,18 +81,111 @@ class CorrelationModel:
 
     def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Scattered-field draw(s) with covariance `matrix`, shape (L,) or
-        (size, L); the white draw is circularly symmetric complex Gaussian
-        with unit variance."""
-        shape = (self.n_presets,) if size is None else (size, self.n_presets)
-        white = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        return white @ self.coloring.T
+        (size, L).
+
+        Each draw takes 2 L standard normals, the real parts and then the
+        imaginary parts of a circularly symmetric complex white vector with
+        unit variance, so `size=n` returns what n single draws in a row
+        return. All of them are colored by one real matrix product.
+        """
+        n = 1 if size is None else size
+        white = rng.standard_normal((n, 2, self.n_presets))
+        colored = white.reshape(2 * n, self.n_presets) @ self.coloring.T
+        field = _complex_pairs(colored.reshape(n, 2, self.n_presets))
+        return field[0] if size is None else field
 
     @classmethod
     def from_matrix(cls, r: np.ndarray) -> "CorrelationModel":
+        """Model of any symmetric matrix, through one full eigendecomposition."""
         r = np.asarray(r, dtype=float)
-        vals, vecs = np.linalg.eigh(r)
-        vals = np.clip(vals, 0.0, None)  # PSD repair of numerical noise
-        return cls(matrix=r, eigvecs=vecs, eigvals=vals, coloring=vecs * np.sqrt(vals))
+        vals, root = _symmetric_sqrt(r)
+        return cls(matrix=r, eigvals=vals, coloring=root)
+
+
+def _complex_pairs(x: np.ndarray) -> np.ndarray:
+    """Unit-variance complex values from an (n, 2, ...) array holding the real
+    parts at [:, 0] and the imaginary parts at [:, 1]."""
+    return (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
+
+
+def _symmetric_sqrt(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of symmetric r, clamped at zero (PSD repair of
+    numerical noise), and the symmetric square root (V sqrt(vals)) V^T."""
+    vals, vecs = np.linalg.eigh(r)
+    vals = np.clip(vals, 0.0, None)
+    return vals, (vecs * np.sqrt(vals)) @ vecs.T
+
+
+_SQRT_HALF = np.sqrt(0.5)
+
+
+def _mirror_fold(a: np.ndarray, axis: int, odd: bool) -> np.ndarray:
+    """Coordinates of `a` along `axis` in one half of the mirror basis.
+
+    For an axis of length n with m = n // 2, the odd half holds
+    (a[i] - a[n-1-i]) / sqrt(2) for i < m, and the even half holds
+    (a[i] + a[n-1-i]) / sqrt(2) for i < m followed, when n is odd, by the
+    center a[m]. Together the halves are an orthogonal change of basis.
+    """
+    a = np.moveaxis(a, axis, 0)
+    n = a.shape[0]
+    m = n // 2
+    tail = a[::-1][:m]  # a[n-1-i] for i < m
+    half = a[:m] - tail if odd else a[:m] + tail
+    half *= _SQRT_HALF
+    if n % 2 and not odd:
+        half = np.concatenate([half, a[m : m + 1]])
+    return np.moveaxis(half, 0, axis)
+
+
+def _mirror_unfold(
+    half: np.ndarray, axis: int, odd: bool, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Transpose of `_mirror_fold`: the n lattice coordinates along `axis` of
+    one half of the mirror basis, added into `out` when it is given."""
+    if out is None:
+        out = np.zeros(half.shape[:axis] + (n,) + half.shape[axis + 1 :])
+    half = np.moveaxis(half, axis, 0)
+    dest = np.moveaxis(out, axis, 0)
+    m = n // 2
+    spread = half[:m] * _SQRT_HALF
+    dest[:m] += spread
+    if odd:
+        dest[::-1][:m] -= spread
+    else:
+        dest[::-1][:m] += spread
+        if n % 2:
+            dest[m] += half[m]
+    return out
+
+
+def _mirror_sqrt(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and symmetric square root of a lattice correlation that is
+    unchanged by mirroring either lattice axis.
+
+    `r4` is the (rows, cols, rows, cols) view of the L x L matrix. In the
+    per-axis even/odd mirror basis the matrix splits into four blocks, one
+    per pair of row and column parities; each block gets its own clamped
+    eigendecomposition and square root, and the four roots are transformed
+    back to the lattice. The result is the matrix `_symmetric_sqrt` gives for
+    the whole, up to rounding, for about a sixteenth of the work.
+    """
+    rows, cols = r4.shape[:2]
+    vals = []
+    root = np.zeros(r4.shape)
+    for odd_y in (False, True):
+        r_y = _mirror_fold(_mirror_fold(r4, 0, odd_y), 2, odd_y)
+        root_y = np.zeros((r_y.shape[0], cols, r_y.shape[2], cols))
+        for odd_x in (False, True):
+            block = _mirror_fold(_mirror_fold(r_y, 1, odd_x), 3, odd_x)
+            k = block.shape[0] * block.shape[1]
+            block_vals, block_root = _symmetric_sqrt(block.reshape(k, k))
+            vals.append(block_vals)
+            spread = _mirror_unfold(block_root.reshape(block.shape), 3, odd_x, cols)
+            _mirror_unfold(spread, 1, odd_x, cols, out=root_y)
+        _mirror_unfold(_mirror_unfold(root_y, 2, odd_y, rows), 0, odd_y, rows, out=root)
+    n = rows * cols
+    return np.sort(np.concatenate(vals)), root.reshape(n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,16 +216,6 @@ def surface_steering(azimuth, elevation, positions, wavelength: float) -> np.nda
     return np.exp(1j * phase)
 
 
-def bs_steering(psi_b: float, n_antennas: int) -> np.ndarray:
-    """Uniform-line-array response at the base station; entry k is
-    exp(j (k - 1) pi sin(psi_b)). The pipeline runs a single-antenna BS,
-    for which this degenerates to [1]."""
-    if n_antennas < 1:
-        raise ValueError(f"need at least one antenna, got {n_antennas}")
-    k = np.arange(n_antennas)
-    return np.exp(1j * k * np.pi * np.sin(psi_b))
-
-
 def path_loss(distance: float, alpha: float) -> float:
     """Power scale factor distance**(-alpha)."""
     if distance <= 0:
@@ -142,7 +228,9 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
 
     Entry for lattice points with index offsets (dc, dr) is
     sinc(2/wavelength * hypot(dc * a_h / (L_h - 1), dr * a_v / (L_v - 1))),
-    i.e. sinc of twice the physical separation in wavelengths.
+    i.e. sinc of twice the physical separation in wavelengths. The matrix is
+    read off a table of the (2 L_v - 1) x (2 L_h - 1) lattice offsets, and
+    its square root is computed in the four mirror blocks of the lattice.
     """
     l_h, l_v = geom.lattice_cols, geom.lattice_rows
     if l_h < 2 or l_v < 2:
@@ -156,13 +244,18 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
             RuntimeWarning,
             stacklevel=2,
         )
-    idx = np.arange(geom.n_presets)
-    cols = idx % l_h
-    rows = idx // l_h
-    dx = (cols[:, None] - cols[None, :]) * (geom.a_h / (l_h - 1))
-    dy = (rows[:, None] - rows[None, :]) * (geom.a_v / (l_v - 1))
-    r = np.sinc(2.0 / geom.wavelength * np.hypot(dx, dy))
-    return CorrelationModel.from_matrix(r)
+    # one sinc value per lattice offset (dr, dc), at [dr + l_v - 1, dc + l_h - 1]
+    dx = np.arange(1 - l_h, l_h) * (geom.a_h / (l_h - 1))
+    dy = np.arange(1 - l_v, l_v) * (geom.a_v / (l_v - 1))
+    table = np.sinc(2.0 / geom.wavelength * np.hypot(dx[None, :], dy[:, None]))
+    # entry ((r, c), (r', c')) is table[r' - r + l_v - 1, c' - c + l_h - 1],
+    # the table being even in both offsets; the sliding window with reversed
+    # origins reads exactly that: window[r, c, r', c'] = table[l_v - 1 - r + r', ...]
+    window = np.lib.stride_tricks.sliding_window_view(table, (l_v, l_h))[::-1, ::-1]
+    r4 = np.ascontiguousarray(window)
+    vals, root = _mirror_sqrt(r4)
+    n = geom.n_presets
+    return CorrelationModel(matrix=r4.reshape(n, n), eigvals=vals, coloring=root)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,11 +278,16 @@ class PlaneWaveField:
         return self.ux.shape[0] * self.uy.shape[0]
 
     def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Scattered-field draw(s) over the lattice, shape (L,) or (size, L)."""
-        shape = self.variances.shape if size is None else (size, *self.variances.shape)
-        white = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        field = self.uy @ (np.sqrt(self.variances) * white) @ self.ux.T
-        return field.reshape(shape[:-2] + (self.n_presets,))
+        """Scattered-field draw(s) over the lattice, shape (L,) or (size, L).
+
+        Each draw takes the real and then the imaginary parts of its
+        amplitudes from the stream, so `size=n` returns what n single draws
+        in a row return.
+        """
+        n = 1 if size is None else size
+        white = _complex_pairs(rng.standard_normal((n, 2, *self.variances.shape)))
+        field = (self.uy @ (np.sqrt(self.variances) * white) @ self.ux.T).reshape(n, self.n_presets)
+        return field[0] if size is None else field
 
     def offset_covariance(self) -> np.ndarray:
         """Covariance between presets as a function of their lattice offset.
@@ -284,9 +382,9 @@ def synthesize_channel(
     with Rician weights sqrt(K/(K+1)) and sqrt(1/(K+1)), then applies the
     square-root path loss. The feed hop's BS-side factor is scalar unity
     (single-antenna BS), so its lattice profile is the surface steering alone.
-    Deterministic given the rng state; links are drawn in f, r, t order.
-    The scattered field comes from `corr`, either field model, and defaults
-    to the dense sinc model.
+    Deterministic given the rng state; the three scattered fields come from
+    one `draw(rng, size=3)` of `corr`, in f, r, t order. `corr` is either
+    field model and defaults to the dense sinc model.
     """
     if corr is None:
         corr = correlation_matrix(geom)
@@ -295,15 +393,17 @@ def synthesize_channel(
             f"correlation model covers {corr.n_presets} presets, geometry has {geom.n_presets}"
         )
     coords = lattice_points(geom)
+    scattered = corr.draw(rng, size=3)
 
-    def draw(link: LinkParams) -> np.ndarray:
+    def mix(link: LinkParams, nlos: np.ndarray) -> np.ndarray:
         los = surface_steering(link.azimuth, link.elevation, coords, geom.wavelength)
-        nlos = correlated_nlos(corr, rng)
         k = link.k_factor
         mixed = np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * nlos
         return np.sqrt(path_loss(link.distance, link.alpha)) * mixed
 
-    return ChannelRealization(h_f=draw(f_link), h_r=draw(r_link), h_t=draw(t_link))
+    return ChannelRealization(
+        h_f=mix(f_link, scattered[0]), h_r=mix(r_link, scattered[1]), h_t=mix(t_link, scattered[2])
+    )
 
 
 def channel_at(

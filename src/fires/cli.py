@@ -79,7 +79,9 @@ def main(argv=None) -> int:
         fmt = args.format or ("json" if str(args.out).endswith(".json") else "csv")
         records = run_sweep(cfg, threads=threads)
         emit_results(records, args.out, fmt, config=cfg)
-    except Exception as exc:
+    except (ValueError, OSError) as exc:
+        # a bad config or an unreadable/unwritable path; anything else is a
+        # fault in the program and keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for rec in records:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,28 @@ class SurfaceGeometry:
     @property
     def subarea_h(self) -> float:
         return self.a_v / self.grid_rows
+
+    @cached_property
+    def _subarea_tables(self) -> tuple[np.ndarray, ...]:
+        """Per-subarea constants, row-major and read-only: lower and upper
+        corners, shape (M, 2) each, then the 0-based inclusive lattice column
+        and row ranges col_lo, col_hi, row_lo, row_hi, shape (M,) each.
+
+        Built on first use and kept with the (frozen) geometry, because the
+        swarm clamps and snaps against them on every iteration.
+        """
+        srows, scols = np.divmod(np.arange(self.n_subareas), self.grid_cols)
+        tables = (
+            np.stack([scols * self.subarea_w, srows * self.subarea_h], axis=-1),
+            np.stack([(scols + 1) * self.subarea_w, (srows + 1) * self.subarea_h], axis=-1),
+            scols * self.n_h,
+            (scols + 1) * self.n_h - 1,
+            srows * self.n_v,
+            (srows + 1) * self.n_v - 1,
+        )
+        for table in tables:
+            table.flags.writeable = False
+        return tables
 
     def lattice_x(self) -> np.ndarray:
         """x coordinate of each lattice column, spanning [0, a_h] inclusive."""
@@ -173,34 +196,20 @@ def _check_subarea_index(geom: SurfaceGeometry, m: int) -> int:
 def subarea_bounds(geom: SurfaceGeometry, m: int) -> tuple[float, float, float, float]:
     """(x_lo, y_lo, x_hi, y_hi) of subarea m (1-based, row-major)."""
     i = _check_subarea_index(geom, m)
-    row, col = divmod(i, geom.grid_cols)
-    return (
-        col * geom.subarea_w,
-        row * geom.subarea_h,
-        (col + 1) * geom.subarea_w,
-        (row + 1) * geom.subarea_h,
-    )
+    lo, hi = subarea_corners(geom)
+    return float(lo[i, 0]), float(lo[i, 1]), float(hi[i, 0]), float(hi[i, 1])
 
 
 def subarea_corners(geom: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (M, 2) lower and upper corners of every subarea, row-major."""
-    idx = np.arange(geom.n_subareas)
-    rows, cols = np.divmod(idx, geom.grid_cols)
-    lo = np.stack([cols * geom.subarea_w, rows * geom.subarea_h], axis=-1)
-    hi = np.stack([(cols + 1) * geom.subarea_w, (rows + 1) * geom.subarea_h], axis=-1)
-    return lo, hi
+    """Stacked (M, 2) lower and upper corners of every subarea, row-major;
+    read-only arrays shared by every caller with this geometry."""
+    return geom._subarea_tables[:2]
 
 
 def _block_ranges(geom: SurfaceGeometry, m: int) -> tuple[int, int, int, int]:
     """0-based inclusive lattice (col_lo, col_hi, row_lo, row_hi) of subarea m."""
     i = _check_subarea_index(geom, m)
-    row, col = divmod(i, geom.grid_cols)
-    return (
-        col * geom.n_h,
-        (col + 1) * geom.n_h - 1,
-        row * geom.n_v,
-        (row + 1) * geom.n_v - 1,
-    )
+    return tuple(int(table[i]) for table in geom._subarea_tables[2:])
 
 
 def preset_grid(geom: SurfaceGeometry, m: int) -> np.ndarray:
@@ -286,9 +295,19 @@ def is_spacing_feasible(placement: Placement, d_min: float) -> bool:
     return spacing_violations(placement, d_min) == 0
 
 
-def _round_half_down(t: np.ndarray) -> np.ndarray:
-    """Nearest integer, half-way cases toward the smaller index."""
-    return np.ceil(np.asarray(t) - 0.5).astype(np.int64)
+def _nearest_col_row(points: np.ndarray, geom: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest lattice column and row of (..., 2) points, unclipped; half-way
+    cases go to the smaller index."""
+
+    def nearest(coord, count, extent):
+        if count == 1:
+            return np.zeros(coord.shape, dtype=np.int64)
+        return np.ceil(coord / (extent / (count - 1)) - 0.5).astype(np.int64)
+
+    return (
+        nearest(points[..., 0], geom.lattice_cols, geom.a_h),
+        nearest(points[..., 1], geom.lattice_rows, geom.a_v),
+    )
 
 
 def snap_to_lattice(points: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
@@ -296,17 +315,9 @@ def snap_to_lattice(points: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
 
     Ties resolve to the smaller flat index (smaller row, then column).
     """
-    points = np.asarray(points, dtype=float)
-    if geom.lattice_cols > 1:
-        col = _round_half_down(points[..., 0] / (geom.a_h / (geom.lattice_cols - 1)))
-        col = np.clip(col, 0, geom.lattice_cols - 1)
-    else:
-        col = np.zeros(points.shape[:-1], dtype=np.int64)
-    if geom.lattice_rows > 1:
-        row = _round_half_down(points[..., 1] / (geom.a_v / (geom.lattice_rows - 1)))
-        row = np.clip(row, 0, geom.lattice_rows - 1)
-    else:
-        row = np.zeros(points.shape[:-1], dtype=np.int64)
+    col, row = _nearest_col_row(np.asarray(points, dtype=float), geom)
+    col = np.clip(col, 0, geom.lattice_cols - 1)
+    row = np.clip(row, 0, geom.lattice_rows - 1)
     return row * geom.lattice_cols + col
 
 
@@ -323,19 +334,8 @@ def snap_to_subarea_presets(positions: np.ndarray, geom: SurfaceGeometry) -> np.
         raise ValueError(
             f"expected {geom.n_subareas} element positions, got {positions.shape[-2]}"
         )
-    idx = np.arange(geom.n_subareas)
-    srows, scols = np.divmod(idx, geom.grid_cols)
-    c_lo, c_hi = scols * geom.n_h, (scols + 1) * geom.n_h - 1
-    r_lo, r_hi = srows * geom.n_v, (srows + 1) * geom.n_v - 1
-
-    if geom.lattice_cols > 1:
-        col = _round_half_down(positions[..., 0] / (geom.a_h / (geom.lattice_cols - 1)))
-    else:
-        col = np.zeros(positions.shape[:-1], dtype=np.int64)
-    if geom.lattice_rows > 1:
-        row = _round_half_down(positions[..., 1] / (geom.a_v / (geom.lattice_rows - 1)))
-    else:
-        row = np.zeros(positions.shape[:-1], dtype=np.int64)
+    _, _, c_lo, c_hi, r_lo, r_hi = geom._subarea_tables
+    col, row = _nearest_col_row(positions, geom)
     col = np.clip(col, c_lo, c_hi)
     row = np.clip(row, r_lo, r_hi)
     return row * geom.lattice_cols + col

@@ -92,14 +92,25 @@ def optimal_split(g_r, g_t):
     g_t = np.asarray(g_t, dtype=float)
     if np.any(g_r < 0) or np.any(g_t < 0):
         raise ValueError("gains must be nonnegative")
+    beta = _equalizing_split(g_r, g_t)
+    if np.ndim(beta) == 0:
+        return float(beta)
+    return beta
+
+
+def _equalizing_split(g_r, g_t):
+    """optimal_split of gains already known to be nonnegative.
+
+    When every gain is positive, which is all but always, the result is the
+    plain equalizer; the zero-gain cases are only looked at otherwise.
+    """
+    if np.all(g_r > 0) and np.all(g_t > 0):
+        return g_t / (g_r + g_t)
     total = g_r + g_t
     with np.errstate(invalid="ignore", divide="ignore"):
         beta = np.where(total > 0, g_t / np.where(total > 0, total, 1.0), 0.5)
     beta = np.where((g_r > 0) & (g_t == 0), 1.0, beta)
-    beta = np.where((g_t > 0) & (g_r == 0), 0.0, beta)
-    if beta.ndim == 0:
-        return float(beta)
-    return beta
+    return np.where((g_t > 0) & (g_r == 0), 0.0, beta)
 
 
 def wrap_phases(phases) -> np.ndarray:
@@ -113,7 +124,7 @@ def _split_rates(s_r, s_t, power, noise_power):
     s_r and s_t, the gains under phase alignment being power * s^2 / noise."""
     g_r = power * s_r**2 / noise_power
     g_t = power * s_t**2 / noise_power
-    beta_r = optimal_split(g_r, g_t)
+    beta_r = _equalizing_split(g_r, g_t)
     beta_t = 1.0 - np.asarray(beta_r)
     snr_r = beta_r * g_r
     snr_t = beta_t * g_t

@@ -5,7 +5,6 @@ from fires.channel import (
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
-    bs_steering,
     channel_at,
     correlated_nlos,
     correlation_matrix,
@@ -44,13 +43,6 @@ class TestSteering:
         v = surface_steering(rng.uniform(0, np.pi), rng.uniform(0, np.pi), pos, WL)
         assert np.allclose(np.abs(v), 1.0, atol=1e-12)
 
-    def test_bs_single_antenna(self):
-        assert np.allclose(bs_steering(1.234, 1), [1.0 + 0j])
-
-    def test_bs_two_antennas(self):
-        assert np.allclose(bs_steering(np.pi / 2, 2), [1.0, -1.0], atol=1e-12)
-        assert np.allclose(bs_steering(0.0, 2), [1.0, 1.0])
-
 
 class TestPathLoss:
     def test_unit_distance(self):
@@ -63,6 +55,25 @@ class TestPathLoss:
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
             path_loss(0.0, 2.5)
+
+
+LATTICES = [
+    partition_surface(2.0, 2.0, 4, WL, n_h=5, n_v=5),  # 10 x 10, even sides
+    partition_surface(1.0, 1.0, 1, WL, n_h=9, n_v=9),  # 9 x 9, odd sides
+    partition_surface(1.5, 1.0, 3, WL, n_h=3, n_v=8, grid=(3, 1)),  # 8 rows x 9 cols
+    partition_surface(1.0, 2.0, 2, WL, n_h=7, n_v=3, grid=(1, 2)),  # 6 rows x 7 cols
+]
+LATTICE_IDS = ["10x10", "9x9", "8x9-grid3x1", "6x7-grid1x2"]
+
+
+def broadcast_sinc_matrix(geom):
+    """The sinc matrix built entry by entry from every pair's offsets."""
+    idx = np.arange(geom.n_presets)
+    cols = idx % geom.lattice_cols
+    rows = idx // geom.lattice_cols
+    dx = (cols[:, None] - cols[None, :]) * (geom.a_h / (geom.lattice_cols - 1))
+    dy = (rows[:, None] - rows[None, :]) * (geom.a_v / (geom.lattice_rows - 1))
+    return np.sinc(2.0 / geom.wavelength * np.hypot(dx, dy))
 
 
 class TestCorrelation:
@@ -83,9 +94,34 @@ class TestCorrelation:
     def test_eigvals_clamped_and_reconstruction(self):
         corr = correlation_matrix(tiny_geom(n=5, a=WL))
         assert np.all(corr.eigvals >= 0)
-        rebuilt = (corr.eigvecs * corr.eigvals) @ corr.eigvecs.T
+        rebuilt = corr.coloring @ corr.coloring.T
         rel = np.linalg.norm(rebuilt - corr.matrix) / np.linalg.norm(corr.matrix)
         assert rel < 1e-8
+
+    @pytest.mark.parametrize("geom", LATTICES, ids=LATTICE_IDS)
+    def test_offset_table_is_the_broadcast_matrix(self, geom):
+        assert np.array_equal(correlation_matrix(geom).matrix, broadcast_sinc_matrix(geom))
+
+    @pytest.mark.parametrize("geom", LATTICES, ids=LATTICE_IDS)
+    def test_mirror_blocks_give_the_symmetric_square_root(self, geom):
+        corr = correlation_matrix(geom)
+        full = CorrelationModel.from_matrix(corr.matrix)
+        root = corr.coloring
+        assert np.max(np.abs(root - full.coloring)) <= 1e-9
+        assert np.max(np.abs(corr.eigvals - full.eigvals)) <= 1e-12
+        assert np.max(np.abs(root - root.T)) <= 1e-12
+        rel = np.linalg.norm(root @ root.T - corr.matrix) / np.linalg.norm(corr.matrix)
+        assert rel <= 1e-8
+
+    def test_coloring_is_basis_invariant(self):
+        # the default lattice has near-degenerate eigenpairs, on which an
+        # eigenvector coloring depends on the decomposition; the symmetric
+        # square root of a relabelled lattice is the relabelled square root
+        geom = partition_surface(2.0, 2.0, 4, WL, n_h=10, n_v=10)
+        corr = correlation_matrix(geom)
+        perm = np.random.default_rng(8).permutation(geom.n_presets)
+        permuted = CorrelationModel.from_matrix(corr.matrix[np.ix_(perm, perm)])
+        assert np.max(np.abs(permuted.coloring - corr.coloring[np.ix_(perm, perm)])) <= 1e-12
 
     def test_degenerate_lattice_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -108,6 +144,14 @@ class TestNlosField:
         sample = draws.conj().T @ draws / draws.shape[0]
         rel = np.linalg.norm(sample - corr.matrix) / np.linalg.norm(corr.matrix)
         assert rel < 0.05
+
+    def test_batch_equals_single_draws_in_a_row(self):
+        corr = correlation_matrix(LATTICES[2])
+        batch = corr.draw(np.random.default_rng(4), size=3)
+        rng = np.random.default_rng(4)
+        singles = np.stack([corr.draw(rng) for _ in range(3)])
+        assert batch.shape == (3, corr.n_presets)
+        assert np.max(np.abs(batch - singles)) <= 1e-12
 
     def test_all_zero_eigenvalues_give_zero_field(self):
         corr = CorrelationModel.from_matrix(np.zeros((4, 4)))
@@ -177,6 +221,12 @@ class TestPlaneWaveField:
         assert single.shape == (geom.n_presets,)
         assert not np.array_equal(single, field.draw(np.random.default_rng(4)))
 
+    def test_batch_equals_single_draws_in_a_row(self):
+        field = plane_wave_field(partition_surface(1.0, 1.0, 4, WL, n_h=6, n_v=6))
+        batch = field.draw(np.random.default_rng(3), size=3)
+        rng = np.random.default_rng(3)
+        assert np.array_equal(batch, np.stack([field.draw(rng) for _ in range(3)]))
+
     def test_sampled_covariance(self):
         geom = tiny_geom(n=5, a=WL)
         field = plane_wave_field(geom)
@@ -235,8 +285,10 @@ class TestSynthesis:
             LinkParams(k_factor=0.0, distance=100.0, alpha=2.5, azimuth=0.3, elevation=0.2)
         ] * 3
         real = synthesize_channel(geom, *links, rng=np.random.default_rng(5), corr=field)
-        expect = np.sqrt(path_loss(100.0, 2.5)) * field.draw(np.random.default_rng(5))
-        assert np.allclose(real.h_f, expect)
+        # the three links take successive draws, bit for bit
+        rng = np.random.default_rng(5)
+        for h in (real.h_f, real.h_r, real.h_t):
+            assert np.array_equal(h, np.sqrt(path_loss(100.0, 2.5)) * field.draw(rng))
         with pytest.raises(ValueError, match="presets"):
             synthesize_channel(
                 tiny_geom(n=4, a=WL), *links, rng=np.random.default_rng(5), corr=field

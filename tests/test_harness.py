@@ -318,6 +318,14 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_program_fault_keeps_its_traceback(self, tmp_path, monkeypatch):
+        def broken(cfg, threads=1):
+            raise RuntimeError("fault inside the sweep")
+
+        monkeypatch.setattr("fires.cli.run_sweep", broken)
+        with pytest.raises(RuntimeError, match="fault inside the sweep"):
+            cli_main(["single", "--out", str(tmp_path / "x.csv")])
+
     def test_reproducible_csv_bytes(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
         out_a = tmp_path / "a.csv"
