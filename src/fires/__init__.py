@@ -7,7 +7,6 @@ from .channel import (
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
-    channel_at,
     correlated_nlos,
     correlation_matrix,
     plane_wave_field,
@@ -26,7 +25,7 @@ from .harness import (
     wavelength,
 )
 from .pso import PsoConfig, SwarmState, best_response, brute_force_oracle, fitness, optimize
-from .rate import RateReport, SplitConfig, aligned_rate, evaluate, optimal_phases, optimal_split, snr
+from .rate import RateReport, evaluate, optimal_phases, optimal_split, snr
 
 __all__ = [
     "BaselineConfig",
@@ -39,14 +38,11 @@ __all__ = [
     "PsoConfig",
     "RateReport",
     "ResultRecord",
-    "SplitConfig",
     "SurfaceGeometry",
     "SwarmState",
     "TrialRecord",
-    "aligned_rate",
     "best_response",
     "brute_force_oracle",
-    "channel_at",
     "correlated_nlos",
     "correlation_matrix",
     "dbm_to_watts",

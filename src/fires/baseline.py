@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import ChannelRealization
-from .geometry import Placement, SurfaceGeometry, snap_to_lattice, subarea_corners
-from .rate import RateReport, evaluate, split_and_rates
+from .geometry import Placement, SurfaceGeometry, partition_surface, snap_to_lattice, subarea_corners
+from .rate import RateReport, amplitude_weights, evaluate, lattice_rates
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,9 @@ def evaluate_baseline(
     """
     if cfg is None or cfg.m_hat == geom.n_subareas:
         return evaluate(realization, star_ris_placement(geom), geom, power, noise_power)
-    from .geometry import partition_surface
-
     tiling = partition_surface(
         geom.a_h, geom.a_v, cfg.m_hat, geom.wavelength,
         n_h=geom.n_h, n_v=geom.n_v, d_min=geom.d_min,
     )
-    centers = star_ris_placement(tiling).positions
-    idx = snap_to_lattice(centers, geom)
-    _, report = split_and_rates(
-        realization.h_f[idx], realization.h_r[idx], realization.h_t[idx], power, noise_power
-    )
-    return report
+    idx = snap_to_lattice(star_ris_placement(tiling).positions, geom)
+    return lattice_rates(amplitude_weights(realization), idx, power, noise_power)

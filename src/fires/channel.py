@@ -22,13 +22,12 @@ built once per geometry and shared by all links:
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Placement, SurfaceGeometry, lattice_points, placement_in_subareas, snap_to_subarea_presets
+from .geometry import SurfaceGeometry, lattice_points
 
 # above this lattice size the dense L x L matrices need several GB
 DENSE_MAX_PRESETS = 8000
@@ -405,54 +404,3 @@ def synthesize_channel(
         h_f=mix(f_link, scattered[0]), h_r=mix(r_link, scattered[1]), h_t=mix(t_link, scattered[2])
     )
 
-
-def channel_at(
-    realization: ChannelRealization, placement: Placement, geom: SurfaceGeometry
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-element channels at a placement, shape (M,) each.
-
-    Each element's continuous position snaps to the nearest preset of its own
-    subarea (ties toward the smaller flat index) and the lattice vectors are
-    read at the snapped points.
-    """
-    if realization.n_presets != geom.n_presets:
-        raise ValueError(
-            f"realization covers {realization.n_presets} presets, geometry has {geom.n_presets}"
-        )
-    if not placement_in_subareas(placement, geom):
-        raise ValueError("placement does not match geometry: element outside its subarea")
-    idx = snap_to_subarea_presets(placement.positions, geom)
-    return realization.h_f[idx], realization.h_r[idx], realization.h_t[idx]
-
-
-def _complex_to_lists(h: np.ndarray) -> dict:
-    return {"re": h.real.tolist(), "im": h.imag.tolist()}
-
-
-def _lists_to_complex(d: dict) -> np.ndarray:
-    return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-
-
-def save_realization(path, realization: ChannelRealization, seed=None, params: dict | None = None) -> None:
-    """JSON dump of a realization plus the seed/parameters that produced it."""
-    doc = {
-        "seed": seed,
-        "params": params or {},
-        "h_f": _complex_to_lists(realization.h_f),
-        "h_r": _complex_to_lists(realization.h_r),
-        "h_t": _complex_to_lists(realization.h_t),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_realization(path) -> tuple[ChannelRealization, dict]:
-    """Inverse of save_realization; returns the realization and its metadata."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    realization = ChannelRealization(
-        h_f=_lists_to_complex(doc["h_f"]),
-        h_r=_lists_to_complex(doc["h_r"]),
-        h_t=_lists_to_complex(doc["h_t"]),
-    )
-    return realization, {"seed": doc.get("seed"), "params": doc.get("params", {})}

@@ -1,11 +1,13 @@
-"""Aperture partitioning, preset lattices, index mapping, and spacing checks.
+"""Aperture partitioning, preset lattices, clamping and snapping, and
+spacing checks.
 
 The radiating aperture is a rectangle split into a grid of non-overlapping
 subareas, one movable element per subarea. Every subarea carries the same
 n_h x n_v grid of preset positions, laid out so that the union over all
 subareas is a single uniform lattice spanning the whole aperture (endpoints
-inclusive). Subareas and lattice rows/columns are numbered row-major and
-1-based in the public index contract; internal array indices are 0-based.
+inclusive). Subareas are numbered row-major and 1-based, as are the flat
+preset indices of `preset_flat_indices`; the snapping functions return
+0-based flat indices, row-major, ready to index the lattice arrays.
 """
 
 from __future__ import annotations
@@ -235,30 +237,6 @@ def lattice_points(geom: SurfaceGeometry) -> np.ndarray:
     return np.stack([xx.ravel(), yy.ravel()], axis=-1)
 
 
-def map_index(n_h: int, n_v: int, l_h: int) -> int:
-    """Row-major flat index of lattice column n_h, row n_v (all 1-based)."""
-    if not 1 <= n_h <= l_h:
-        raise ValueError(f"column index {n_h} out of range 1..{l_h}")
-    if n_v < 1:
-        raise ValueError(f"row index {n_v} must be >= 1")
-    return (n_v - 1) * l_h + n_h
-
-
-def unmap_index(n: int, l_h: int) -> tuple[int, int]:
-    """Inverse of map_index: flat index -> (n_h, n_v), 1-based."""
-    if n < 1:
-        raise ValueError(f"flat index {n} must be >= 1")
-    n_v, rem = divmod(n - 1, l_h)
-    return rem + 1, n_v + 1
-
-
-def project_to_subarea(pos, m: int, geom: SurfaceGeometry) -> np.ndarray:
-    """Euclidean-nearest point of subarea m's rectangle (componentwise clamp)."""
-    x_lo, y_lo, x_hi, y_hi = subarea_bounds(geom, m)
-    pos = np.asarray(pos, dtype=float)
-    return np.array([np.clip(pos[0], x_lo, x_hi), np.clip(pos[1], y_lo, y_hi)])
-
-
 def clamp_to_subareas(positions: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
     """Clamp (..., M, 2) positions so element i stays inside subarea i + 1."""
     lo, hi = subarea_corners(geom)
@@ -267,7 +245,7 @@ def clamp_to_subareas(positions: np.ndarray, geom: SurfaceGeometry) -> np.ndarra
         raise ValueError(
             f"expected {geom.n_subareas} element positions, got {positions.shape[-2]}"
         )
-    return np.clip(positions, lo, hi)
+    return np.minimum(np.maximum(positions, lo), hi)
 
 
 def placement_in_subareas(placement: Placement, geom: SurfaceGeometry, tol: float = 1e-9) -> bool:
@@ -291,10 +269,6 @@ def spacing_violations(placement: Placement, d_min: float) -> int:
     return int(np.count_nonzero(d2[iu, ju] < d_min * d_min))
 
 
-def is_spacing_feasible(placement: Placement, d_min: float) -> bool:
-    return spacing_violations(placement, d_min) == 0
-
-
 def _nearest_col_row(points: np.ndarray, geom: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Nearest lattice column and row of (..., 2) points, unclipped; half-way
     cases go to the smaller index."""
@@ -316,8 +290,8 @@ def snap_to_lattice(points: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
     Ties resolve to the smaller flat index (smaller row, then column).
     """
     col, row = _nearest_col_row(np.asarray(points, dtype=float), geom)
-    col = np.clip(col, 0, geom.lattice_cols - 1)
-    row = np.clip(row, 0, geom.lattice_rows - 1)
+    col = np.minimum(np.maximum(col, 0), geom.lattice_cols - 1)
+    row = np.minimum(np.maximum(row, 0), geom.lattice_rows - 1)
     return row * geom.lattice_cols + col
 
 
@@ -336,6 +310,6 @@ def snap_to_subarea_presets(positions: np.ndarray, geom: SurfaceGeometry) -> np.
         )
     _, _, c_lo, c_hi, r_lo, r_hi = geom._subarea_tables
     col, row = _nearest_col_row(positions, geom)
-    col = np.clip(col, c_lo, c_hi)
-    row = np.clip(row, r_lo, r_hi)
+    col = np.minimum(np.maximum(col, c_lo), c_hi)
+    row = np.minimum(np.maximum(row, r_lo), r_hi)
     return row * geom.lattice_cols + col

@@ -18,8 +18,9 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -53,6 +54,14 @@ def wavelength(f_c: float) -> float:
     if f_c <= 0:
         raise ValueError(f"carrier frequency must be positive, got {f_c}")
     return SPEED_OF_LIGHT / f_c
+
+
+# numeric config fields by their annotation; bool is not a number here
+_NUMBER_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number")}
+
+
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -94,27 +103,32 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep not in SWEEP_AXES:
             raise ValueError(f"sweep must be one of {SWEEP_AXES}, got {self.sweep!r}")
+        if isinstance(self.power_dbm, (list, tuple)):
+            raise ValueError("power_dbm must be a scalar; put sweep values in power_sweep_dbm")
+        for f in fields(self):
+            kind, noun = _NUMBER_KINDS.get(f.type, (None, None))
+            if kind is not None and not _is_number(getattr(self, f.name), kind):
+                raise ValueError(f"{f.name} must be {noun}, got {getattr(self, f.name)!r}")
         for name in ("n_trials", "n_particles", "n_iterations", "n_subareas"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if isinstance(self.power_dbm, (list, tuple)):
-            raise ValueError("power_dbm must be a scalar; put sweep values in power_sweep_dbm")
-        if isinstance(self.min_spacing, str):
-            if self.min_spacing != "half-lambda":
-                raise ValueError(
-                    f"min_spacing must be 'half-lambda' or meters, got {self.min_spacing!r}"
-                )
-        elif self.min_spacing <= 0:
-            raise ValueError(f"min_spacing must be positive, got {self.min_spacing}")
+        spacing = self.min_spacing
+        if spacing != "half-lambda" and not (_is_number(spacing, Real) and spacing > 0):
+            raise ValueError(f"min_spacing must be 'half-lambda' or positive meters, got {spacing!r}")
         for name in ("power_sweep_dbm", "area_sweep_m2"):
             seq = getattr(self, name)
-            if not isinstance(seq, tuple):
-                object.__setattr__(self, name, tuple(seq))
-            if len(getattr(self, name)) == 0:
+            if not isinstance(seq, (list, tuple)) or not all(_is_number(x, Real) for x in seq):
+                raise ValueError(f"{name} must be a list of numbers, got {seq!r}")
+            if len(seq) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            object.__setattr__(self, name, tuple(seq))
         if any(a <= 0 for a in self.area_sweep_m2):
             raise ValueError(f"area_sweep_m2 must hold positive areas, got {self.area_sweep_m2}")
-        if self.grid is not None and not isinstance(self.grid, tuple):
+        if self.grid is not None:
+            if not isinstance(self.grid, (list, tuple)) or len(self.grid) != 2 or not all(
+                _is_number(n, Integral) and n >= 1 for n in self.grid
+            ):
+                raise ValueError(f"grid must be two positive integers [cols, rows], got {self.grid!r}")
             object.__setattr__(self, "grid", tuple(self.grid))
 
     def digest(self) -> str:
@@ -127,6 +141,8 @@ def config_from_json(path) -> ExperimentConfig:
     """Load a config whose JSON keys mirror ExperimentConfig field names."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(doc) - known
     if unknown:

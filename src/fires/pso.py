@@ -316,7 +316,7 @@ def optimize(
             state.velocities, state.positions, state.personal_best_pos,
             state.global_best_pos, cfg, rng,
         )
-        state.velocities = np.clip(vel, -v_max, v_max)
+        state.velocities = np.minimum(np.maximum(vel, -v_max), v_max)
         state.positions = update_position(state.positions, state.velocities, geom)
         record_bests(*_batch_scores(state.positions, weights, geom, power, noise_power, cfg))
 

@@ -1,5 +1,13 @@
 """SNR, optimal phase alignment, energy-split selection, and max-min rates.
 
+With every element's phase aligned, a user's SNR depends only on the sum
+over the elements of |h_f| |h_u|, and the equalizing split fixes the rest.
+A placement's rates therefore follow from two per-preset amplitude weights
+of the realization (`amplitude_weights`), and every rate the program reports
+is scored from them by `lattice_rates`. `snr`, `optimal_phases`,
+`optimal_split` and `split_and_rates` state the closed forms that path rests
+on, over explicit channel vectors.
+
 All array functions reduce over the last axis, so they accept a single
 placement's (M,) channel vectors or a batch shaped (..., M) and return
 matching leading dimensions.
@@ -11,26 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, channel_at
-from .geometry import Placement, SurfaceGeometry
-
-_TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True, eq=False)
-class SplitConfig:
-    """Energy-splitting ratios and per-element phases for both users."""
-
-    beta_r: float
-    beta_t: float
-    phases_r: np.ndarray  # (..., M), wrapped into (0, 2*pi]
-    phases_t: np.ndarray
-
-    def __post_init__(self):
-        if not np.all((np.asarray(self.beta_r) >= 0) & (np.asarray(self.beta_r) <= 1)):
-            raise ValueError("beta_r must lie in [0, 1]")
-        if not np.allclose(np.asarray(self.beta_r) + np.asarray(self.beta_t), 1.0):
-            raise ValueError("energy split must satisfy beta_r + beta_t = 1")
+from .channel import ChannelRealization
+from .geometry import Placement, SurfaceGeometry, placement_in_subareas, snap_to_subarea_presets
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,18 +59,6 @@ def optimal_phases(h_f, h_u) -> np.ndarray:
     return np.angle(np.asarray(h_u) * np.conj(np.asarray(h_f)))
 
 
-def amplitude_sum(h_f, h_u) -> np.ndarray:
-    """sum_m |h_f[m]| * |h_u[m]| over the last axis."""
-    return np.sum(np.abs(np.asarray(h_f)) * np.abs(np.asarray(h_u)), axis=-1)
-
-
-def aligned_rate(h_f, h_u, beta, power, noise_power):
-    """Rate under phase alignment: log2(1 + beta * power * S^2 / noise_power)
-    with S the element-wise amplitude sum."""
-    s = amplitude_sum(h_f, h_u)
-    return np.log2(1.0 + beta * power * s**2 / noise_power)
-
-
 def optimal_split(g_r, g_t):
     """Reflect-side share maximizing min(beta * g_r, (1 - beta) * g_t).
 
@@ -113,49 +91,39 @@ def _equalizing_split(g_r, g_t):
     return np.where((g_t > 0) & (g_r == 0), 0.0, beta)
 
 
-def wrap_phases(phases) -> np.ndarray:
-    """Wrap angles into (0, 2*pi]."""
-    w = np.asarray(phases, dtype=float) % _TWO_PI
-    return np.where(w == 0.0, _TWO_PI, w)
-
-
-def _split_rates(s_r, s_t, power, noise_power):
-    """(beta_r, beta_t, report) of the equalizing split for amplitude sums
-    s_r and s_t, the gains under phase alignment being power * s^2 / noise."""
+def _split_rates(s_r, s_t, power, noise_power) -> RateReport:
+    """Rate report of the equalizing split for amplitude sums s_r and s_t,
+    the gains under phase alignment being power * s^2 / noise."""
     g_r = power * s_r**2 / noise_power
     g_t = power * s_t**2 / noise_power
     beta_r = _equalizing_split(g_r, g_t)
-    beta_t = 1.0 - np.asarray(beta_r)
     snr_r = beta_r * g_r
-    snr_t = beta_t * g_t
+    snr_t = (1.0 - np.asarray(beta_r)) * g_t
     rate_r = np.log2(1.0 + snr_r)
     rate_t = np.log2(1.0 + snr_t)
-    report = RateReport(
+    return RateReport(
         rate_r=rate_r,
         rate_t=rate_t,
         effective=np.minimum(rate_r, rate_t),
         snr_r=snr_r,
         snr_t=snr_t,
     )
-    return beta_r, beta_t, report
 
 
-def split_and_rates(h_f, h_r, h_t, power, noise_power) -> tuple[SplitConfig, RateReport]:
-    """Optimal phases, equalizing split, and the resulting rates.
+def split_and_rates(h_f, h_r, h_t, power, noise_power) -> RateReport:
+    """Rates of channel vectors under optimal phases and the equalizing split.
 
+    The closed form the scoring path rests on: with each element's phase set
+    by `optimal_phases`, a user's gain is power * (sum |h_f| |h_u|)^2 / noise.
     With both gains positive the two rates coincide; the effective rate is
     their min in every case.
     """
-    beta_r, beta_t, report = _split_rates(
-        amplitude_sum(h_f, h_r), amplitude_sum(h_f, h_t), power, noise_power
+    return _split_rates(
+        np.sum(np.abs(h_f) * np.abs(h_r), axis=-1),
+        np.sum(np.abs(h_f) * np.abs(h_t), axis=-1),
+        power,
+        noise_power,
     )
-    config = SplitConfig(
-        beta_r=beta_r,
-        beta_t=float(beta_t) if np.ndim(beta_t) == 0 else beta_t,
-        phases_r=wrap_phases(optimal_phases(h_f, h_r)),
-        phases_t=wrap_phases(optimal_phases(h_f, h_t)),
-    )
-    return config, report
 
 
 def amplitude_weights(realization: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
@@ -172,14 +140,10 @@ def lattice_rates(weights, idx, power, noise_power) -> RateReport:
     """Rate report of a batch of (..., M) flat lattice indices, from the
     `amplitude_weights` of a realization.
 
-    Equal, bit for bit, to split_and_rates on the channels at those presets,
-    without computing phases or the split configuration.
+    Equal, bit for bit, to split_and_rates on the channels at those presets.
     """
     w_r, w_t = weights
-    _, _, report = _split_rates(
-        np.sum(w_r[idx], axis=-1), np.sum(w_t[idx], axis=-1), power, noise_power
-    )
-    return report
+    return _split_rates(np.sum(w_r[idx], axis=-1), np.sum(w_t[idx], axis=-1), power, noise_power)
 
 
 def evaluate(
@@ -189,8 +153,14 @@ def evaluate(
     power: float,
     noise_power: float,
 ) -> RateReport:
-    """Max-min rate report of a placement: lattice lookup, per-user phase
-    alignment, equalizing energy split."""
-    h_f, h_r, h_t = channel_at(realization, placement, geom)
-    _, report = split_and_rates(h_f, h_r, h_t, power, noise_power)
-    return report
+    """Max-min rate report of a placement: each element snaps to the nearest
+    preset of its own subarea (ties toward the smaller flat index), and the
+    presets are scored by `lattice_rates`."""
+    if realization.n_presets != geom.n_presets:
+        raise ValueError(
+            f"realization covers {realization.n_presets} presets, geometry has {geom.n_presets}"
+        )
+    if not placement_in_subareas(placement, geom):
+        raise ValueError("placement does not match geometry: element outside its subarea")
+    idx = snap_to_subarea_presets(placement.positions, geom)
+    return lattice_rates(amplitude_weights(realization), idx, power, noise_power)

@@ -173,7 +173,7 @@ def test_c7_phase_and_split_optimality():
         random_phases = rng.uniform(0, 2 * np.pi, size=(200, 6))
         contenders = snr(h_f, h_r, random_phases, 1.0, 1.0, 1.0)
         assert np.all(aligned >= contenders), "a random phase vector beat the aligned one"
-        _, report = split_and_rates(h_f, h_r, h_t, 1.0, 1.0)
+        report = split_and_rates(h_f, h_r, h_t, 1.0, 1.0)
         gap = abs(float(report.rate_r) - float(report.rate_t))
         assert gap < 1e-9, f"equalized rates differ by {gap}"
         g_r = float(np.sum(np.abs(h_f) * np.abs(h_r))) ** 2

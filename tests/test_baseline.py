@@ -3,9 +3,9 @@ import pytest
 
 from fires.baseline import BaselineConfig, evaluate_baseline, star_ris_placement
 from fires.channel import correlation_matrix, synthesize_channel
-from fires.geometry import partition_surface, spacing_violations
+from fires.geometry import lattice_points, partition_surface, snap_to_lattice, spacing_violations
 from fires.pso import brute_force_oracle
-from fires.rate import evaluate
+from fires.rate import amplitude_weights, evaluate, lattice_rates
 from helpers import WL, default_links
 
 P, S2 = 10.0, 1e-12
@@ -63,12 +63,10 @@ def test_mismatched_element_count(instance):
     geom, real = instance
     got = evaluate_baseline(real, geom, P, S2, BaselineConfig(m_hat=1))
     # one element at the aperture center, snapped to the nearest global preset
-    from fires.geometry import lattice_points, snap_to_lattice
-    from fires.rate import split_and_rates
-
     idx = snap_to_lattice(np.array([[1.0, 1.0]]), geom)
-    _, expect = split_and_rates(real.h_f[idx], real.h_r[idx], real.h_t[idx], P, S2)
-    assert np.isclose(got.effective, float(expect.effective))
+    expect = lattice_rates(amplitude_weights(real), idx, P, S2)
+    for name in ("effective", "rate_r", "rate_t", "snr_r", "snr_t"):
+        assert getattr(got, name) == getattr(expect, name), name
     assert lattice_points(geom).shape == (geom.n_presets, 2)
 
 

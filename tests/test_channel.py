@@ -5,17 +5,15 @@ from fires.channel import (
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
-    channel_at,
     correlated_nlos,
     correlation_matrix,
-    load_realization,
     path_loss,
     plane_wave_field,
-    save_realization,
     surface_steering,
     synthesize_channel,
 )
-from fires.geometry import Placement, partition_surface, preset_grid
+from fires.geometry import Placement, partition_surface, preset_flat_indices, preset_grid
+from fires.rate import amplitude_weights, evaluate, lattice_rates
 from helpers import WL, default_links
 
 
@@ -313,41 +311,32 @@ class TestSynthesis:
 
 
 class TestChannelLookup:
+    """A placement's channels are read at the nearest preset of each
+    element's own subarea; `evaluate` scores that lookup."""
+
     def test_exact_on_lattice_and_stable_nearby(self):
         geom = partition_surface(2.0, 2.0, 4, WL, n_h=3, n_v=3)
         corr = correlation_matrix(geom)
         real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(3), corr=corr)
         pos = np.stack([preset_grid(geom, m)[4] for m in range(1, 5)])
-        hf, hr, ht = channel_at(real, Placement(pos), geom)
-        from fires.geometry import preset_flat_indices
-
         idx = np.array([preset_flat_indices(geom, m)[4] - 1 for m in range(1, 5)])
-        assert np.array_equal(hf, real.h_f[idx])
-        assert np.array_equal(hr, real.h_r[idx])
-        assert np.array_equal(ht, real.h_t[idx])
+        expect = lattice_rates(amplitude_weights(real), idx, 10.0, 1e-12)
         pitch = 2.0 / (geom.lattice_cols - 1)
-        hf2, _, _ = channel_at(real, Placement(pos + 0.3 * pitch), geom)
-        assert np.array_equal(hf2, hf)
+        for shift in (0.0, 0.3 * pitch, -0.3 * pitch):
+            got = evaluate(real, Placement(pos + shift), geom, 10.0, 1e-12)
+            for name in ("effective", "rate_r", "rate_t", "snr_r", "snr_t"):
+                assert getattr(got, name) == getattr(expect, name), (shift, name)
 
     def test_mismatch_rejected(self):
         geom = partition_surface(2.0, 2.0, 4, WL, n_h=3, n_v=3)
         real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(3))
         bad = Placement(np.array([[1.7, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]))
-        with pytest.raises(ValueError):
-            channel_at(real, bad, geom)
+        with pytest.raises(ValueError, match="outside its subarea"):
+            evaluate(real, bad, geom, 1.0, 1.0)
         small = Placement(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
-            channel_at(real, small, geom)
-
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        geom = tiny_geom(n=3, a=WL)
-        real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(9))
-        path = tmp_path / "realization.json"
-        save_realization(path, real, seed=9, params={"n": 3})
-        loaded, meta = load_realization(path)
-        assert np.array_equal(loaded.h_f, real.h_f)
-        assert np.array_equal(loaded.h_r, real.h_r)
-        assert np.array_equal(loaded.h_t, real.h_t)
-        assert meta["seed"] == 9 and meta["params"] == {"n": 3}
+            evaluate(real, small, geom, 1.0, 1.0)
+        coarse = partition_surface(2.0, 2.0, 4, WL, n_h=2, n_v=2)
+        centers = Placement(np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]))
+        with pytest.raises(ValueError, match="presets"):
+            evaluate(real, centers, coarse, 1.0, 1.0)

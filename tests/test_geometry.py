@@ -6,19 +6,15 @@ import pytest
 from fires.geometry import (
     Placement,
     clamp_to_subareas,
-    is_spacing_feasible,
     lattice_points,
-    map_index,
     partition_surface,
     placement_in_subareas,
     preset_flat_indices,
     preset_grid,
-    project_to_subarea,
     snap_to_lattice,
     snap_to_subarea_presets,
     spacing_violations,
     subarea_bounds,
-    unmap_index,
 )
 
 WL = 0.0856  # ~3.5 GHz carrier
@@ -119,51 +115,58 @@ class TestPresetLattice:
 
 
 class TestIndexMapping:
+    """Presets are numbered row-major over the whole lattice: the preset in
+    1-based column n_h and row n_v of an l_h-wide lattice is number
+    (n_v - 1) * l_h + n_h; the snapping functions return that number - 1."""
+
     def test_first_element(self):
-        assert map_index(1, 1, 10) == 1
+        geom = square_geom(4, n=3)
+        assert preset_flat_indices(geom, 1)[0] == 1
+        assert snap_to_lattice(np.zeros(2), geom) == 0
 
     def test_row_major_formula(self):
-        assert map_index(3, 2, 10) == 13
+        geom = partition_surface(2.0, 1.0, 2, WL, n_h=5, n_v=5)  # 10 x 5 lattice
+        assert geom.lattice_cols == 10
+        column_3_row_2 = (geom.lattice_x()[2], geom.lattice_y()[1])
+        assert snap_to_lattice(np.array(column_3_row_2), geom) + 1 == 13
+        assert np.array_equal(lattice_points(geom)[12], column_3_row_2)
 
     def test_round_trip_full_lattice(self):
-        l_h, l_v = 7, 5
-        for n_v in range(1, l_v + 1):
-            for n_h in range(1, l_h + 1):
-                assert unmap_index(map_index(n_h, n_v, l_h), l_h) == (n_h, n_v)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            map_index(0, 1, 10)
-        with pytest.raises(ValueError):
-            map_index(11, 1, 10)
-        with pytest.raises(ValueError):
-            map_index(1, 0, 10)
-        with pytest.raises(ValueError):
-            unmap_index(0, 10)
+        geom = partition_surface(7.0, 5.0, 35, WL, n_h=1, n_v=1)  # 7 x 5 lattice
+        assert (geom.lattice_cols, geom.lattice_rows) == (7, 5)
+        assert np.array_equal(snap_to_lattice(lattice_points(geom), geom), np.arange(35))
 
 
 class TestProjection:
+    """clamp_to_subareas is the Euclidean projection of each element onto
+    its own subarea's rectangle."""
+
+    @staticmethod
+    def project(q, m, geom):
+        positions = np.tile(np.asarray(q, dtype=float), (geom.n_subareas, 1))
+        return clamp_to_subareas(positions, geom)[m - 1]
+
     def test_inside_unchanged(self):
         geom = square_geom(4)
-        p = project_to_subarea((0.3, 0.7), 1, geom)
+        p = self.project((0.3, 0.7), 1, geom)
         assert np.allclose(p, (0.3, 0.7))
 
     def test_clamp_semantics(self):
         geom = square_geom(4)
         # subarea 2 occupies [1, 2] x [0, 1]; point left of its x-range
-        p = project_to_subarea((0.4, 0.7), 2, geom)
+        p = self.project((0.4, 0.7), 2, geom)
         assert np.allclose(p, (1.0, 0.7))
 
     def test_idempotent(self):
         geom = square_geom(9)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            m = int(rng.integers(1, 10))
-            q = rng.uniform(-3, 5, size=2)
-            once = project_to_subarea(q, m, geom)
-            assert np.allclose(project_to_subarea(once, m, geom), once)
-            x_lo, y_lo, x_hi, y_hi = subarea_bounds(geom, m)
-            assert x_lo <= once[0] <= x_hi and y_lo <= once[1] <= y_hi
+            batch = rng.uniform(-3, 5, size=(9, 2))
+            once = clamp_to_subareas(batch, geom)
+            assert np.array_equal(clamp_to_subareas(once, geom), once)
+            for m in range(1, 10):
+                x_lo, y_lo, x_hi, y_hi = subarea_bounds(geom, m)
+                assert x_lo <= once[m - 1, 0] <= x_hi and y_lo <= once[m - 1, 1] <= y_hi
 
     def test_projection_is_nearest_point(self):
         geom = square_geom(4)
@@ -172,8 +175,8 @@ class TestProjection:
         for _ in range(30):
             m = int(rng.integers(1, 5))
             q = rng.uniform(-2, 4, size=2)
-            p = project_to_subarea(q, m, geom)
-            # no corner or preset of the rectangle is closer than the projection
+            p = self.project(q, m, geom)
+            # no preset of the rectangle is closer than the projection
             for cand in preset_grid(geom, m):
                 assert math.dist(q, p) <= math.dist(q, cand) + 1e-12
         assert pts.shape == (4, 2)
@@ -185,14 +188,16 @@ class TestProjection:
         clamped = clamp_to_subareas(batch, geom)
         for i in range(6):
             for m in range(1, 5):
-                assert np.allclose(clamped[i, m - 1], project_to_subarea(batch[i, m - 1], m, geom))
+                x_lo, y_lo, x_hi, y_hi = subarea_bounds(geom, m)
+                x, y = batch[i, m - 1]
+                expect = (min(max(x, x_lo), x_hi), min(max(y, y_lo), y_hi))
+                assert np.array_equal(clamped[i, m - 1], expect)
 
 
 class TestSpacing:
     def test_exactly_d_apart_is_feasible(self):
         pl = Placement(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert spacing_violations(pl, 1.0) == 0
-        assert is_spacing_feasible(pl, 1.0)
 
     def test_single_close_pair(self):
         pl = Placement(np.array([[0.0, 0.0], [0.25, 0.0], [5.0, 5.0]]))

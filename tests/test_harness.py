@@ -71,6 +71,9 @@ class TestConfig:
         path.write_text(json.dumps({"not_a_field": 1}))
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_json(path)
+        path.write_text(json.dumps([1, 2]))
+        with pytest.raises(ValueError, match="JSON object"):
+            config_from_json(path)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,6 +92,10 @@ class TestConfig:
             ("min_spacing", "quarter-lambda"),
             ("min_spacing", 0.0),
             ("area_sweep_m2", (1.0, -4.0)),
+            ("power_sweep_dbm", 40),
+            ("n_h", "10"),
+            ("n_trials", True),
+            ("grid", 5),
         ],
     )
     def test_bad_field_named_at_load(self, field, value):

@@ -11,6 +11,7 @@ from fires.geometry import (
     partition_surface,
     placement_in_subareas,
     preset_grid,
+    snap_to_subarea_presets,
     spacing_violations,
     subarea_bounds,
 )
@@ -127,9 +128,8 @@ class TestFitness:
     def test_sum_objective_switch(self):
         geom, real = tiny_instance()
         pl = Placement(np.array([[0.5, 1.0], [1.5, 1.0]]))
-        from fires.channel import channel_at
-
-        _, report = split_and_rates(*channel_at(real, pl, geom), P, S2)
+        idx = snap_to_subarea_presets(pl.positions, geom)
+        report = split_and_rates(real.h_f[idx], real.h_r[idx], real.h_t[idx], P, S2)
         got = fitness(pl, real, geom, P, S2, PsoConfig(objective="sum"))
         assert got == pytest.approx(float(report.rate_r + report.rate_t), abs=0)
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from fires.channel import ChannelRealization, correlation_matrix, synthesize_channel
-from fires.geometry import Placement, partition_surface
+from fires.geometry import Placement, partition_surface, snap_to_subarea_presets
 from fires.rate import (
-    aligned_rate,
     amplitude_weights,
     evaluate,
     lattice_rates,
@@ -12,7 +11,6 @@ from fires.rate import (
     optimal_split,
     snr,
     split_and_rates,
-    wrap_phases,
 )
 from helpers import WL, default_links
 
@@ -70,35 +68,42 @@ class TestOptimalPhases:
 
 class TestAlignedRate:
     def test_snr_one_gives_one_bit(self):
-        # S = 1, beta * P / sigma2 = 1
-        assert np.isclose(aligned_rate([1.0], [1.0], 1.0, 1.0, 1.0), 1.0)
+        # S = 1 per user, power 2 split evenly: beta * P * S^2 / sigma2 = 1
+        report = split_and_rates([1.0], [1.0], [1.0], 2.0, 1.0)
+        assert np.isclose(report.rate_r, 1.0) and np.isclose(report.rate_t, 1.0)
+        assert np.isclose(report.effective, 1.0)
 
     def test_two_unit_elements(self):
-        val = aligned_rate([1.0, 1.0], [1.0, 1.0], 1.0, 1.0, 1.0)
-        assert np.isclose(val, np.log2(5.0))
-        assert np.isclose(val, 2.321928094887362)
+        report = split_and_rates([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], 2.0, 1.0)
+        assert np.isclose(report.effective, np.log2(5.0))
+        assert np.isclose(report.effective, 2.321928094887362)
 
     def test_zero_split_zero_rate(self):
-        assert aligned_rate([1.0, 1.0], [1.0, 1.0], 0.0, 1.0, 1.0) == 0.0
+        # a user without gain gets no energy and rate 0; the other gets all
+        report = split_and_rates([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0, 1.0)
+        assert report.rate_r == 0.0 and report.effective == 0.0
+        assert np.isclose(report.rate_t, np.log2(5.0))
 
     def test_matches_snr_under_optimal_phases(self):
         rng = np.random.default_rng(32)
         for _ in range(50):
-            h_f, h_u, _ = random_channels(rng, 5)
-            beta = rng.uniform(0.1, 1.0)
+            h_f, h_r, h_t = random_channels(rng, 5)
             p, s2 = rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)
-            via_snr = np.log2(1.0 + snr(h_f, h_u, optimal_phases(h_f, h_u), beta, p, s2))
-            direct = aligned_rate(h_f, h_u, beta, p, s2)
-            assert np.isclose(direct, via_snr, rtol=1e-10)
+            ph_r, ph_t = optimal_phases(h_f, h_r), optimal_phases(h_f, h_t)
+            beta = optimal_split(snr(h_f, h_r, ph_r, 1.0, p, s2), snr(h_f, h_t, ph_t, 1.0, p, s2))
+            report = split_and_rates(h_f, h_r, h_t, p, s2)
+            assert np.isclose(report.snr_r, snr(h_f, h_r, ph_r, beta, p, s2), rtol=1e-10)
+            assert np.isclose(report.snr_t, snr(h_f, h_t, ph_t, 1 - beta, p, s2), rtol=1e-10)
 
     def test_monotone_in_power_split_and_elements(self):
         rng = np.random.default_rng(33)
-        h_f, h_u, _ = random_channels(rng, 4)
-        r1 = aligned_rate(h_f, h_u, 0.5, 1.0, 1.0)
-        assert aligned_rate(h_f, h_u, 0.5, 2.0, 1.0) > r1
-        assert aligned_rate(h_f, h_u, 0.6, 1.0, 1.0) > r1
-        bigger = aligned_rate(np.append(h_f, 1.0), np.append(h_u, 1.0), 0.5, 1.0, 1.0)
-        assert bigger > r1
+        h_f, h_r, h_t = random_channels(rng, 4)
+        r1 = split_and_rates(h_f, h_r, h_t, 1.0, 1.0).effective
+        assert split_and_rates(h_f, h_r, h_t, 2.0, 1.0).effective > r1
+        bigger = split_and_rates(*(np.append(h, 1.0) for h in (h_f, h_r, h_t)), 1.0, 1.0)
+        assert bigger.effective > r1
+        ph = optimal_phases(h_f, h_r)
+        assert snr(h_f, h_r, ph, 0.6, 1.0, 1.0) > snr(h_f, h_r, ph, 0.5, 1.0, 1.0)
 
 
 class TestOptimalSplit:
@@ -138,14 +143,6 @@ class TestOptimalSplit:
             optimal_split(-1.0, 1.0)
 
 
-class TestWrapPhases:
-    def test_interval(self):
-        w = wrap_phases([-np.pi / 6, 0.0, 2 * np.pi, 7.0])
-        assert np.isclose(w[0], 11 * np.pi / 6)
-        assert w[1] == 2 * np.pi and w[2] == 2 * np.pi
-        assert np.all((w > 0) & (w <= 2 * np.pi))
-
-
 class TestEvaluate:
     @pytest.fixture()
     def setup(self):
@@ -168,25 +165,14 @@ class TestEvaluate:
 
     def test_beats_fixed_half_split(self, setup):
         geom, real, placement = setup
-        from fires.channel import channel_at
-
-        h_f, h_r, h_t = channel_at(real, placement, geom)
+        idx = snap_to_subarea_presets(placement.positions, geom)
+        h_f, h_r, h_t = real.h_f[idx], real.h_r[idx], real.h_t[idx]
         p, s2 = 10.0, 1e-12
         report = evaluate(real, placement, geom, p, s2)
-        fixed = min(aligned_rate(h_f, h_r, 0.5, p, s2), aligned_rate(h_f, h_t, 0.5, p, s2))
+        fixed = min(
+            np.log2(1.0 + snr(h_f, h_u, optimal_phases(h_f, h_u), 0.5, p, s2)) for h_u in (h_r, h_t)
+        )
         assert report.effective >= fixed - 1e-12
-
-    def test_split_config_carries_wrapped_phases(self, setup):
-        geom, real, placement = setup
-        from fires.channel import channel_at
-
-        h_f, h_r, h_t = channel_at(real, placement, geom)
-        config, report = split_and_rates(h_f, h_r, h_t, 10.0, 1e-12)
-        assert np.isclose(config.beta_r + config.beta_t, 1.0)
-        assert np.all((config.phases_r > 0) & (config.phases_r <= 2 * np.pi))
-        # applying the config through the generic SNR path reproduces the report
-        got_r = snr(h_f, h_r, config.phases_r, config.beta_r, 10.0, 1e-12)
-        assert np.isclose(got_r, report.snr_r, rtol=1e-10)
 
     def test_batch_shapes(self, setup):
         geom, real, _ = setup
@@ -194,12 +180,11 @@ class TestEvaluate:
         h = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
         g = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
         k = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
-        config, report = split_and_rates(h, g, k, 1.0, 1.0)
+        report = split_and_rates(h, g, k, 1.0, 1.0)
         assert report.effective.shape == (7,)
-        assert config.phases_r.shape == (7, 4)
         # each batch row equals the scalar path
         for i in range(7):
-            _, row = split_and_rates(h[i], g[i], k[i], 1.0, 1.0)
+            row = split_and_rates(h[i], g[i], k[i], 1.0, 1.0)
             assert np.isclose(report.effective[i], row.effective)
 
 
@@ -222,7 +207,7 @@ class TestLatticeRates:
         )
         for power, noise in ((1.0, 1.0), (10.0, 1e-12), (0.1, 1e-12)):
             got = lattice_rates(amplitude_weights(real), idx, power, noise)
-            _, expect = split_and_rates(real.h_f[idx], real.h_r[idx], real.h_t[idx], power, noise)
+            expect = split_and_rates(real.h_f[idx], real.h_r[idx], real.h_t[idx], power, noise)
             for name in ("effective", "rate_r", "rate_t", "snr_r", "snr_t"):
                 assert np.array_equal(getattr(got, name), getattr(expect, name)), name
         assert np.all(got.effective[-15:] == 0.0)
