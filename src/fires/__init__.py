@@ -1,13 +1,12 @@
 """Fluid reflecting-and-emitting surface: channel simulation, closed-form
 phase/split optimization, swarm placement search, and Monte Carlo sweeps."""
 
-from .baseline import BaselineConfig, evaluate_baseline, star_ris_placement
+from .baseline import evaluate_baseline, star_ris_placement
 from .channel import (
     ChannelRealization,
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
-    correlated_nlos,
     correlation_matrix,
     plane_wave_field,
     synthesize_channel,
@@ -19,7 +18,6 @@ from .harness import (
     TrialRecord,
     dbm_to_watts,
     emit_results,
-    load_results,
     run_sweep,
     run_trial,
     wavelength,
@@ -28,7 +26,6 @@ from .pso import PsoConfig, SwarmState, best_response, brute_force_oracle, fitne
 from .rate import RateReport, evaluate, optimal_phases, optimal_split, snr
 
 __all__ = [
-    "BaselineConfig",
     "ChannelRealization",
     "CorrelationModel",
     "ExperimentConfig",
@@ -43,14 +40,12 @@ __all__ = [
     "TrialRecord",
     "best_response",
     "brute_force_oracle",
-    "correlated_nlos",
     "correlation_matrix",
     "dbm_to_watts",
     "emit_results",
     "evaluate",
     "evaluate_baseline",
     "fitness",
-    "load_results",
     "optimal_phases",
     "optimal_split",
     "optimize",

@@ -360,13 +360,6 @@ def plane_wave_field(geom: SurfaceGeometry) -> PlaneWaveField:
     )
 
 
-def correlated_nlos(
-    corr: CorrelationModel | PlaneWaveField, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Scattered-field draw(s) from either field model, shape (L,) or (size, L)."""
-    return corr.draw(rng, size)
-
-
 def synthesize_channel(
     geom: SurfaceGeometry,
     f_link: LinkParams,

@@ -48,24 +48,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_int(name: str) -> int | None:
+    """The integer in environment variable `name`, or None when it is unset or empty."""
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def _resolve_config(args) -> tuple[ExperimentConfig, int]:
     cfg = config_from_json(args.config) if args.config else ExperimentConfig()
     overrides = {"sweep": _AXIS_BY_COMMAND[args.command]}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    elif os.environ.get("FIRES_SEED"):
-        overrides["seed"] = int(os.environ["FIRES_SEED"])
+    seed = args.seed if args.seed is not None else _env_int("FIRES_SEED")
+    if seed is not None:
+        overrides["seed"] = seed
     if args.trials is not None:
         overrides["n_trials"] = args.trials
     if args.inject_baseline:
         overrides["inject_baseline"] = True
     cfg = replace(cfg, **overrides)
 
-    if args.threads is not None:
-        threads = args.threads
-    elif os.environ.get("FIRES_THREADS"):
-        threads = int(os.environ["FIRES_THREADS"])
-    else:
+    threads = args.threads if args.threads is not None else _env_int("FIRES_THREADS")
+    if threads is None:
         threads = 1
     if threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")

@@ -9,7 +9,8 @@ index sees the same channel at every power, making curves comparable).
 With aligned phases and the equalizing split, a placement's max-min rate
 rises with the transmit power for every placement, so the best placement
 does not depend on it. A power-sweep trial therefore runs its swarm once, at
-the highest sweep power, and reads every power's record off that placement.
+the highest sweep power, and reads every power's rates off that placement;
+every power's record carries that swarm's own history.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from contextvars import ContextVar
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from numbers import Integral, Real
+from operator import ge, gt
 
 import numpy as np
 
-from .baseline import BaselineConfig, evaluate_baseline, star_ris_placement
+from .baseline import evaluate_baseline, star_ris_placement
 from .channel import (
     DENSE_MAX_PRESETS,
     ChannelRealization,
@@ -36,8 +38,8 @@ from .channel import (
     synthesize_channel,
 )
 from .geometry import Placement, SurfaceGeometry, partition_surface
-from .pso import PsoConfig, history_at, optimize
-from .rate import RateReport, evaluate
+from .pso import PsoConfig, optimize
+from .rate import evaluate
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -56,12 +58,24 @@ def wavelength(f_c: float) -> float:
     return SPEED_OF_LIGHT / f_c
 
 
-# numeric config fields by their annotation; bool is not a number here
-_NUMBER_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number")}
+# config field types by their annotation; bool is not a number here
+_FIELD_KINDS = {
+    "int": (Integral, "an integer"),
+    "float": (Real, "a number"),
+    "bool": (bool, "true or false"),
+}
+
+# config field ranges: (fields, comparison, bound, wording)
+_FIELD_RANGES = (
+    (("n_trials", "n_particles", "n_iterations", "n_subareas", "n_h", "n_v", "m_hat"), ge, 1, "at least 1"),
+    (("a_h", "a_v", "f_c", "d_f", "d_u", "alpha", "tau"), gt, 0, "positive"),
+    (("k_f", "k_u", "w", "c1", "c2"), ge, 0, "nonnegative"),
+)
+_FIELD_CHOICES = (("sweep", SWEEP_AXES), ("objective", ("min", "sum")))
 
 
-def _is_number(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _is_kind(value, kind) -> bool:
+    return isinstance(value, kind) and (kind is bool) == isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -98,26 +112,27 @@ class ExperimentConfig:
     power_sweep_dbm: tuple[float, ...] = (20.0, 25.0, 30.0, 35.0, 40.0)
     area_sweep_m2: tuple[float, ...] = (1.0, 4.0, 16.0)
     inject_baseline: bool = False
-    record_convergence: bool = False
 
     def __post_init__(self):
-        if self.sweep not in SWEEP_AXES:
-            raise ValueError(f"sweep must be one of {SWEEP_AXES}, got {self.sweep!r}")
+        for name, choices in _FIELD_CHOICES:
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if isinstance(self.power_dbm, (list, tuple)):
             raise ValueError("power_dbm must be a scalar; put sweep values in power_sweep_dbm")
         for f in fields(self):
-            kind, noun = _NUMBER_KINDS.get(f.type, (None, None))
-            if kind is not None and not _is_number(getattr(self, f.name), kind):
+            kind, noun = _FIELD_KINDS.get(f.type, (None, None))
+            if kind is not None and not _is_kind(getattr(self, f.name), kind):
                 raise ValueError(f"{f.name} must be {noun}, got {getattr(self, f.name)!r}")
-        for name in ("n_trials", "n_particles", "n_iterations", "n_subareas"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for names, holds, bound, noun in _FIELD_RANGES:
+            for name in names:
+                if not holds(getattr(self, name), bound):
+                    raise ValueError(f"{name} must be {noun}, got {getattr(self, name)!r}")
         spacing = self.min_spacing
-        if spacing != "half-lambda" and not (_is_number(spacing, Real) and spacing > 0):
+        if spacing != "half-lambda" and not (_is_kind(spacing, Real) and spacing > 0):
             raise ValueError(f"min_spacing must be 'half-lambda' or positive meters, got {spacing!r}")
         for name in ("power_sweep_dbm", "area_sweep_m2"):
             seq = getattr(self, name)
-            if not isinstance(seq, (list, tuple)) or not all(_is_number(x, Real) for x in seq):
+            if not isinstance(seq, (list, tuple)) or not all(_is_kind(x, Real) for x in seq):
                 raise ValueError(f"{name} must be a list of numbers, got {seq!r}")
             if len(seq) == 0:
                 raise ValueError(f"{name} must be nonempty")
@@ -126,7 +141,7 @@ class ExperimentConfig:
             raise ValueError(f"area_sweep_m2 must hold positive areas, got {self.area_sweep_m2}")
         if self.grid is not None:
             if not isinstance(self.grid, (list, tuple)) or len(self.grid) != 2 or not all(
-                _is_number(n, Integral) and n >= 1 for n in self.grid
+                _is_kind(n, Integral) and n >= 1 for n in self.grid
             ):
                 raise ValueError(f"grid must be two positive integers [cols, rows], got {self.grid!r}")
             object.__setattr__(self, "grid", tuple(self.grid))
@@ -197,17 +212,13 @@ class TrialRecord:
 
 @dataclass(frozen=True, eq=False)
 class _TrialSwarm:
-    """A trial's channel draw and the swarm's result on it at the reference
-    power (watts)."""
+    """A trial's channel draw, and the swarm's placement and best-so-far
+    history on it at the reference power."""
 
     geom: SurfaceGeometry
     realization: ChannelRealization
-    pso_cfg: PsoConfig
-    power: float
     placement: Placement
-    report: RateReport
-    history: np.ndarray
-    trajectory: list
+    history: tuple[float, ...]
 
 
 @dataclass(eq=False)
@@ -257,22 +268,20 @@ def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -
         objective=cfg.objective,
     )
     injected = [star_ris_placement(geom)] if cfg.inject_baseline else None
-    trajectory: list = []
-    placement, report, history = optimize(
-        realization, geom, pso_cfg, power, dbm_to_watts(cfg.noise_dbm),
-        initial_placements=injected, trajectory=trajectory,
+    placement, _, history = optimize(
+        realization, geom, pso_cfg, power, dbm_to_watts(cfg.noise_dbm), initial_placements=injected
     )
-    return _TrialSwarm(geom, realization, pso_cfg, power, placement, report, history, trajectory)
+    return _TrialSwarm(geom, realization, placement, _float_tuple(history))
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = None) -> TrialRecord:
     """One repetition: draw angles and channels, optimize the fluid surface,
     evaluate the fixed baseline. Deterministic in (cfg.seed, trial_index).
 
-    On the power axis the swarm runs at the highest sweep power and the
-    record is that placement's at cfg.power_dbm, with the swarm's history
-    re-scored at that power. Inside run_sweep the powers of one trial share
-    that swarm; the records are the same either way.
+    On the power axis the swarm runs at the highest sweep power: the rates
+    are that placement's at cfg.power_dbm, and the history is the swarm's
+    own at the highest sweep power. Inside run_sweep the powers of one trial
+    share that swarm; the records are the same either way.
     """
     shared = _shared_swarm.get()
     if shared is not None and shared.serves(cfg, trial_index, area_m2):
@@ -284,19 +293,13 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
 
     power = dbm_to_watts(float(cfg.power_dbm))
     noise = dbm_to_watts(cfg.noise_dbm)
-    if power == swarm.power:
-        report, history = swarm.report, swarm.history
-    else:
-        report = evaluate(swarm.realization, swarm.placement, swarm.geom, power, noise)
-        history = history_at(swarm.trajectory, swarm.realization, power, noise, swarm.pso_cfg)
-    baseline = evaluate_baseline(
-        swarm.realization, swarm.geom, power, noise, BaselineConfig(cfg.m_hat)
-    )
+    report = evaluate(swarm.realization, swarm.placement, swarm.geom, power, noise)
+    baseline = evaluate_baseline(swarm.realization, swarm.geom, power, noise, cfg.m_hat)
     return TrialRecord(
         trial_index=trial_index,
         fires_rate=float(report.effective),
         baseline_rate=float(baseline.effective),
-        history=_float_tuple(history),
+        history=swarm.history,
     )
 
 
@@ -322,7 +325,6 @@ class ResultRecord:
     n_trials: int
     seed: int
     config_digest: str
-    convergence: tuple[float, ...] | None = None
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -406,9 +408,6 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
         base = np.array([r.baseline_rate for r in recs])
         fires_mean, fires_err = _mean_stderr(fires)
         base_mean, base_err = _mean_stderr(base)
-        convergence = None
-        if cfg.record_convergence:
-            convergence = tuple(np.mean([r.history for r in recs], axis=0))
         records.append(
             ResultRecord(
                 sweep_value=float(value),
@@ -419,7 +418,6 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
                 n_trials=cfg.n_trials,
                 seed=cfg.seed,
                 config_digest=digest,
-                convergence=convergence,
             )
         )
     return records
@@ -481,26 +479,3 @@ def emit_results(records, path, fmt: str, config: ExperimentConfig | None = None
             raise OSError(f"cannot write results to {path}: {exc}") from exc
     else:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-
-
-def load_results(path) -> tuple[list[ResultRecord], dict | None]:
-    """Read back a JSON result file; inverse of emit_results(fmt='json')."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    records = []
-    for raw in doc["records"]:
-        conv = raw.get("convergence")
-        records.append(
-            ResultRecord(
-                sweep_value=raw["sweep_value"],
-                fires_mean=raw["fires_mean"],
-                fires_stderr=raw["fires_stderr"],
-                baseline_mean=raw["baseline_mean"],
-                baseline_stderr=raw["baseline_stderr"],
-                n_trials=raw["n_trials"],
-                seed=raw["seed"],
-                config_digest=raw["config_digest"],
-                convergence=tuple(conv) if conv is not None else None,
-            )
-        )
-    return records, doc.get("config")

@@ -269,7 +269,6 @@ def optimize(
     power: float,
     noise_power: float,
     initial_placements: list[Placement] | None = None,
-    trajectory: list | None = None,
 ) -> tuple[Placement, RateReport, np.ndarray]:
     """Run the swarm and return (best placement, its rate report, history).
 
@@ -280,9 +279,7 @@ def optimize(
     still violates spacing, a repair pass rebuilds it; best-response sweeps
     (`best_response`) then polish the placement, and the returned report
     reflects the final placement. The history is the swarm's own and does
-    not include the polish. When `trajectory` is a list, the global best's
-    lattice indices and spacing-violation count after each iteration are
-    appended to it, which `history_at` re-scores at another power.
+    not include the polish.
     """
     rng = np.random.default_rng(cfg.seed)
     weights = amplitude_weights(realization)
@@ -293,10 +290,8 @@ def optimize(
         for k, pl in enumerate(initial_placements):
             state.positions[k] = clamp_to_subareas(pl.positions, geom)
     v_max = np.array([geom.subarea_w, geom.subarea_h])
-    best = None  # (lattice indices, violations) of the global best
 
-    def record_bests(fit: np.ndarray, idx: np.ndarray, violations: np.ndarray) -> None:
-        nonlocal best
+    def record_bests(fit: np.ndarray) -> None:
         improved = fit > state.personal_best_fit
         state.personal_best_pos[improved] = state.positions[improved]
         state.personal_best_fit[improved] = fit[improved]
@@ -304,12 +299,9 @@ def optimize(
         if fit[leader] > state.global_best_fit:
             state.global_best_fit = float(fit[leader])
             state.global_best_pos = state.positions[leader].copy()
-            best = (idx[leader].copy(), int(violations[leader]))
         state.history.append(state.global_best_fit)
-        if trajectory is not None:
-            trajectory.append(best)
 
-    record_bests(*_batch_scores(state.positions, weights, geom, power, noise_power, cfg))
+    record_bests(_batch_scores(state.positions, weights, geom, power, noise_power, cfg)[0])
 
     for _ in range(cfg.n_iterations):
         vel = update_velocity(
@@ -318,7 +310,7 @@ def optimize(
         )
         state.velocities = np.minimum(np.maximum(vel, -v_max), v_max)
         state.positions = update_position(state.positions, state.velocities, geom)
-        record_bests(*_batch_scores(state.positions, weights, geom, power, noise_power, cfg))
+        record_bests(_batch_scores(state.positions, weights, geom, power, noise_power, cfg)[0])
 
     best_pos = state.global_best_pos
     if spacing_violations(Placement(best_pos), geom.d_min) > 0:
@@ -326,22 +318,6 @@ def optimize(
     placement = Placement(best_response(best_pos, realization, geom, power, noise_power, cfg))
     report = evaluate(realization, placement, geom, power, noise_power)
     return placement, report, np.asarray(state.history)
-
-
-def history_at(
-    trajectory: list,
-    realization: ChannelRealization,
-    power: float,
-    noise_power: float,
-    cfg: PsoConfig,
-) -> np.ndarray:
-    """The history of a swarm run at another power: the running max of the
-    fitness at `power` of the global best after each iteration, from the
-    `trajectory` that optimize recorded."""
-    idx = np.array([entry[0] for entry in trajectory])
-    violations = np.array([entry[1] for entry in trajectory])
-    fit = _scores_at(idx, violations, amplitude_weights(realization), power, noise_power, cfg)
-    return np.maximum.accumulate(fit)
 
 
 def brute_force_oracle(

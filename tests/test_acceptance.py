@@ -11,8 +11,9 @@ readings and how to rerun individual criteria.
 """
 
 import numpy as np
+import pytest
 
-from fires.channel import correlated_nlos, correlation_matrix, synthesize_channel
+from fires.channel import correlation_matrix, synthesize_channel
 from fires.cli import main as cli_main
 from fires.geometry import partition_surface
 from fires.harness import (
@@ -57,6 +58,7 @@ def test_c1_oracle_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_c2_rate_gap_over_fixed_baseline():
     cfg = ExperimentConfig(power_dbm=35.0, n_h=100, n_v=100, n_trials=100, seed=0)
     records = [run_trial(cfg, t) for t in range(cfg.n_trials)]
@@ -88,6 +90,7 @@ def test_c3_power_monotonicity_and_element_scaling():
     )
 
 
+@pytest.mark.slow
 def test_c4_area_trend():
     cfg = ExperimentConfig(
         sweep="area", area_sweep_m2=(1.0, 4.0, 16.0), n_h=100, n_v=100, n_trials=100, seed=0
@@ -123,6 +126,7 @@ def test_c5_convergence_profile():
     )
 
 
+@pytest.mark.slow
 def test_c6_channel_statistics():
     geom = partition_surface(WL, WL, 1, WL, n_h=5, n_v=5)  # L = 25, quarter-wave pitch
     corr = correlation_matrix(geom)
@@ -132,7 +136,7 @@ def test_c6_channel_statistics():
     assert np.all(corr.eigvals >= 0)
 
     rng = np.random.default_rng(60)
-    draws = correlated_nlos(corr, rng, size=100_000)
+    draws = corr.draw(rng, size=100_000)
     sample = draws.conj().T @ draws / draws.shape[0]
     cov_err = np.linalg.norm(sample - r) / np.linalg.norm(r)
 

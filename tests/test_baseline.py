@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fires.baseline import BaselineConfig, evaluate_baseline, star_ris_placement
+from fires.baseline import evaluate_baseline, star_ris_placement
 from fires.channel import correlation_matrix, synthesize_channel
 from fires.geometry import lattice_points, partition_surface, snap_to_lattice, spacing_violations
 from fires.pso import brute_force_oracle
@@ -61,7 +61,7 @@ def test_positive_rate_at_default_power(instance):
 
 def test_mismatched_element_count(instance):
     geom, real = instance
-    got = evaluate_baseline(real, geom, P, S2, BaselineConfig(m_hat=1))
+    got = evaluate_baseline(real, geom, P, S2, m_hat=1)
     # one element at the aperture center, snapped to the nearest global preset
     idx = snap_to_lattice(np.array([[1.0, 1.0]]), geom)
     expect = lattice_rates(amplitude_weights(real), idx, P, S2)
@@ -70,6 +70,7 @@ def test_mismatched_element_count(instance):
     assert lattice_points(geom).shape == (geom.n_presets, 2)
 
 
-def test_bad_config_rejected():
+def test_bad_config_rejected(instance):
+    geom, real = instance
     with pytest.raises(ValueError):
-        BaselineConfig(m_hat=0)
+        evaluate_baseline(real, geom, P, S2, m_hat=0)

@@ -5,7 +5,6 @@ from fires.channel import (
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
-    correlated_nlos,
     correlation_matrix,
     path_loss,
     plane_wave_field,
@@ -130,7 +129,7 @@ class TestNlosField:
     def test_identity_covariance(self):
         rng = np.random.default_rng(21)
         corr = CorrelationModel.from_matrix(np.eye(25))
-        draws = correlated_nlos(corr, rng, size=100_000)
+        draws = corr.draw(rng, size=100_000)
         sample = draws.conj().T @ draws / draws.shape[0]
         rel = np.linalg.norm(sample - np.eye(25)) / np.linalg.norm(np.eye(25))
         assert rel < 0.05
@@ -138,7 +137,7 @@ class TestNlosField:
     def test_general_covariance(self):
         rng = np.random.default_rng(22)
         corr = correlation_matrix(tiny_geom(n=5, a=WL))
-        draws = correlated_nlos(corr, rng, size=100_000)
+        draws = corr.draw(rng, size=100_000)
         sample = draws.conj().T @ draws / draws.shape[0]
         rel = np.linalg.norm(sample - corr.matrix) / np.linalg.norm(corr.matrix)
         assert rel < 0.05
@@ -153,7 +152,7 @@ class TestNlosField:
 
     def test_all_zero_eigenvalues_give_zero_field(self):
         corr = CorrelationModel.from_matrix(np.zeros((4, 4)))
-        out = correlated_nlos(corr, np.random.default_rng(0))
+        out = corr.draw(np.random.default_rng(0))
         assert np.allclose(out, 0.0)
 
 
@@ -228,7 +227,7 @@ class TestPlaneWaveField:
     def test_sampled_covariance(self):
         geom = tiny_geom(n=5, a=WL)
         field = plane_wave_field(geom)
-        draws = correlated_nlos(field, np.random.default_rng(23), size=20_000)
+        draws = field.draw(np.random.default_rng(23), size=20_000)
         sample = draws.conj().T @ draws / draws.shape[0]
         r = correlation_matrix(geom).matrix
         assert np.linalg.norm(sample - r) / np.linalg.norm(r) < 0.05
@@ -259,7 +258,7 @@ class TestSynthesis:
         real = synthesize_channel(geom, *links, rng=rng, corr=corr)
         # same stream replayed by hand: the mix must be exactly sqrt(l) * nlos
         rng2 = np.random.default_rng(5)
-        expect = np.sqrt(path_loss(100.0, 2.5)) * correlated_nlos(corr, rng2)
+        expect = np.sqrt(path_loss(100.0, 2.5)) * corr.draw(rng2)
         assert np.allclose(real.h_f, expect)
 
     def test_rician_weights_normalized(self):
@@ -292,6 +291,7 @@ class TestSynthesis:
                 tiny_geom(n=4, a=WL), *links, rng=np.random.default_rng(5), corr=field
             )
 
+    @pytest.mark.slow
     def test_per_entry_mean_power(self):
         geom = tiny_geom(n=3, a=WL)  # L = 9 keeps the loop cheap
         corr = correlation_matrix(geom)

@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,12 +10,12 @@ from fires.channel import CorrelationModel, PlaneWaveField
 from fires.cli import main as cli_main
 from fires.harness import (
     ExperimentConfig,
+    ResultRecord,
     _field_model,
     config_from_json,
     dbm_to_watts,
     emit_results,
     geometry_from_config,
-    load_results,
     run_sweep,
     run_trial,
     wavelength,
@@ -96,6 +96,23 @@ class TestConfig:
             ("n_h", "10"),
             ("n_trials", True),
             ("grid", 5),
+            ("n_h", 0),
+            ("n_v", 0),
+            ("m_hat", 0),
+            ("a_h", -1.0),
+            ("a_v", 0.0),
+            ("f_c", 0.0),
+            ("d_f", 0.0),
+            ("d_u", -5.0),
+            ("alpha", 0.0),
+            ("tau", 0.0),
+            ("k_f", -1.0),
+            ("k_u", -1.0),
+            ("w", -0.1),
+            ("c1", -0.5),
+            ("c2", -0.5),
+            ("objective", "max"),
+            ("inject_baseline", "no"),
         ],
     )
     def test_bad_field_named_at_load(self, field, value):
@@ -180,11 +197,15 @@ class TestSweeps:
         run_sweep(cfg)
         monkeypatch.undo()
         assert len(swept) == len(cfg.power_sweep_dbm) * cfg.n_trials
+        alone = {
+            (power, t): run_trial(replace(cfg, sweep="none", power_dbm=power), t) for power, t in swept
+        }
+        top = max(cfg.power_sweep_dbm)
         for (power, t), rec in swept.items():
-            alone = run_trial(replace(cfg, sweep="none", power_dbm=power), t)
-            assert rec.fires_rate == alone.fires_rate
-            assert rec.baseline_rate == alone.baseline_rate
-            assert rec.history == alone.history
+            assert rec.fires_rate == alone[power, t].fires_rate
+            assert rec.baseline_rate == alone[power, t].baseline_rate
+            # the swarm's own history, at the power it ran at
+            assert rec.history == alone[top, t].history
 
     def test_one_swarm_per_trial_on_the_power_axis(self, monkeypatch):
         calls = []
@@ -221,13 +242,6 @@ class TestSweeps:
         snr40 = 2.0**rec40.baseline_rate - 1.0
         assert np.isclose(snr40 / snr20, 100.0, rtol=1e-9)
 
-    def test_convergence_curve_attached_when_requested(self):
-        cfg = ExperimentConfig(record_convergence=True, **FAST)
-        records = run_sweep(cfg)
-        assert records[0].convergence is not None
-        assert len(records[0].convergence) == cfg.n_iterations + 1
-        assert np.all(np.diff(records[0].convergence) >= 0)
-
     def test_threaded_matches_serial(self):
         cfg = ExperimentConfig(sweep="power", power_sweep_dbm=(20.0, 40.0), **FAST)
         serial = run_sweep(cfg, threads=1)
@@ -259,13 +273,23 @@ class TestEmission:
         cfg, records = self.make_records(n=2)
         path = tmp_path / "out.json"
         emit_results(records, path, "json", config=cfg)
-        loaded, config_doc = load_results(path)
-        assert config_doc["power_sweep_dbm"] == [20.0, 25.0]
-        for a, b in zip(records, loaded):
-            assert a.sweep_value == b.sweep_value
-            assert a.fires_mean == b.fires_mean
-            assert a.baseline_mean == b.baseline_mean
-            assert a.config_digest == b.config_digest
+        doc = json.loads(path.read_text())
+        assert doc["config"]["power_sweep_dbm"] == [20.0, 25.0]
+        for a, b in zip(records, doc["records"], strict=True):
+            assert a.sweep_value == b["sweep_value"]
+            assert a.fires_mean == b["fires_mean"]
+            assert a.baseline_mean == b["baseline_mean"]
+            assert a.config_digest == b["config_digest"]
+
+    def test_json_schema_mirrors_the_dataclasses(self, tmp_path):
+        cfg, records = self.make_records(n=2)
+        path = tmp_path / "out.json"
+        emit_results(records, path, "json", config=cfg)
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"config", "records"}
+        assert list(doc["config"]) == [f.name for f in fields(ExperimentConfig)]
+        for rec in doc["records"]:
+            assert list(rec) == [f.name for f in fields(ResultRecord)]
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -294,9 +318,10 @@ class TestCli:
              "--inject-baseline", "--threads", "2"]
         )
         assert code == 0
-        records, config_doc = load_results(out)
-        assert config_doc["inject_baseline"] is True
-        assert records[0].fires_mean >= records[0].baseline_mean - 1e-9
+        doc = json.loads(out.read_text())
+        assert doc["config"]["inject_baseline"] is True
+        rec = doc["records"][0]
+        assert rec["fires_mean"] >= rec["baseline_mean"] - 1e-9
         capsys.readouterr()
 
     def test_power_sweep_json_output(self, tmp_path):
@@ -304,9 +329,9 @@ class TestCli:
         out = tmp_path / "r.json"
         code = cli_main(["sweep-power", "--config", str(cfg), "--out", str(out), "--trials", "2"])
         assert code == 0
-        records, config_doc = load_results(out)
-        assert config_doc["sweep"] == "power"
-        assert len(records) == 5
+        doc = json.loads(out.read_text())
+        assert doc["config"]["sweep"] == "power"
+        assert len(doc["records"]) == 5
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
         cfg = self.write_cfg(tmp_path)
@@ -318,6 +343,27 @@ class TestCli:
         assert cli_main(["single", "--config", str(cfg), "--seed", "7", "--out", str(out_b), "--trials", "2"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("var, value", [("FIRES_SEED", "abc"), ("FIRES_THREADS", "two")])
+    def test_bad_env_fallback_named(self, var, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(var, value)
+        code = cli_main(["single", "--config", str(self.write_cfg(tmp_path)), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {var} must be an integer, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_h", 0), ("k_f", -1.0), ("objective", "max"), ("m_hat", 0), ("tau", 0),
+         ("d_u", -5), ("f_c", 0), ("a_h", -1), ("inject_baseline", "no")],
+    )
+    def test_bad_config_fails_before_any_trial(self, field, value, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**FAST, field: value}))
+        monkeypatch.setattr(harness, "run_trial", None)  # any trial would raise a TypeError
+        code = cli_main(["single", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
 
     def test_error_exits_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -20,7 +20,6 @@ from fires.pso import (
     best_response,
     brute_force_oracle,
     fitness,
-    history_at,
     init_swarm,
     optimize,
     repair_spacing,
@@ -176,17 +175,6 @@ class TestOptimize:
         assert rep_a.effective == rep_b.effective
         assert len(hist_a) == cfg.n_iterations + 1
         assert np.all(np.diff(hist_a) >= 0)
-
-    def test_trajectory_rescores_the_history(self):
-        geom, real = tiny_instance(seed=16)
-        cfg = PsoConfig(n_particles=20, n_iterations=30, seed=6)
-        trajectory = []
-        _, _, hist = optimize(real, geom, cfg, P, S2, trajectory=trajectory)
-        assert len(trajectory) == len(hist)
-        assert np.array_equal(history_at(trajectory, real, P, S2, cfg), hist)
-        # the swarm takes the same steps at every power on this instance
-        _, _, hist_low = optimize(real, geom, cfg, P / 100, S2)
-        assert np.array_equal(history_at(trajectory, real, P / 100, S2, cfg), hist_low)
 
     def test_positions_stay_feasible(self):
         geom, real = tiny_instance(seed=12)
