@@ -75,25 +75,43 @@ class SurfaceGeometry:
 
     @cached_property
     def _subarea_tables(self) -> tuple[np.ndarray, ...]:
-        """Per-subarea constants, row-major and read-only: lower and upper
-        corners, shape (M, 2) each, then the 0-based inclusive lattice column
-        and row ranges col_lo, col_hi, row_lo, row_hi, shape (M,) each.
+        """Per-subarea constants, row-major and read-only, shape (M, 2) each:
+        lower and upper corners, the 0-based lattice (column, row) of the
+        lower and upper corner presets (inclusive), and the lattice pitch (m)
+        along each axis.
 
-        Built on first use and kept with the (frozen) geometry, because the
-        swarm clamps and snaps against them on every iteration.
+        The pitch is the same for every subarea; repeated per subarea, it
+        divides a (..., M, 2) batch in long elementwise loops. Along an axis
+        with a single preset it is infinite, which puts every point in index
+        0. Built on first use and kept with the (frozen) geometry, because
+        the swarm clamps and snaps against these on every iteration.
         """
         srows, scols = np.divmod(np.arange(self.n_subareas), self.grid_cols)
+        pitch = [
+            extent / (count - 1) if count > 1 else np.inf
+            for extent, count in ((self.a_h, self.lattice_cols), (self.a_v, self.lattice_rows))
+        ]
         tables = (
             np.stack([scols * self.subarea_w, srows * self.subarea_h], axis=-1),
             np.stack([(scols + 1) * self.subarea_w, (srows + 1) * self.subarea_h], axis=-1),
-            scols * self.n_h,
-            (scols + 1) * self.n_h - 1,
-            srows * self.n_v,
-            (srows + 1) * self.n_v - 1,
+            np.stack([scols * self.n_h, srows * self.n_v], axis=-1),
+            np.stack([(scols + 1) * self.n_h - 1, (srows + 1) * self.n_v - 1], axis=-1),
+            np.tile(pitch, (self.n_subareas, 1)),
         )
         for table in tables:
             table.flags.writeable = False
         return tables
+
+    @cached_property
+    def _presets(self) -> tuple[np.ndarray, np.ndarray]:
+        """See `subarea_presets`."""
+        _, _, lo, _, _ = self._subarea_tables
+        rows, cols = np.divmod(np.arange(self.n_h * self.n_v), self.n_h)  # in-block offsets
+        flats = (lo[:, 1, None] + rows) * self.lattice_cols + lo[:, 0, None] + cols
+        coords = lattice_points(self)[flats]
+        for table in (coords, flats):
+            table.flags.writeable = False
+        return coords, flats
 
     def lattice_x(self) -> np.ndarray:
         """x coordinate of each lattice column, spanning [0, a_h] inclusive."""
@@ -208,27 +226,23 @@ def subarea_corners(geom: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
     return geom._subarea_tables[:2]
 
 
-def _block_ranges(geom: SurfaceGeometry, m: int) -> tuple[int, int, int, int]:
-    """0-based inclusive lattice (col_lo, col_hi, row_lo, row_hi) of subarea m."""
-    i = _check_subarea_index(geom, m)
-    return tuple(int(table[i]) for table in geom._subarea_tables[2:])
+def subarea_presets(geom: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Every subarea's presets, row-major by subarea and ascending flat index
+    within one: coordinates (M, n_h * n_v, 2) and 0-based global flat
+    indices (M, n_h * n_v). Read-only arrays shared by every caller with this
+    geometry."""
+    return geom._presets
 
 
 def preset_grid(geom: SurfaceGeometry, m: int) -> np.ndarray:
-    """(n_h * n_v, 2) preset coordinates of subarea m, ascending flat index."""
-    c_lo, c_hi, r_lo, r_hi = _block_ranges(geom, m)
-    xs = geom.lattice_x()[c_lo : c_hi + 1]
-    ys = geom.lattice_y()[r_lo : r_hi + 1]
-    xx, yy = np.meshgrid(xs, ys)  # row-major: y varies slowest
-    return np.stack([xx.ravel(), yy.ravel()], axis=-1)
+    """(n_h * n_v, 2) preset coordinates of subarea m, ascending flat index;
+    a read-only view of `subarea_presets`."""
+    return geom._presets[0][_check_subarea_index(geom, m)]
 
 
 def preset_flat_indices(geom: SurfaceGeometry, m: int) -> np.ndarray:
     """1-based global flat indices of subarea m's presets, ascending."""
-    c_lo, c_hi, r_lo, r_hi = _block_ranges(geom, m)
-    cols = np.arange(c_lo, c_hi + 1)
-    rows = np.arange(r_lo, r_hi + 1)
-    return (rows[:, None] * geom.lattice_cols + cols[None, :] + 1).ravel()
+    return geom._presets[1][_check_subarea_index(geom, m)] + 1
 
 
 def lattice_points(geom: SurfaceGeometry) -> np.ndarray:
@@ -257,31 +271,32 @@ def placement_in_subareas(placement: Placement, geom: SurfaceGeometry, tol: floa
     return bool(np.all(pos >= lo - tol) and np.all(pos <= hi + tol))
 
 
+def pair_violation_counts(positions: np.ndarray, d_min: float) -> np.ndarray:
+    """Number of unordered element pairs closer than d_min (strictly) in
+    each placement of a (n, M, 2) batch, shape (n,)."""
+    n, m, _ = positions.shape
+    # (2, M, n): per axis, one contiguous row of placements per element, so
+    # every elementwise loop below runs along the batch
+    xy = positions.transpose(2, 1, 0).copy()
+    sq = xy[:, :, None, :] - xy[:, None, :, :]
+    sq *= sq
+    d2 = sq[0]
+    d2 += sq[1]
+    # every pair is counted twice, and each element once against itself
+    # (distance 0 < d_min)
+    return ((d2 < d_min * d_min).reshape(m * m, n).sum(axis=0) - m) // 2
+
+
 def spacing_violations(placement: Placement, d_min: float) -> int:
     """Number of unordered element pairs closer than d_min (strictly)."""
-    pos = placement.positions
-    m = pos.shape[0]
-    if m < 2:
-        return 0
-    diff = pos[:, None, :] - pos[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    iu, ju = np.triu_indices(m, k=1)
-    return int(np.count_nonzero(d2[iu, ju] < d_min * d_min))
+    return int(pair_violation_counts(placement.positions[None], d_min)[0])
 
 
-def _nearest_col_row(points: np.ndarray, geom: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest lattice column and row of (..., 2) points, unclipped; half-way
-    cases go to the smaller index."""
-
-    def nearest(coord, count, extent):
-        if count == 1:
-            return np.zeros(coord.shape, dtype=np.int64)
-        return np.ceil(coord / (extent / (count - 1)) - 0.5).astype(np.int64)
-
-    return (
-        nearest(points[..., 0], geom.lattice_cols, geom.a_h),
-        nearest(points[..., 1], geom.lattice_rows, geom.a_v),
-    )
+def _nearest_col_row(points: np.ndarray, pitch: np.ndarray) -> np.ndarray:
+    """Nearest lattice (column, row) of (..., 2) points, unclipped, shape
+    (..., 2), for a lattice pitch that broadcasts against the points;
+    half-way cases go to the smaller index."""
+    return np.ceil(points / pitch - 0.5).astype(np.int64)
 
 
 def snap_to_lattice(points: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
@@ -289,10 +304,11 @@ def snap_to_lattice(points: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
 
     Ties resolve to the smaller flat index (smaller row, then column).
     """
-    col, row = _nearest_col_row(np.asarray(points, dtype=float), geom)
-    col = np.minimum(np.maximum(col, 0), geom.lattice_cols - 1)
-    row = np.minimum(np.maximum(row, 0), geom.lattice_rows - 1)
-    return row * geom.lattice_cols + col
+    cols = geom.lattice_cols
+    pitch = geom._subarea_tables[4][0]  # the same for every subarea
+    cr = _nearest_col_row(np.asarray(points, dtype=float), pitch)
+    cr = np.minimum(np.maximum(cr, 0), (cols - 1, geom.lattice_rows - 1))
+    return cr[..., 1] * cols + cr[..., 0]
 
 
 def snap_to_subarea_presets(positions: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
@@ -308,8 +324,6 @@ def snap_to_subarea_presets(positions: np.ndarray, geom: SurfaceGeometry) -> np.
         raise ValueError(
             f"expected {geom.n_subareas} element positions, got {positions.shape[-2]}"
         )
-    _, _, c_lo, c_hi, r_lo, r_hi = geom._subarea_tables
-    col, row = _nearest_col_row(positions, geom)
-    col = np.minimum(np.maximum(col, c_lo), c_hi)
-    row = np.minimum(np.maximum(row, r_lo), r_hi)
-    return row * geom.lattice_cols + col
+    _, _, lo, hi, pitch = geom._subarea_tables
+    cr = np.minimum(np.maximum(_nearest_col_row(positions, pitch), lo), hi)
+    return cr[..., 1] * geom.lattice_cols + cr[..., 0]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, fields, replace
@@ -121,19 +122,28 @@ class ExperimentConfig:
             raise ValueError("power_dbm must be a scalar; put sweep values in power_sweep_dbm")
         for f in fields(self):
             kind, noun = _FIELD_KINDS.get(f.type, (None, None))
-            if kind is not None and not _is_kind(getattr(self, f.name), kind):
-                raise ValueError(f"{f.name} must be {noun}, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if kind is not None and not _is_kind(value, kind):
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+            if kind is Real and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for names, holds, bound, noun in _FIELD_RANGES:
             for name in names:
                 if not holds(getattr(self, name), bound):
                     raise ValueError(f"{name} must be {noun}, got {getattr(self, name)!r}")
         spacing = self.min_spacing
-        if spacing != "half-lambda" and not (_is_kind(spacing, Real) and spacing > 0):
-            raise ValueError(f"min_spacing must be 'half-lambda' or positive meters, got {spacing!r}")
+        if spacing != "half-lambda" and not (
+            _is_kind(spacing, Real) and math.isfinite(spacing) and spacing > 0
+        ):
+            raise ValueError(
+                f"min_spacing must be 'half-lambda' or finite positive meters, got {spacing!r}"
+            )
         for name in ("power_sweep_dbm", "area_sweep_m2"):
             seq = getattr(self, name)
-            if not isinstance(seq, (list, tuple)) or not all(_is_kind(x, Real) for x in seq):
-                raise ValueError(f"{name} must be a list of numbers, got {seq!r}")
+            if not isinstance(seq, (list, tuple)) or not all(
+                _is_kind(x, Real) and math.isfinite(x) for x in seq
+            ):
+                raise ValueError(f"{name} must be a list of finite numbers, got {seq!r}")
             if len(seq) == 0:
                 raise ValueError(f"{name} must be nonempty")
             object.__setattr__(self, name, tuple(seq))
@@ -235,8 +245,12 @@ class _SharedSwarm:
         return (
             trial_index == self.trial_index
             and area_m2 == self.area_m2
-            and replace(cfg, power_dbm=self.cfg.power_dbm) == self.cfg
+            and all(getattr(cfg, name) == getattr(self.cfg, name) for name in _SWARM_FIELDS)
         )
+
+
+# the config fields a shared swarm depends on: all but power_dbm
+_SWARM_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "power_dbm")
 
 
 # set by _sweep_worker for the duration of one trial's sweep values

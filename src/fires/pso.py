@@ -24,11 +24,12 @@ from .geometry import (
     Placement,
     SurfaceGeometry,
     clamp_to_subareas,
-    preset_flat_indices,
+    pair_violation_counts as _pair_violation_counts,  # the swarm's spacing check
     preset_grid,
     snap_to_subarea_presets,
     spacing_violations,
     subarea_corners,
+    subarea_presets,
 )
 from .rate import RateReport, amplitude_weights, evaluate, lattice_rates
 
@@ -95,32 +96,14 @@ def init_swarm(geom: SurfaceGeometry, cfg: PsoConfig, rng: np.random.Generator) 
 
 def update_velocity(v, pos, p_best, g_best, cfg: PsoConfig, rng: np.random.Generator):
     """Inertia plus cognitive and social attraction, with fresh uniform
-    draws per coordinate."""
-    pos = np.asarray(pos, dtype=float)
-    r1 = rng.random(np.shape(pos))
-    r2 = rng.random(np.shape(pos))
-    return (
-        cfg.w * np.asarray(v, dtype=float)
-        + cfg.c1 * r1 * (np.asarray(p_best, dtype=float) - pos)
-        + cfg.c2 * r2 * (np.asarray(g_best, dtype=float) - pos)
-    )
+    draws per coordinate: r1 for every coordinate, then r2."""
+    r1, r2 = rng.random((2,) + np.shape(pos))
+    return cfg.w * v + cfg.c1 * r1 * (p_best - pos) + cfg.c2 * r2 * (g_best - pos)
 
 
 def update_position(pos, v, geom: SurfaceGeometry) -> np.ndarray:
     """Move and clamp each element back into its own subarea."""
-    return clamp_to_subareas(np.asarray(pos, dtype=float) + np.asarray(v, dtype=float), geom)
-
-
-def _pair_violation_counts(positions: np.ndarray, d_min: float) -> np.ndarray:
-    """Spacing-violation count per placement in a (n, M, 2) batch."""
-    m = positions.shape[-2]
-    if m < 2:
-        return np.zeros(positions.shape[0], dtype=int)
-    diff = positions[:, :, None, :] - positions[:, None, :, :]
-    d2 = np.einsum("nijk,nijk->nij", diff, diff)
-    # d2 is exactly symmetric, so every pair is counted twice, and each
-    # element once against itself (distance 0 < d_min)
-    return (np.count_nonzero(d2 < d_min * d_min, axis=(-2, -1)) - m) // 2
+    return clamp_to_subareas(pos + v, geom)
 
 
 def _batch_scores(
@@ -228,13 +211,11 @@ def best_response(
     pos = np.asarray(positions, dtype=float).copy()
     m = geom.n_subareas
     d2min = geom.d_min**2
-    blocks = [preset_grid(geom, i + 1) for i in range(m)]  # ascending flat index
-    flats = [preset_flat_indices(geom, i + 1) - 1 for i in range(m)]
+    blocks, flats = subarea_presets(geom)  # ascending flat index
     weights = amplitude_weights(realization)
-    fit, idx, violations = _batch_scores(pos[None], weights, geom, power, noise_power, cfg)
+    fit, idx, _ = _batch_scores(pos[None], weights, geom, power, noise_power, cfg)
     current = float(fit[0])
     idx = idx[0]
-    violations = int(violations[0])
     # elements known to be best responses to the others as they stand; the
     # search ends when all m are, as after a full sweep without a move
     stable = 0
@@ -249,14 +230,13 @@ def best_response(
             trials[:, i] = flats[i][clear]
             # candidates clear every other element, which leaves the
             # violations among the others
-            held = violations - np.count_nonzero(((others - pos[i]) ** 2).sum(axis=-1) < d2min)
+            held = spacing_violations(Placement(others), geom.d_min)
             fit = _scores_at(trials, held, weights, power, noise_power, cfg)
             top = int(np.argmax(fit))
             if fit[top] > current:
                 pos[i] = blocks[i][clear][top]
                 idx[i] = trials[top, i]
                 current = float(fit[top])
-                violations = held
                 stable = 1
         i = (i + 1) % m
     return pos
@@ -289,12 +269,14 @@ def optimize(
             raise ValueError("more injected placements than particles")
         for k, pl in enumerate(initial_placements):
             state.positions[k] = clamp_to_subareas(pl.positions, geom)
-    v_max = np.array([geom.subarea_w, geom.subarea_h])
+    # per element rather than per axis, so the clamp runs in long loops
+    v_max = np.tile([geom.subarea_w, geom.subarea_h], (geom.n_subareas, 1))
+    v_min = -v_max
 
     def record_bests(fit: np.ndarray) -> None:
         improved = fit > state.personal_best_fit
-        state.personal_best_pos[improved] = state.positions[improved]
-        state.personal_best_fit[improved] = fit[improved]
+        np.copyto(state.personal_best_pos, state.positions, where=improved[:, None, None])
+        np.copyto(state.personal_best_fit, fit, where=improved)
         leader = int(np.argmax(fit))
         if fit[leader] > state.global_best_fit:
             state.global_best_fit = float(fit[leader])
@@ -308,7 +290,7 @@ def optimize(
             state.velocities, state.positions, state.personal_best_pos,
             state.global_best_pos, cfg, rng,
         )
-        state.velocities = np.minimum(np.maximum(vel, -v_max), v_max)
+        state.velocities = np.minimum(np.maximum(vel, v_min), v_max)
         state.positions = update_position(state.positions, state.velocities, geom)
         record_bests(_batch_scores(state.positions, weights, geom, power, noise_power, cfg)[0])
 
@@ -339,25 +321,17 @@ def brute_force_oracle(
     total = k**m
     if total > cap:
         raise ValueError(f"{total} lattice combinations exceed the cap of {cap}")
-    blocks = np.stack([preset_grid(geom, j + 1) for j in range(m)])  # (M, K, 2)
-    flats = np.stack([preset_flat_indices(geom, j + 1) for j in range(m)]) - 1
+    blocks, flats = subarea_presets(geom)  # (M, K, 2), (M, K)
     digits = k ** np.arange(m - 1, -1, -1)  # combo id -> per-subarea digits
 
     weights = amplitude_weights(realization)
     best_rate = -np.inf
     best_positions = None
-    d2min = geom.d_min**2
-    iu, ju = np.triu_indices(m, k=1)
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total))
         local = (ids[:, None] // digits[None, :]) % k  # lexicographic order
         pos = blocks[np.arange(m)[None, :], local]  # (n, M, 2)
-        if m > 1:
-            diff = pos[:, :, None, :] - pos[:, None, :, :]
-            d2 = np.einsum("nijk,nijk->nij", diff, diff)
-            feasible = np.all(d2[:, iu, ju] >= d2min, axis=-1)
-        else:
-            feasible = np.ones(len(ids), dtype=bool)
+        feasible = _pair_violation_counts(pos, geom.d_min) == 0
         if not feasible.any():
             continue
         lattice_idx = flats[np.arange(m)[None, :], local[feasible]]

@@ -82,7 +82,7 @@ def _equalizing_split(g_r, g_t):
     When every gain is positive, which is all but always, the result is the
     plain equalizer; the zero-gain cases are only looked at otherwise.
     """
-    if np.all(g_r > 0) and np.all(g_t > 0):
+    if (g_r > 0).all() and (g_t > 0).all():
         return g_t / (g_r + g_t)
     total = g_r + g_t
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -98,7 +98,7 @@ def _split_rates(s_r, s_t, power, noise_power) -> RateReport:
     g_t = power * s_t**2 / noise_power
     beta_r = _equalizing_split(g_r, g_t)
     snr_r = beta_r * g_r
-    snr_t = (1.0 - np.asarray(beta_r)) * g_t
+    snr_t = (1.0 - beta_r) * g_t
     rate_r = np.log2(1.0 + snr_r)
     rate_t = np.log2(1.0 + snr_t)
     return RateReport(
@@ -143,7 +143,7 @@ def lattice_rates(weights, idx, power, noise_power) -> RateReport:
     Equal, bit for bit, to split_and_rates on the channels at those presets.
     """
     w_r, w_t = weights
-    return _split_rates(np.sum(w_r[idx], axis=-1), np.sum(w_t[idx], axis=-1), power, noise_power)
+    return _split_rates(w_r[idx].sum(axis=-1), w_t[idx].sum(axis=-1), power, noise_power)
 
 
 def evaluate(

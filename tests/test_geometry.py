@@ -7,6 +7,7 @@ from fires.geometry import (
     Placement,
     clamp_to_subareas,
     lattice_points,
+    pair_violation_counts,
     partition_surface,
     placement_in_subareas,
     preset_flat_indices,
@@ -221,6 +222,27 @@ class TestSpacing:
             assert spacing_violations(Placement(pos), d) == expect
             perm = rng.permutation(m)
             assert spacing_violations(Placement(pos[perm]), d) == expect
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_batched_count_matches_pair_loop(self, m):
+        # quarter-meter grid points (exact in binary, so some pairs sit exactly
+        # d_min apart along an axis, or coincide) mixed with off-grid points
+        rng = np.random.default_rng(100 + m)
+        d_min = 0.25
+        batch = rng.integers(0, 5, size=(40, m, 2)) * d_min
+        off_grid = rng.random((40, m)) < 0.3
+        batch[off_grid] = rng.uniform(0.0, 1.0, size=(int(off_grid.sum()), 2))
+        batch[0] = 0.0  # every element coincides
+        batch[1] = np.stack([np.arange(m) * d_min, np.zeros(m)], axis=-1)  # a d_min row
+        counts = pair_violation_counts(batch, d_min)
+        assert counts.shape == (40,)
+        for row, count in zip(batch, counts):
+            expect = 0
+            for i in range(m):
+                for j in range(i + 1, m):
+                    expect += math.dist(row[i], row[j]) < d_min
+            assert count == expect
+        assert counts[0] == m * (m - 1) // 2 and counts[1] == 0
 
 
 class TestSnapping:

@@ -113,6 +113,16 @@ class TestConfig:
             ("c2", -0.5),
             ("objective", "max"),
             ("inject_baseline", "no"),
+            ("power_dbm", float("nan")),
+            ("noise_dbm", float("-inf")),
+            ("d_u", float("inf")),
+            ("a_h", float("nan")),
+            ("k_f", float("inf")),
+            ("w", float("nan")),
+            ("tau", float("inf")),
+            ("min_spacing", float("inf")),
+            ("power_sweep_dbm", (20.0, float("nan"))),
+            ("area_sweep_m2", (1.0, float("inf"))),
         ],
     )
     def test_bad_field_named_at_load(self, field, value):
@@ -223,6 +233,15 @@ class TestSweeps:
         run_trial(cfg, 0)
         run_trial(cfg, 0)
         assert len(calls) == 2  # no memo outside run_sweep
+
+    def test_shared_swarm_serves_only_power_variants(self):
+        cfg = ExperimentConfig(sweep="power", **FAST)
+        share = harness._SharedSwarm(cfg, trial_index=2, area_m2=None)
+        assert share.serves(replace(cfg, power_dbm=20.0), 2, None)
+        assert not share.serves(cfg, 3, None)
+        assert not share.serves(cfg, 2, 4.0)
+        for changed in (replace(cfg, seed=1), replace(cfg, noise_dbm=-80.0), replace(cfg, n_h=5)):
+            assert not share.serves(changed, 2, None)
 
     def test_iterations_sweep_is_mean_history(self):
         cfg = ExperimentConfig(sweep="iterations", **FAST)
@@ -354,7 +373,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "field, value",
         [("n_h", 0), ("k_f", -1.0), ("objective", "max"), ("m_hat", 0), ("tau", 0),
-         ("d_u", -5), ("f_c", 0), ("a_h", -1), ("inject_baseline", "no")],
+         ("d_u", -5), ("f_c", 0), ("a_h", -1), ("inject_baseline", "no"),
+         ("power_dbm", float("nan")), ("d_u", float("inf"))],
     )
     def test_bad_config_fails_before_any_trial(self, field, value, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"

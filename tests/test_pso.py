@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fires import pso
-from fires.channel import correlation_matrix, synthesize_channel
+from fires.channel import ChannelRealization, correlation_matrix, synthesize_channel
 from fires.geometry import (
     Placement,
     partition_surface,
@@ -27,7 +27,7 @@ from fires.pso import (
     update_velocity,
 )
 from fires.rate import evaluate, split_and_rates
-from helpers import WL, default_links
+from helpers import WL, complex_rows, default_links
 
 P, S2 = 10.0, 1e-12
 
@@ -79,6 +79,16 @@ class TestUpdates:
         pos = np.array([[0.10, 0.5], [1.5, 0.5]])
         vel = np.array([[0.05, 0.0], [0.0, 0.0]])
         assert np.allclose(update_position(pos, vel, geom)[0, 0], 0.15)
+
+    def test_velocity_draws_r1_then_r2(self):
+        cfg = PsoConfig(w=0.4, c1=0.5, c2=0.7)
+        v, pos, p_best, g_best = np.random.default_rng(1).random((4, 6, 3, 2))
+        got = update_velocity(v, pos, p_best, g_best, cfg, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        r1 = rng.random(pos.shape)
+        r2 = rng.random(pos.shape)
+        expect = cfg.w * v + cfg.c1 * r1 * (p_best - pos) + cfg.c2 * r2 * (g_best - pos)
+        assert np.array_equal(got, expect)
 
 
 class TestInit:
@@ -207,6 +217,34 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(real, geom, PsoConfig(n_particles=2, n_iterations=1), P, S2,
                      initial_placements=anchors)
+
+    @pytest.mark.parametrize(
+        "d_min, seed, positions, history",
+        [
+            (
+                0.9, 3,
+                [[0.0, 0.5454545454545454], [2.0, 0.36363636363636365],
+                 [0.7272727272727273, 1.0909090909090908], [1.4545454545454546, 1.8181818181818183]],
+                [47.54185772496969, 47.9716857679309, 48.047057667335075,
+                 48.20933760846858, 48.716193485353074, 48.716193485353074],
+            ),
+            (  # every particle starts infeasible, and the best needs repair
+                1.2, 1,
+                [[0.0, 0.0], [1.2727272727272727, 0.7272727272727273],
+                 [0.2161848697693169, 1.7899098269425158], [1.4545454545454546, 2.0]],
+                [-1999951.8402464825, -1999951.8402464825, -999952.1769210094,
+                 -999952.1769210094, -999952.1769210094, -999952.1769210094],
+            ),
+        ],
+    )
+    def test_pinned_run(self, d_min, seed, positions, history):
+        # a small run pinned bit for bit, so that a change to the swarm's
+        # arithmetic or random stream shows up here
+        geom = partition_surface(2.0, 2.0, 4, WL, n_h=6, n_v=6, d_min=d_min)
+        real = ChannelRealization(*complex_rows(np.random.default_rng(seed), (3, geom.n_presets)))
+        pl, _, hist = optimize(real, geom, PsoConfig(n_particles=8, n_iterations=5, seed=seed), P, S2)
+        assert pl.positions.tolist() == positions
+        assert hist.tolist() == history
 
     def test_spacing_respected_when_feasible_exists(self):
         # d_min = 1.0 rules out most of the space but feasible pairs exist
