@@ -52,6 +52,14 @@ def dbm_to_watts(x: float) -> float:
     return 10.0 ** ((x - 30.0) / 10.0)
 
 
+def _has_wattage(dbm: float) -> bool:
+    """Whether dbm_to_watts(dbm) is a positive, finite number of watts."""
+    try:
+        return 0.0 < dbm_to_watts(dbm) < math.inf
+    except OverflowError:
+        return False
+
+
 def wavelength(f_c: float) -> float:
     """Carrier wavelength in meters."""
     if f_c <= 0:
@@ -70,7 +78,7 @@ _FIELD_KINDS = {
 _FIELD_RANGES = (
     (("n_trials", "n_particles", "n_iterations", "n_subareas", "n_h", "n_v", "m_hat"), ge, 1, "at least 1"),
     (("a_h", "a_v", "f_c", "d_f", "d_u", "alpha", "tau"), gt, 0, "positive"),
-    (("k_f", "k_u", "w", "c1", "c2"), ge, 0, "nonnegative"),
+    (("k_f", "k_u", "w", "c1", "c2", "seed"), ge, 0, "nonnegative"),
 )
 _FIELD_CHOICES = (("sweep", SWEEP_AXES), ("objective", ("min", "sum")))
 
@@ -147,6 +155,10 @@ class ExperimentConfig:
             if len(seq) == 0:
                 raise ValueError(f"{name} must be nonempty")
             object.__setattr__(self, name, tuple(seq))
+        for name in ("power_dbm", "noise_dbm", "power_sweep_dbm"):
+            value = getattr(self, name)
+            if not all(map(_has_wattage, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{name} must be a power with a positive, finite wattage, got {value!r}")
         if any(a <= 0 for a in self.area_sweep_m2):
             raise ValueError(f"area_sweep_m2 must hold positive areas, got {self.area_sweep_m2}")
         if self.grid is not None:
@@ -348,80 +360,57 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1) / np.sqrt(len(values)))
 
 
-def _sweep_worker(job) -> list[tuple[int, int, TrialRecord]]:
-    """Records of one trial at each (value index, config, area) of the job.
-    The job's variants share the trial's swarm where run_trial allows it."""
+def _sweep_worker(job) -> list[TrialRecord]:
+    """Records of one trial at each (config, area) variant of the job, in
+    variant order. The variants share the trial's swarm where run_trial
+    allows it."""
     trial_index, variants = job
-    _, cfg, area = variants[0]
+    cfg, area = variants[0]
     token = _shared_swarm.set(_SharedSwarm(cfg, trial_index, area))
     try:
-        return [(i, trial_index, run_trial(c, trial_index, a)) for i, c, a in variants]
+        return [run_trial(c, trial_index, a) for c, a in variants]
     finally:
         _shared_swarm.reset(token)
-
-
-def _collect_trials(jobs, threads: int):
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_worker, jobs, chunksize=1))
-    else:
-        results = [_sweep_worker(j) for j in jobs]
-    return [triple for result in results for triple in result]
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
     """One ResultRecord per sweep value, each over cfg.n_trials trials.
 
     Trial substreams depend only on (seed, trial index), so every sweep value
-    reuses the same channel draws. The power axis runs one job per trial,
-    whose powers share one swarm. The iterations axis runs each trial once
-    at the full schedule and reads the records off the best-so-far history.
+    reuses the same channel draws. Each job is one trial at every sweep
+    value; the powers of a power-axis trial share one swarm. The iterations
+    axis runs each trial once at the full schedule and reads its records off
+    the best-so-far history.
     """
-    digest = cfg.digest()
-    trials = range(cfg.n_trials)
-
-    if cfg.sweep == "iterations":
-        jobs = [(t, [(0, cfg, None)]) for t in trials]
-        by_trial = _gather(jobs, threads, n_values=1)[0]
-        histories = np.array([rec.history for rec in by_trial])
-        baselines = np.array([rec.baseline_rate for rec in by_trial])
-        base_mean, base_err = _mean_stderr(baselines)
-        records = []
-        for t in range(histories.shape[1]):
-            fires_mean, fires_err = _mean_stderr(histories[:, t])
-            records.append(
-                ResultRecord(
-                    sweep_value=float(t),
-                    fires_mean=fires_mean,
-                    fires_stderr=fires_err,
-                    baseline_mean=base_mean,
-                    baseline_stderr=base_err,
-                    n_trials=cfg.n_trials,
-                    seed=cfg.seed,
-                    config_digest=digest,
-                )
-            )
-        return records
-
     if cfg.sweep == "power":
-        variants = [(p, replace(cfg, power_dbm=float(p)), None) for p in cfg.power_sweep_dbm]
+        values = cfg.power_sweep_dbm
+        variants = [(replace(cfg, power_dbm=float(p)), None) for p in values]
     elif cfg.sweep == "area":
-        variants = [(a, cfg, float(a)) for a in cfg.area_sweep_m2]
-    else:  # none
-        variants = [(float(cfg.power_dbm), cfg, None)]
+        values = cfg.area_sweep_m2
+        variants = [(cfg, float(a)) for a in values]
+    else:  # none, iterations
+        values = (cfg.power_dbm,)
+        variants = [(cfg, None)]
 
-    indexed = [(i, variant_cfg, area) for i, (_, variant_cfg, area) in enumerate(variants)]
-    if cfg.sweep == "power":
-        jobs = [(t, indexed) for t in trials]
+    jobs = [(t, variants) for t in range(cfg.n_trials)]
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            by_trial = list(pool.map(_sweep_worker, jobs, chunksize=1))
     else:
-        jobs = [(t, [variant]) for variant in indexed for t in trials]
-    per_value = _gather(jobs, threads, n_values=len(variants))
+        by_trial = [_sweep_worker(job) for job in jobs]
+    # pool.map keeps job order, so row t holds trial t at every sweep value
+    fires = np.array([[rec.fires_rate for rec in recs] for recs in by_trial])
+    baselines = np.array([[rec.baseline_rate for rec in recs] for recs in by_trial])
+    if cfg.sweep == "iterations":  # one column per swarm iteration
+        fires = np.array([recs[0].history for recs in by_trial])
+        baselines = np.broadcast_to(baselines, fires.shape)
+        values = range(fires.shape[1])
+    digest = cfg.digest()
     records = []
-    for (value, _, _), recs in zip(variants, per_value):
-        fires = np.array([r.fires_rate for r in recs])
-        base = np.array([r.baseline_rate for r in recs])
-        fires_mean, fires_err = _mean_stderr(fires)
-        base_mean, base_err = _mean_stderr(base)
+    for j, value in enumerate(values):
+        fires_mean, fires_err = _mean_stderr(fires[:, j])
+        base_mean, base_err = _mean_stderr(baselines[:, j])
         records.append(
             ResultRecord(
                 sweep_value=float(value),
@@ -437,24 +426,8 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
     return records
 
 
-def _gather(jobs, threads: int, n_values: int) -> list[list[TrialRecord]]:
-    """Run jobs and regroup records by sweep value in trial order."""
-    results = _collect_trials(jobs, threads)
-    buckets: list[dict[int, TrialRecord]] = [dict() for _ in range(n_values)]
-    for value_idx, trial_index, rec in results:
-        buckets[value_idx][trial_index] = rec
-    return [[bucket[t] for t in sorted(bucket)] for bucket in buckets]
-
-
-_CSV_COLUMNS = (
-    "sweep_value",
-    "fires_mean",
-    "fires_stderr",
-    "baseline_mean",
-    "baseline_stderr",
-    "n_trials",
-    "seed",
-)
+# every ResultRecord field but the digest, which JSON output keeps
+_CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord) if f.name != "config_digest")
 
 
 def emit_results(records, path, fmt: str, config: ExperimentConfig | None = None) -> None:
@@ -462,34 +435,19 @@ def emit_results(records, path, fmt: str, config: ExperimentConfig | None = None
     if fmt == "csv":
         lines = [",".join(_CSV_COLUMNS)]
         for rec in records:
-            lines.append(
-                ",".join(
-                    [
-                        repr(float(rec.sweep_value)),
-                        repr(float(rec.fires_mean)),
-                        repr(float(rec.fires_stderr)),
-                        repr(float(rec.baseline_mean)),
-                        repr(float(rec.baseline_stderr)),
-                        str(rec.n_trials),
-                        str(rec.seed),
-                    ]
-                )
-            )
+            cells = [repr(float(getattr(rec, name))) for name in _CSV_COLUMNS[:-2]]
+            lines.append(",".join(cells + [str(rec.n_trials), str(rec.seed)]))
         text = "\n".join(lines) + "\n"
-        try:
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write results to {path}: {exc}") from exc
     elif fmt == "json":
         doc = {
             "config": asdict(config) if config is not None else None,
             "records": [asdict(rec) for rec in records],
         }
-        try:
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2)
-        except OSError as exc:
-            raise OSError(f"cannot write results to {path}: {exc}") from exc
+        text = json.dumps(doc, indent=2)
     else:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write results to {path}: {exc}") from exc

@@ -1,6 +1,7 @@
 import json
 import warnings
-from dataclasses import fields, replace
+from collections import Counter
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -123,6 +124,11 @@ class TestConfig:
             ("min_spacing", float("inf")),
             ("power_sweep_dbm", (20.0, float("nan"))),
             ("area_sweep_m2", (1.0, float("inf"))),
+            ("seed", -1),
+            ("power_dbm", 4000.0),
+            ("noise_dbm", -4000.0),
+            ("power_sweep_dbm", (20.0, 4000.0)),
+            ("power_sweep_dbm", (-4000.0, 40.0)),
         ],
     )
     def test_bad_field_named_at_load(self, field, value):
@@ -261,13 +267,65 @@ class TestSweeps:
         snr40 = 2.0**rec40.baseline_rate - 1.0
         assert np.isclose(snr40 / snr20, 100.0, rtol=1e-9)
 
-    def test_threaded_matches_serial(self):
-        cfg = ExperimentConfig(sweep="power", power_sweep_dbm=(20.0, 40.0), **FAST)
+    @pytest.mark.parametrize("axis", ["power", "area", "iterations"])
+    def test_threaded_matches_serial(self, axis):
+        cfg = ExperimentConfig(sweep=axis, power_sweep_dbm=(20.0, 40.0), area_sweep_m2=(1.0, 4.0), **FAST)
         serial = run_sweep(cfg, threads=1)
         threaded = run_sweep(cfg, threads=2)
-        for a, b in zip(serial, threaded):
-            assert a.fires_mean == b.fires_mean
-            assert a.baseline_mean == b.baseline_mean
+        assert [asdict(r) for r in serial] == [asdict(r) for r in threaded]
+
+    def test_area_records_equal_separate_runs(self):
+        cfg = ExperimentConfig(sweep="area", area_sweep_m2=(1.0, 4.0, 16.0), **FAST)
+        records = run_sweep(cfg)
+        assert [r.sweep_value for r in records] == list(cfg.area_sweep_m2)
+        for area, rec in zip(cfg.area_sweep_m2, records):
+            alone = [run_trial(cfg, t, area) for t in range(cfg.n_trials)]
+            assert rec.fires_mean == np.mean([a.fires_rate for a in alone])
+            assert rec.baseline_mean == np.mean([a.baseline_rate for a in alone])
+
+    @pytest.mark.parametrize("axis", harness.SWEEP_AXES)
+    def test_run_trial_called_once_per_value_and_trial(self, axis, monkeypatch):
+        # the benchmark counts trials through harness.run_trial
+        cfg = ExperimentConfig(sweep=axis, power_sweep_dbm=(20.0, 40.0), area_sweep_m2=(1.0, 4.0), **FAST)
+        calls = []
+        plain_run_trial = harness.run_trial
+
+        def recording(c, trial_index, area_m2=None):
+            calls.append((c.power_dbm, area_m2, trial_index))
+            return plain_run_trial(c, trial_index, area_m2)
+
+        monkeypatch.setattr(harness, "run_trial", recording)
+        run_sweep(cfg)
+        trials = range(cfg.n_trials)
+        if axis == "power":
+            expected = [(p, None, t) for p in cfg.power_sweep_dbm for t in trials]
+        elif axis == "area":
+            expected = [(cfg.power_dbm, a, t) for a in cfg.area_sweep_m2 for t in trials]
+        else:
+            expected = [(cfg.power_dbm, None, t) for t in trials]
+        assert Counter(calls) == Counter(expected)
+
+    @pytest.mark.parametrize("threads, n_trials, started", [(4096, 1, []), (4096, 3, [3]), (2, 4, [2])])
+    def test_pool_never_outnumbers_the_trials(self, threads, n_trials, started, monkeypatch):
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        pools = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        cfg = ExperimentConfig(**{**FAST, "n_trials": n_trials})
+        threaded = run_sweep(cfg, threads=threads)
+        assert pools == started
+        assert [asdict(r) for r in threaded] == [asdict(r) for r in run_sweep(cfg)]
 
 
 class TestEmission:
@@ -374,7 +432,8 @@ class TestCli:
         "field, value",
         [("n_h", 0), ("k_f", -1.0), ("objective", "max"), ("m_hat", 0), ("tau", 0),
          ("d_u", -5), ("f_c", 0), ("a_h", -1), ("inject_baseline", "no"),
-         ("power_dbm", float("nan")), ("d_u", float("inf"))],
+         ("power_dbm", float("nan")), ("d_u", float("inf")), ("seed", -3),
+         ("power_dbm", 4000), ("noise_dbm", -4000), ("power_sweep_dbm", [20.0, 4000.0])],
     )
     def test_bad_config_fails_before_any_trial(self, field, value, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"
