@@ -22,7 +22,7 @@ from .harness import (
     run_trial,
     wavelength,
 )
-from .pso import PsoConfig, SwarmState, best_response, brute_force_oracle, fitness, optimize
+from .pso import PsoConfig, best_response, brute_force_oracle, fitness, optimize
 from .rate import RateReport, evaluate, optimal_phases, optimal_split, snr
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "RateReport",
     "ResultRecord",
     "SurfaceGeometry",
-    "SwarmState",
     "TrialRecord",
     "best_response",
     "brute_force_oracle",

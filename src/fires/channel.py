@@ -93,13 +93,6 @@ class CorrelationModel:
         field = _complex_pairs(colored.reshape(n, 2, self.n_presets))
         return field[0] if size is None else field
 
-    @classmethod
-    def from_matrix(cls, r: np.ndarray) -> "CorrelationModel":
-        """Model of any symmetric matrix, through one full eigendecomposition."""
-        r = np.asarray(r, dtype=float)
-        vals, root = _symmetric_sqrt(r)
-        return cls(matrix=r, eigvals=vals, coloring=root)
-
 
 def _complex_pairs(x: np.ndarray) -> np.ndarray:
     """Unit-variance complex values from an (n, 2, ...) array holding the real
@@ -287,17 +280,6 @@ class PlaneWaveField:
         white = _complex_pairs(rng.standard_normal((n, 2, *self.variances.shape)))
         field = (self.uy @ (np.sqrt(self.variances) * white) @ self.ux.T).reshape(n, self.n_presets)
         return field[0] if size is None else field
-
-    def offset_covariance(self) -> np.ndarray:
-        """Covariance between presets as a function of their lattice offset.
-
-        Entry [dr + rows - 1, dc + cols - 1] is E[h(p + offset) conj(h(p))]
-        for an offset of dr rows and dc columns, shape (2 rows - 1,
-        2 cols - 1); no L x L matrix is formed.
-        """
-        ex = np.concatenate([np.conj(self.ux[:0:-1]), self.ux])
-        ey = np.concatenate([np.conj(self.uy[:0:-1]), self.uy])
-        return ey @ self.variances @ ex.T
 
 
 def _wavenumber_cells(k0: float, side: float) -> tuple[np.ndarray, np.ndarray]:

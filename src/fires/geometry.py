@@ -5,9 +5,9 @@ The radiating aperture is a rectangle split into a grid of non-overlapping
 subareas, one movable element per subarea. Every subarea carries the same
 n_h x n_v grid of preset positions, laid out so that the union over all
 subareas is a single uniform lattice spanning the whole aperture (endpoints
-inclusive). Subareas are numbered row-major and 1-based, as are the flat
-preset indices of `preset_flat_indices`; the snapping functions return
-0-based flat indices, row-major, ready to index the lattice arrays.
+inclusive). Subareas are numbered row-major and 1-based; the snapping
+functions return 0-based flat indices, row-major, ready to index the lattice
+arrays.
 """
 
 from __future__ import annotations
@@ -238,11 +238,6 @@ def preset_grid(geom: SurfaceGeometry, m: int) -> np.ndarray:
     """(n_h * n_v, 2) preset coordinates of subarea m, ascending flat index;
     a read-only view of `subarea_presets`."""
     return geom._presets[0][_check_subarea_index(geom, m)]
-
-
-def preset_flat_indices(geom: SurfaceGeometry, m: int) -> np.ndarray:
-    """1-based global flat indices of subarea m's presets, ascending."""
-    return geom._presets[1][_check_subarea_index(geom, m)] + 1
 
 
 def lattice_points(geom: SurfaceGeometry) -> np.ndarray:

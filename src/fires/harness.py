@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, fields, replace
@@ -80,7 +81,6 @@ _FIELD_RANGES = (
     (("a_h", "a_v", "f_c", "d_f", "d_u", "alpha", "tau"), gt, 0, "positive"),
     (("k_f", "k_u", "w", "c1", "c2", "seed"), ge, 0, "nonnegative"),
 )
-_FIELD_CHOICES = (("sweep", SWEEP_AXES), ("objective", ("min", "sum")))
 
 
 def _is_kind(value, kind) -> bool:
@@ -114,7 +114,6 @@ class ExperimentConfig:
     c1: float = 0.5
     c2: float = 0.5
     tau: float = 1e6
-    objective: str = "min"
     n_trials: int = 100
     seed: int = 0
     sweep: str = "none"
@@ -123,9 +122,8 @@ class ExperimentConfig:
     inject_baseline: bool = False
 
     def __post_init__(self):
-        for name, choices in _FIELD_CHOICES:
-            if getattr(self, name) not in choices:
-                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        if self.sweep not in SWEEP_AXES:
+            raise ValueError(f"sweep must be one of {SWEEP_AXES}, got {self.sweep!r}")
         if isinstance(self.power_dbm, (list, tuple)):
             raise ValueError("power_dbm must be a scalar; put sweep values in power_sweep_dbm")
         for f in fields(self):
@@ -133,7 +131,8 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if kind is not None and not _is_kind(value, kind):
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-            if kind is Real and not math.isfinite(value):
+            # finite, and no integer too large for a float (math.isfinite raises there)
+            if kind is Real and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         for names, holds, bound, noun in _FIELD_RANGES:
             for name in names:
@@ -141,7 +140,7 @@ class ExperimentConfig:
                     raise ValueError(f"{name} must be {noun}, got {getattr(self, name)!r}")
         spacing = self.min_spacing
         if spacing != "half-lambda" and not (
-            _is_kind(spacing, Real) and math.isfinite(spacing) and spacing > 0
+            _is_kind(spacing, Real) and abs(spacing) <= sys.float_info.max and spacing > 0
         ):
             raise ValueError(
                 f"min_spacing must be 'half-lambda' or finite positive meters, got {spacing!r}"
@@ -149,7 +148,7 @@ class ExperimentConfig:
         for name in ("power_sweep_dbm", "area_sweep_m2"):
             seq = getattr(self, name)
             if not isinstance(seq, (list, tuple)) or not all(
-                _is_kind(x, Real) and math.isfinite(x) for x in seq
+                _is_kind(x, Real) and abs(x) <= sys.float_info.max for x in seq
             ):
                 raise ValueError(f"{name} must be a list of finite numbers, got {seq!r}")
             if len(seq) == 0:
@@ -159,6 +158,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not all(map(_has_wattage, value if isinstance(value, tuple) else (value,))):
                 raise ValueError(f"{name} must be a power with a positive, finite wattage, got {value!r}")
+        noise = dbm_to_watts(self.noise_dbm)
+        powers = (self.power_dbm, *self.power_sweep_dbm)
+        if not all(math.isfinite(dbm_to_watts(p) / noise) for p in powers):
+            raise ValueError(f"noise_dbm must be high enough for a finite SNR, got {self.noise_dbm!r}")
         if any(a <= 0 for a in self.area_sweep_m2):
             raise ValueError(f"area_sweep_m2 must hold positive areas, got {self.area_sweep_m2}")
         if self.grid is not None:
@@ -167,6 +170,18 @@ class ExperimentConfig:
             ):
                 raise ValueError(f"grid must be two positive integers [cols, rows], got {self.grid!r}")
             object.__setattr__(self, "grid", tuple(self.grid))
+        # area scaling keeps the aspect ratio, so what tiles this aperture tiles
+        # every swept one; the fixed surface tiles as evaluate_baseline does
+        try:
+            geometry_from_config(self)
+        except (ValueError, OverflowError) as exc:
+            name = "n_subareas" if self.grid is None else "grid"
+            raise ValueError(f"{name} must be able to tile the aperture: {exc}") from None
+        try:
+            if self.m_hat != self.n_subareas:
+                partition_surface(self.a_h, self.a_v, self.m_hat, wavelength(self.f_c))
+        except (ValueError, OverflowError):
+            raise ValueError(f"m_hat must be able to tile the aperture in squares, got {self.m_hat}") from None
 
     def digest(self) -> str:
         """Short stable hash of the full configuration."""
@@ -291,7 +306,6 @@ def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -
         c2=cfg.c2,
         tau=cfg.tau,
         seed=pso_seed,
-        objective=cfg.objective,
     )
     injected = [star_ris_placement(geom)] if cfg.inject_baseline else None
     placement, _, history = optimize(

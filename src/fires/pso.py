@@ -33,8 +33,6 @@ from .geometry import (
 )
 from .rate import RateReport, amplitude_weights, evaluate, lattice_rates
 
-_OBJECTIVES = ("min", "sum")
-
 
 @dataclass(frozen=True)
 class PsoConfig:
@@ -47,7 +45,6 @@ class PsoConfig:
     c2: float = 0.5
     tau: float = 1e6
     seed: int = 0
-    objective: str = "min"  # "min": max-min rate; "sum": summed rates
 
     def __post_init__(self):
         if self.n_particles < 1 or self.n_iterations < 1:
@@ -56,8 +53,6 @@ class PsoConfig:
             raise ValueError("inertia and attraction factors must be nonnegative")
         if self.tau <= 0:
             raise ValueError("penalty coefficient must be positive")
-        if self.objective not in _OBJECTIVES:
-            raise ValueError(f"objective must be one of {_OBJECTIVES}")
 
 
 @dataclass(eq=False)
@@ -101,24 +96,19 @@ def update_velocity(v, pos, p_best, g_best, cfg: PsoConfig, rng: np.random.Gener
     return cfg.w * v + cfg.c1 * r1 * (p_best - pos) + cfg.c2 * r2 * (g_best - pos)
 
 
-def update_position(pos, v, geom: SurfaceGeometry) -> np.ndarray:
-    """Move and clamp each element back into its own subarea."""
-    return clamp_to_subareas(pos + v, geom)
-
-
 def _batch_scores(
     positions: np.ndarray,
     weights,
     geom: SurfaceGeometry,
     power: float,
     noise_power: float,
-    cfg: PsoConfig,
+    tau: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(fitness, lattice indices, spacing-violation counts) for a (n, M, 2)
     batch of placements."""
     idx = snap_to_subarea_presets(positions, geom)
     violations = _pair_violation_counts(positions, geom.d_min)
-    return _scores_at(idx, violations, weights, power, noise_power, cfg), idx, violations
+    return _scores_at(idx, violations, weights, power, noise_power, tau), idx, violations
 
 
 def _scores_at(
@@ -127,13 +117,11 @@ def _scores_at(
     weights,
     power: float,
     noise_power: float,
-    cfg: PsoConfig,
+    tau: float,
 ) -> np.ndarray:
     """Fitness of (n, M) lattice indices whose placements have the given
-    spacing-violation counts: the objective minus tau per violation."""
-    report = lattice_rates(weights, idx, power, noise_power)
-    base = report.effective if cfg.objective == "min" else report.rate_r + report.rate_t
-    return base - cfg.tau * violations
+    spacing-violation counts: the max-min rate minus tau per violation."""
+    return lattice_rates(weights, idx, power, noise_power).effective - tau * violations
 
 
 def fitness(
@@ -144,11 +132,11 @@ def fitness(
     noise_power: float,
     cfg: PsoConfig,
 ) -> float:
-    """Penalized objective of one placement: base rate term minus
+    """Penalized objective of one placement: max-min rate minus
     tau * spacing violations."""
     weights = amplitude_weights(realization)
     fit, _, _ = _batch_scores(
-        placement.positions[None, :, :], weights, geom, power, noise_power, cfg
+        placement.positions[None, :, :], weights, geom, power, noise_power, cfg.tau
     )
     return float(fit[0])
 
@@ -213,7 +201,7 @@ def best_response(
     d2min = geom.d_min**2
     blocks, flats = subarea_presets(geom)  # ascending flat index
     weights = amplitude_weights(realization)
-    fit, idx, _ = _batch_scores(pos[None], weights, geom, power, noise_power, cfg)
+    fit, idx, _ = _batch_scores(pos[None], weights, geom, power, noise_power, cfg.tau)
     current = float(fit[0])
     idx = idx[0]
     # elements known to be best responses to the others as they stand; the
@@ -231,7 +219,7 @@ def best_response(
             # candidates clear every other element, which leaves the
             # violations among the others
             held = spacing_violations(Placement(others), geom.d_min)
-            fit = _scores_at(trials, held, weights, power, noise_power, cfg)
+            fit = _scores_at(trials, held, weights, power, noise_power, cfg.tau)
             top = int(np.argmax(fit))
             if fit[top] > current:
                 pos[i] = blocks[i][clear][top]
@@ -283,7 +271,7 @@ def optimize(
             state.global_best_pos = state.positions[leader].copy()
         state.history.append(state.global_best_fit)
 
-    record_bests(_batch_scores(state.positions, weights, geom, power, noise_power, cfg)[0])
+    record_bests(_batch_scores(state.positions, weights, geom, power, noise_power, cfg.tau)[0])
 
     for _ in range(cfg.n_iterations):
         vel = update_velocity(
@@ -291,8 +279,8 @@ def optimize(
             state.global_best_pos, cfg, rng,
         )
         state.velocities = np.minimum(np.maximum(vel, v_min), v_max)
-        state.positions = update_position(state.positions, state.velocities, geom)
-        record_bests(_batch_scores(state.positions, weights, geom, power, noise_power, cfg)[0])
+        state.positions = clamp_to_subareas(state.positions + state.velocities, geom)
+        record_bests(_batch_scores(state.positions, weights, geom, power, noise_power, cfg.tau)[0])
 
     best_pos = state.global_best_pos
     if spacing_violations(Placement(best_pos), geom.d_min) > 0:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fires.channel import (
-    CorrelationModel,
     LinkParams,
     PlaneWaveField,
     correlation_matrix,
@@ -11,9 +10,9 @@ from fires.channel import (
     surface_steering,
     synthesize_channel,
 )
-from fires.geometry import Placement, partition_surface, preset_flat_indices, preset_grid
+from fires.geometry import Placement, partition_surface, preset_grid
 from fires.rate import amplitude_weights, evaluate, lattice_rates
-from helpers import WL, default_links
+from helpers import WL, default_links, model_from_matrix, offset_covariance, preset_flat_indices
 
 
 def tiny_geom(n=2, a=None, m=1):
@@ -102,7 +101,7 @@ class TestCorrelation:
     @pytest.mark.parametrize("geom", LATTICES, ids=LATTICE_IDS)
     def test_mirror_blocks_give_the_symmetric_square_root(self, geom):
         corr = correlation_matrix(geom)
-        full = CorrelationModel.from_matrix(corr.matrix)
+        full = model_from_matrix(corr.matrix)
         root = corr.coloring
         assert np.max(np.abs(root - full.coloring)) <= 1e-9
         assert np.max(np.abs(corr.eigvals - full.eigvals)) <= 1e-12
@@ -117,7 +116,7 @@ class TestCorrelation:
         geom = partition_surface(2.0, 2.0, 4, WL, n_h=10, n_v=10)
         corr = correlation_matrix(geom)
         perm = np.random.default_rng(8).permutation(geom.n_presets)
-        permuted = CorrelationModel.from_matrix(corr.matrix[np.ix_(perm, perm)])
+        permuted = model_from_matrix(corr.matrix[np.ix_(perm, perm)])
         assert np.max(np.abs(permuted.coloring - corr.coloring[np.ix_(perm, perm)])) <= 1e-12
 
     def test_degenerate_lattice_rejected(self):
@@ -128,7 +127,7 @@ class TestCorrelation:
 class TestNlosField:
     def test_identity_covariance(self):
         rng = np.random.default_rng(21)
-        corr = CorrelationModel.from_matrix(np.eye(25))
+        corr = model_from_matrix(np.eye(25))
         draws = corr.draw(rng, size=100_000)
         sample = draws.conj().T @ draws / draws.shape[0]
         rel = np.linalg.norm(sample - np.eye(25)) / np.linalg.norm(np.eye(25))
@@ -151,7 +150,7 @@ class TestNlosField:
         assert np.max(np.abs(batch - singles)) <= 1e-12
 
     def test_all_zero_eigenvalues_give_zero_field(self):
-        corr = CorrelationModel.from_matrix(np.zeros((4, 4)))
+        corr = model_from_matrix(np.zeros((4, 4)))
         out = corr.draw(np.random.default_rng(0))
         assert np.allclose(out, 0.0)
 
@@ -166,7 +165,7 @@ def sinc_offset_error(geom, field: PlaneWaveField) -> float:
     dist = np.hypot(dc * geom.a_h / (cols - 1), dr * geom.a_v / (rows - 1))
     ref = np.sinc(2.0 / geom.wavelength * dist)
     mult = (rows - np.abs(dr)) * (cols - np.abs(dc))
-    diff = field.offset_covariance() - ref
+    diff = offset_covariance(field) - ref
     return float(np.sqrt(np.sum(mult * np.abs(diff) ** 2) / np.sum(mult * ref**2)))
 
 
@@ -193,7 +192,7 @@ class TestPlaneWaveField:
         r = correlation_matrix(geom).matrix
         rows, cols = geom.lattice_rows, geom.lattice_cols
         rr, cc = np.divmod(np.arange(geom.n_presets), cols)
-        implied = field.offset_covariance()[
+        implied = offset_covariance(field)[
             rr[:, None] - rr[None, :] + rows - 1, cc[:, None] - cc[None, :] + cols - 1
         ]
         dense = np.linalg.norm(implied - r) / np.linalg.norm(r)

@@ -10,13 +10,13 @@ from fires.geometry import (
     pair_violation_counts,
     partition_surface,
     placement_in_subareas,
-    preset_flat_indices,
     preset_grid,
     snap_to_lattice,
     snap_to_subarea_presets,
     spacing_violations,
     subarea_bounds,
 )
+from helpers import preset_flat_indices
 
 WL = 0.0856  # ~3.5 GHz carrier
 

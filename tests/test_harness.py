@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 from collections import Counter
 from dataclasses import asdict, fields, replace
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from fires import harness
-from fires.channel import CorrelationModel, PlaneWaveField
+from fires.channel import CorrelationModel, PlaneWaveField, plane_wave_field
 from fires.cli import main as cli_main
+from fires.geometry import partition_surface
 from fires.harness import (
     ExperimentConfig,
     ResultRecord,
@@ -23,6 +25,16 @@ from fires.harness import (
 )
 
 FAST = dict(n_h=4, n_v=4, n_particles=10, n_iterations=10, n_trials=4)
+
+# configs that cannot run, to be rejected at load: an integer no float holds,
+# and subarea or fixed-surface counts that cannot tile the aperture. The two
+# lists below also hold a -3200 dBm noise_dbm, over which the SNR overflows.
+UNRUNNABLE = [
+    pytest.param("a_h", int(sys.float_info.max) * 10, id="a_h-int-beyond-float"),
+    ("m_hat", 5),
+    ("grid", [3, 3]),
+    ("n_subareas", 5),
+]
 
 
 class TestUnits:
@@ -69,9 +81,10 @@ class TestConfig:
         path.write_text(json.dumps({"n_subareas": 9, "power_dbm": 35.0, "seed": 3}))
         cfg = config_from_json(path)
         assert (cfg.n_subareas, cfg.power_dbm, cfg.seed) == (9, 35.0, 3)
-        path.write_text(json.dumps({"not_a_field": 1}))
-        with pytest.raises(ValueError, match="unknown config keys"):
-            config_from_json(path)
+        for doc in ({"not_a_field": 1}, {"objective": "min"}):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="unknown config keys"):
+                config_from_json(path)
         path.write_text(json.dumps([1, 2]))
         with pytest.raises(ValueError, match="JSON object"):
             config_from_json(path)
@@ -112,7 +125,7 @@ class TestConfig:
             ("w", -0.1),
             ("c1", -0.5),
             ("c2", -0.5),
-            ("objective", "max"),
+            ("noise_dbm", -3200.0),
             ("inject_baseline", "no"),
             ("power_dbm", float("nan")),
             ("noise_dbm", float("-inf")),
@@ -129,11 +142,17 @@ class TestConfig:
             ("noise_dbm", -4000.0),
             ("power_sweep_dbm", (20.0, 4000.0)),
             ("power_sweep_dbm", (-4000.0, 40.0)),
+            *UNRUNNABLE,
         ],
     )
     def test_bad_field_named_at_load(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
+
+    def test_explicit_grid_that_tiles_loads(self):
+        cfg = ExperimentConfig(n_subareas=2, grid=[2, 1], m_hat=2, **FAST)
+        assert cfg.grid == (2, 1)
+        assert run_trial(cfg, 0).fires_rate > 0
 
     def test_power_dbm_list_rejected(self):
         with pytest.raises(ValueError, match="power_dbm.*power_sweep_dbm"):
@@ -183,6 +202,39 @@ class TestTrials:
         rec = run_trial(cfg, 2)
         assert len(rec.history) == cfg.n_iterations + 1
         assert np.all(np.diff(rec.history) >= 0)
+
+
+class TestPinnedRecords:
+    """Literals from one build (Python 3.11, numpy 2.4, OpenBLAS): on another
+    BLAS or LAPACK build, drift in the records fails here instead of going
+    unseen."""
+
+    # (fires_rate, baseline_rate, history[-1]) of trials 0-2 at defaults
+    NONE_AXIS = [
+        (12.250326918289252, 10.016909176360924, 11.979745171218106),
+        (12.374621478098923, 9.801403645274812, 11.891548199905605),
+        (12.175038786385004, 10.289664125619518, 11.938717350417647),
+    ]
+    # the same trials at 20 dBm on the power axis: the swarm runs at 40 dBm
+    POWER_AXIS_20DBM = [
+        (5.635492130956638, 3.5047124813774855, 11.979745171218106),
+        (5.757413030946422, 3.309338486970174, 11.891548199905605),
+        (5.561742363551964, 3.7556270448412237, 11.938717350417647),
+    ]
+
+    def test_default_records_and_plane_wave_draw(self):
+        cfgs = (ExperimentConfig(), ExperimentConfig(sweep="power", power_dbm=20.0))
+        for cfg, pinned in zip(cfgs, (self.NONE_AXIS, self.POWER_AXIS_20DBM)):
+            for trial, expected in enumerate(pinned):
+                rec = run_trial(cfg, trial)
+                got = (rec.fires_rate, rec.baseline_rate, rec.history[-1])
+                assert got == pytest.approx(expected, rel=1e-9, abs=0)
+        geom = partition_surface(0.5, 0.5, 4, 0.0856, n_h=6, n_v=6)
+        h = plane_wave_field(geom).draw(np.random.default_rng(7), size=3)
+        assert float(np.sum(np.abs(h) ** 2)) == pytest.approx(432.809754258341, rel=1e-9, abs=0)
+        assert complex(h[0, 0]) == pytest.approx(
+            -1.1119089858002607 + 0.37472866010947925j, rel=1e-9, abs=0
+        )
 
 
 class TestSweeps:
@@ -430,10 +482,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n_h", 0), ("k_f", -1.0), ("objective", "max"), ("m_hat", 0), ("tau", 0),
+        [("n_h", 0), ("k_f", -1.0), ("noise_dbm", -3200), ("m_hat", 0), ("tau", 0),
          ("d_u", -5), ("f_c", 0), ("a_h", -1), ("inject_baseline", "no"),
          ("power_dbm", float("nan")), ("d_u", float("inf")), ("seed", -3),
-         ("power_dbm", 4000), ("noise_dbm", -4000), ("power_sweep_dbm", [20.0, 4000.0])],
+         ("power_dbm", 4000), ("noise_dbm", -4000), ("power_sweep_dbm", [20.0, 4000.0]),
+         *UNRUNNABLE],
     )
     def test_bad_config_fails_before_any_trial(self, field, value, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"

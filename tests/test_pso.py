@@ -8,10 +8,10 @@ from fires import pso
 from fires.channel import ChannelRealization, correlation_matrix, synthesize_channel
 from fires.geometry import (
     Placement,
+    clamp_to_subareas,
     partition_surface,
     placement_in_subareas,
     preset_grid,
-    snap_to_subarea_presets,
     spacing_violations,
     subarea_bounds,
 )
@@ -23,10 +23,9 @@ from fires.pso import (
     init_swarm,
     optimize,
     repair_spacing,
-    update_position,
     update_velocity,
 )
-from fires.rate import evaluate, split_and_rates
+from fires.rate import evaluate
 from helpers import WL, complex_rows, default_links
 
 P, S2 = 10.0, 1e-12
@@ -65,20 +64,20 @@ class TestUpdates:
     def test_position_identity_with_zero_velocity(self):
         geom, _ = tiny_instance()
         pos = np.array([[0.5, 0.5], [1.5, 0.5]])
-        assert np.allclose(update_position(pos, np.zeros_like(pos), geom), pos)
+        assert np.allclose(clamp_to_subareas(pos + np.zeros_like(pos), geom), pos)
 
     def test_position_clamps_to_boundary(self):
         geom, _ = tiny_instance()
         pos = np.array([[0.9, 0.5], [1.5, 0.5]])
         vel = np.array([[0.5, 0.0], [0.0, 0.0]])  # would exit subarea 1 at x=1
-        moved = update_position(pos, vel, geom)
+        moved = clamp_to_subareas(pos + vel, geom)
         assert np.allclose(moved[0], [1.0, 0.5])
 
     def test_interior_move_is_plain_addition(self):
         geom, _ = tiny_instance()
         pos = np.array([[0.10, 0.5], [1.5, 0.5]])
         vel = np.array([[0.05, 0.0], [0.0, 0.0]])
-        assert np.allclose(update_position(pos, vel, geom)[0, 0], 0.15)
+        assert np.allclose(clamp_to_subareas(pos + vel, geom)[0, 0], 0.15)
 
     def test_velocity_draws_r1_then_r2(self):
         cfg = PsoConfig(w=0.4, c1=0.5, c2=0.7)
@@ -133,14 +132,6 @@ class TestFitness:
         cfg = PsoConfig(tau=1e6)
         eff = evaluate(real, pl, geom, P, S2).effective
         assert fitness(pl, real, geom, P, S2, cfg) <= eff - 1e6
-
-    def test_sum_objective_switch(self):
-        geom, real = tiny_instance()
-        pl = Placement(np.array([[0.5, 1.0], [1.5, 1.0]]))
-        idx = snap_to_subarea_presets(pl.positions, geom)
-        report = split_and_rates(real.h_f[idx], real.h_r[idx], real.h_t[idx], P, S2)
-        got = fitness(pl, real, geom, P, S2, PsoConfig(objective="sum"))
-        assert got == pytest.approx(float(report.rate_r + report.rate_t), abs=0)
 
 
 class TestOracle:
