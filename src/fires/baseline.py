@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .channel import ChannelRealization
 from .geometry import Placement, SurfaceGeometry, partition_surface, snap_to_lattice, subarea_corners
-from .rate import RateReport, amplitude_weights, evaluate, lattice_rates
+from .rate import RateReport, amplitude_weights, lattice_rates
 
 
 def star_ris_placement(geom: SurfaceGeometry) -> Placement:
@@ -28,16 +28,21 @@ def evaluate_baseline(
     """Rate report of the fixed surface of m_hat elements on the fluid
     surface's channel field.
 
-    Centers snap to the nearest preset like any placement. With m_hat = None
-    or equal to the fluid element count, the centers coincide with the shared
-    subarea centers; a different m_hat re-tiles the same aperture and looks
-    the lattice up at the nearest global presets.
+    The centers are those of the shared subareas with m_hat = None or equal
+    to the fluid element count; a different m_hat re-tiles the same aperture.
+    Each center snaps to the nearest global preset. A shared subarea's center
+    is nearer its own presets than any other subarea's, so that is the preset
+    `evaluate` snaps it to.
     """
-    if m_hat is None or m_hat == geom.n_subareas:
-        return evaluate(realization, star_ris_placement(geom), geom, power, noise_power)
-    tiling = partition_surface(
-        geom.a_h, geom.a_v, m_hat, geom.wavelength,
-        n_h=geom.n_h, n_v=geom.n_v, d_min=geom.d_min,
-    )
+    if realization.n_presets != geom.n_presets:
+        raise ValueError(
+            f"realization covers {realization.n_presets} presets, geometry has {geom.n_presets}"
+        )
+    tiling = geom
+    if m_hat is not None and m_hat != geom.n_subareas:
+        tiling = partition_surface(
+            geom.a_h, geom.a_v, m_hat, geom.wavelength,
+            n_h=geom.n_h, n_v=geom.n_v, d_min=geom.d_min,
+        )
     idx = snap_to_lattice(star_ris_placement(tiling).positions, geom)
     return lattice_rates(amplitude_weights(realization), idx, power, noise_power)

@@ -348,7 +348,7 @@ def synthesize_channel(
     r_link: LinkParams,
     t_link: LinkParams,
     rng: np.random.Generator,
-    corr: CorrelationModel | PlaneWaveField | None = None,
+    corr: CorrelationModel | PlaneWaveField,
 ) -> ChannelRealization:
     """Draw the three channel vectors over the full preset lattice.
 
@@ -358,10 +358,8 @@ def synthesize_channel(
     (single-antenna BS), so its lattice profile is the surface steering alone.
     Deterministic given the rng state; the three scattered fields come from
     one `draw(rng, size=3)` of `corr`, in f, r, t order. `corr` is either
-    field model and defaults to the dense sinc model.
+    field model of this geometry.
     """
-    if corr is None:
-        corr = correlation_matrix(geom)
     if corr.n_presets != geom.n_presets:
         raise ValueError(
             f"correlation model covers {corr.n_presets} presets, geometry has {geom.n_presets}"

@@ -207,15 +207,11 @@ def partition_surface(
     )
 
 
-def _check_subarea_index(geom: SurfaceGeometry, m: int) -> int:
-    if not 1 <= m <= geom.n_subareas:
-        raise ValueError(f"subarea index {m} out of range 1..{geom.n_subareas}")
-    return m - 1
-
-
 def subarea_bounds(geom: SurfaceGeometry, m: int) -> tuple[float, float, float, float]:
     """(x_lo, y_lo, x_hi, y_hi) of subarea m (1-based, row-major)."""
-    i = _check_subarea_index(geom, m)
+    if not 1 <= m <= geom.n_subareas:
+        raise ValueError(f"subarea index {m} out of range 1..{geom.n_subareas}")
+    i = m - 1
     lo, hi = subarea_corners(geom)
     return float(lo[i, 0]), float(lo[i, 1]), float(hi[i, 0]), float(hi[i, 1])
 
@@ -232,12 +228,6 @@ def subarea_presets(geom: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
     indices (M, n_h * n_v). Read-only arrays shared by every caller with this
     geometry."""
     return geom._presets
-
-
-def preset_grid(geom: SurfaceGeometry, m: int) -> np.ndarray:
-    """(n_h * n_v, 2) preset coordinates of subarea m, ascending flat index;
-    a read-only view of `subarea_presets`."""
-    return geom._presets[0][_check_subarea_index(geom, m)]
 
 
 def lattice_points(geom: SurfaceGeometry) -> np.ndarray:

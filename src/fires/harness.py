@@ -173,10 +173,17 @@ class ExperimentConfig:
         # area scaling keeps the aspect ratio, so what tiles this aperture tiles
         # every swept one; the fixed surface tiles as evaluate_baseline does
         try:
-            geometry_from_config(self)
+            geom = geometry_from_config(self)
         except (ValueError, OverflowError) as exc:
             name = "n_subareas" if self.grid is None else "grid"
             raise ValueError(f"{name} must be able to tile the aperture: {exc}") from None
+        # both field models of the channel need 2 presets along each lattice axis
+        for name, count in (("n_h", geom.lattice_cols), ("n_v", geom.lattice_rows)):
+            if count < 2:
+                raise ValueError(
+                    f"{name} must be large enough for 2 presets per lattice axis, "
+                    f"got a {geom.lattice_cols} x {geom.lattice_rows} lattice"
+                )
         try:
             if self.m_hat != self.n_subareas:
                 partition_surface(self.a_h, self.a_v, self.m_hat, wavelength(self.f_c))
@@ -258,30 +265,9 @@ class _TrialSwarm:
     history: tuple[float, ...]
 
 
-@dataclass(eq=False)
-class _SharedSwarm:
-    """The swarm of one trial, shared by the run_trial calls that differ from
-    `cfg` only in power_dbm while it is the current share."""
-
-    cfg: ExperimentConfig
-    trial_index: int
-    area_m2: float | None
-    swarm: _TrialSwarm | None = None
-
-    def serves(self, cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -> bool:
-        return (
-            trial_index == self.trial_index
-            and area_m2 == self.area_m2
-            and all(getattr(cfg, name) == getattr(self.cfg, name) for name in _SWARM_FIELDS)
-        )
-
-
-# the config fields a shared swarm depends on: all but power_dbm
-_SWARM_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "power_dbm")
-
-
-# set by _sweep_worker for the duration of one trial's sweep values
-_shared_swarm: ContextVar[_SharedSwarm | None] = ContextVar("shared_swarm", default=None)
+# while _sweep_worker runs one power-axis trial at its sweep powers: a list
+# that the first power's run_trial fills with the trial's swarm
+_power_share: ContextVar[list[_TrialSwarm] | None] = ContextVar("power_share", default=None)
 
 
 def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -> _TrialSwarm:
@@ -323,13 +309,13 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
     own at the highest sweep power. Inside run_sweep the powers of one trial
     share that swarm; the records are the same either way.
     """
-    shared = _shared_swarm.get()
-    if shared is not None and shared.serves(cfg, trial_index, area_m2):
-        if shared.swarm is None:
-            shared.swarm = _run_swarm(cfg, trial_index, area_m2)
-        swarm = shared.swarm
+    share = _power_share.get()
+    if share:
+        swarm = share[0]
     else:
         swarm = _run_swarm(cfg, trial_index, area_m2)
+        if share is not None:
+            share.append(swarm)
 
     power = dbm_to_watts(float(cfg.power_dbm))
     noise = dbm_to_watts(cfg.noise_dbm)
@@ -376,15 +362,14 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 def _sweep_worker(job) -> list[TrialRecord]:
     """Records of one trial at each (config, area) variant of the job, in
-    variant order. The variants share the trial's swarm where run_trial
-    allows it."""
+    variant order. Power-axis variants differ only in power_dbm, so they
+    share the trial's swarm."""
     trial_index, variants = job
-    cfg, area = variants[0]
-    token = _shared_swarm.set(_SharedSwarm(cfg, trial_index, area))
+    token = _power_share.set([] if variants[0][0].sweep == "power" else None)
     try:
         return [run_trial(c, trial_index, a) for c, a in variants]
     finally:
-        _shared_swarm.reset(token)
+        _power_share.reset(token)
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:

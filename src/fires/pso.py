@@ -15,7 +15,7 @@ A brute-force lattice enumerator doubles as the testing oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .geometry import (
     SurfaceGeometry,
     clamp_to_subareas,
     pair_violation_counts as _pair_violation_counts,  # the swarm's spacing check
-    preset_grid,
     snap_to_subarea_presets,
     spacing_violations,
     subarea_corners,
@@ -55,38 +54,18 @@ class PsoConfig:
             raise ValueError("penalty coefficient must be positive")
 
 
-@dataclass(eq=False)
-class SwarmState:
-    """Mutable swarm bookkeeping; shapes are (n_particles, M, 2)."""
-
-    positions: np.ndarray
-    velocities: np.ndarray
-    personal_best_pos: np.ndarray
-    personal_best_fit: np.ndarray
-    global_best_pos: np.ndarray
-    global_best_fit: float
-    history: list = field(default_factory=list)
-
-
-def init_swarm(geom: SurfaceGeometry, cfg: PsoConfig, rng: np.random.Generator) -> SwarmState:
-    """Uniform positions inside each subarea; small uniform velocities.
-
-    Initial velocity spans +-10% of the subarea side per axis. Best trackers
-    start empty (-inf) and are filled by the first fitness evaluation.
-    """
+def init_swarm(
+    geom: SurfaceGeometry, cfg: PsoConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, velocities), each (n_particles, M, 2): uniform positions
+    inside each subarea, and velocities uniform over +-10% of the subarea
+    side per axis."""
     n, m = cfg.n_particles, geom.n_subareas
     lo, hi = subarea_corners(geom)
     positions = lo + rng.random((n, m, 2)) * (hi - lo)
     span = 0.1 * np.array([geom.subarea_w, geom.subarea_h])
     velocities = (2.0 * rng.random((n, m, 2)) - 1.0) * span
-    return SwarmState(
-        positions=positions,
-        velocities=velocities,
-        personal_best_pos=positions.copy(),
-        personal_best_fit=np.full(n, -np.inf),
-        global_best_pos=positions[0].copy(),
-        global_best_fit=-np.inf,
-    )
+    return positions, velocities
 
 
 def update_velocity(v, pos, p_best, g_best, cfg: PsoConfig, rng: np.random.Generator):
@@ -141,6 +120,14 @@ def fitness(
     return float(fit[0])
 
 
+def _clear_presets(geom: SurfaceGeometry, i: int, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances (K, len(others)) from each preset of element i's
+    subarea, in ascending flat index, to the `others` positions, and the
+    mask of those presets at least d_min from every one of them."""
+    dd = ((subarea_presets(geom)[0][i][:, None, :] - others[None, :, :]) ** 2).sum(axis=-1)
+    return dd, np.all(dd >= geom.d_min**2, axis=1)
+
+
 def repair_spacing(
     positions: np.ndarray,
     realization: ChannelRealization,
@@ -157,24 +144,23 @@ def repair_spacing(
     distance. Ties resolve to the smaller flat index.
     """
     pos = np.asarray(positions, dtype=float).copy()
+    idx = snap_to_subarea_presets(pos, geom)
+    blocks, flats = subarea_presets(geom)
     weights = amplitude_weights(realization)
-    d2min = geom.d_min**2
     for i in range(1, geom.n_subareas):
         fixed = pos[:i]
-        if np.all(((pos[i] - fixed) ** 2).sum(axis=-1) >= d2min):
+        if np.all(((pos[i] - fixed) ** 2).sum(axis=-1) >= geom.d_min**2):
             continue
-        block = preset_grid(geom, i + 1)  # ascending flat index
-        dd = ((block[:, None, :] - fixed[None, :, :]) ** 2).sum(axis=-1)
-        clear = np.all(dd >= d2min, axis=1)
+        dd, clear = _clear_presets(geom, i, fixed)
         if clear.any():
-            cands = block[clear]
-            trials = np.repeat(pos[None, :, :], len(cands), axis=0)
-            trials[:, i, :] = cands
-            idx = snap_to_subarea_presets(trials, geom)
-            report = lattice_rates(weights, idx, power, noise_power)
-            pos[i] = cands[int(np.argmax(report.effective))]
+            trials = np.repeat(idx[None, :], np.count_nonzero(clear), axis=0)
+            trials[:, i] = flats[i][clear]
+            rates = lattice_rates(weights, trials, power, noise_power).effective
+            k = np.flatnonzero(clear)[int(np.argmax(rates))]
         else:
-            pos[i] = block[int(np.argmax(dd.min(axis=1)))]
+            k = int(np.argmax(dd.min(axis=1)))
+        pos[i] = blocks[i][k]
+        idx[i] = flats[i][k]
     return pos
 
 
@@ -198,7 +184,6 @@ def best_response(
     """
     pos = np.asarray(positions, dtype=float).copy()
     m = geom.n_subareas
-    d2min = geom.d_min**2
     blocks, flats = subarea_presets(geom)  # ascending flat index
     weights = amplitude_weights(realization)
     fit, idx, _ = _batch_scores(pos[None], weights, geom, power, noise_power, cfg.tau)
@@ -210,8 +195,7 @@ def best_response(
     i = 0
     while stable < m:
         others = np.delete(pos, i, axis=0)
-        dd = ((blocks[i][:, None, :] - others[None, :, :]) ** 2).sum(axis=-1)
-        clear = np.all(dd >= d2min, axis=1)
+        _, clear = _clear_presets(geom, i, others)
         stable += 1
         if clear.any():
             trials = np.repeat(idx[None, :], np.count_nonzero(clear), axis=0)
@@ -251,43 +235,38 @@ def optimize(
     """
     rng = np.random.default_rng(cfg.seed)
     weights = amplitude_weights(realization)
-    state = init_swarm(geom, cfg, rng)
+    positions, velocities = init_swarm(geom, cfg, rng)
     if initial_placements:
         if len(initial_placements) > cfg.n_particles:
             raise ValueError("more injected placements than particles")
         for k, pl in enumerate(initial_placements):
-            state.positions[k] = clamp_to_subareas(pl.positions, geom)
+            positions[k] = clamp_to_subareas(pl.positions, geom)
     # per element rather than per axis, so the clamp runs in long loops
     v_max = np.tile([geom.subarea_w, geom.subarea_h], (geom.n_subareas, 1))
     v_min = -v_max
-
-    def record_bests(fit: np.ndarray) -> None:
-        improved = fit > state.personal_best_fit
-        np.copyto(state.personal_best_pos, state.positions, where=improved[:, None, None])
-        np.copyto(state.personal_best_fit, fit, where=improved)
+    # personal bests per particle, the global best, and its value per scoring
+    own_pos, own_fit = positions.copy(), np.full(cfg.n_particles, -np.inf)
+    best_pos, best_fit = None, -np.inf
+    history = []
+    for step in range(cfg.n_iterations + 1):
+        if step:  # the first scoring covers the initial swarm
+            vel = update_velocity(velocities, positions, own_pos, best_pos, cfg, rng)
+            velocities = np.minimum(np.maximum(vel, v_min), v_max)
+            positions = clamp_to_subareas(positions + velocities, geom)
+        fit = _batch_scores(positions, weights, geom, power, noise_power, cfg.tau)[0]
+        improved = fit > own_fit
+        np.copyto(own_pos, positions, where=improved[:, None, None])
+        np.copyto(own_fit, fit, where=improved)
         leader = int(np.argmax(fit))
-        if fit[leader] > state.global_best_fit:
-            state.global_best_fit = float(fit[leader])
-            state.global_best_pos = state.positions[leader].copy()
-        state.history.append(state.global_best_fit)
+        if fit[leader] > best_fit:
+            best_fit, best_pos = float(fit[leader]), positions[leader].copy()
+        history.append(best_fit)
 
-    record_bests(_batch_scores(state.positions, weights, geom, power, noise_power, cfg.tau)[0])
-
-    for _ in range(cfg.n_iterations):
-        vel = update_velocity(
-            state.velocities, state.positions, state.personal_best_pos,
-            state.global_best_pos, cfg, rng,
-        )
-        state.velocities = np.minimum(np.maximum(vel, v_min), v_max)
-        state.positions = clamp_to_subareas(state.positions + state.velocities, geom)
-        record_bests(_batch_scores(state.positions, weights, geom, power, noise_power, cfg.tau)[0])
-
-    best_pos = state.global_best_pos
     if spacing_violations(Placement(best_pos), geom.d_min) > 0:
         best_pos = repair_spacing(best_pos, realization, geom, power, noise_power)
     placement = Placement(best_response(best_pos, realization, geom, power, noise_power, cfg))
     report = evaluate(realization, placement, geom, power, noise_power)
-    return placement, report, np.asarray(state.history)
+    return placement, report, np.asarray(history)
 
 
 def brute_force_oracle(

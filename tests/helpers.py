@@ -41,3 +41,9 @@ def offset_covariance(field: PlaneWaveField) -> np.ndarray:
 def preset_flat_indices(geom: SurfaceGeometry, m: int) -> np.ndarray:
     """1-based global flat indices of subarea m's presets, ascending."""
     return subarea_presets(geom)[1][m - 1] + 1
+
+
+def preset_grid(geom: SurfaceGeometry, m: int) -> np.ndarray:
+    """(n_h * n_v, 2) preset coordinates of subarea m (1-based), ascending
+    flat index."""
+    return subarea_presets(geom)[0][m - 1]

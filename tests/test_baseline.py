@@ -74,3 +74,11 @@ def test_bad_config_rejected(instance):
     geom, real = instance
     with pytest.raises(ValueError):
         evaluate_baseline(real, geom, P, S2, m_hat=0)
+
+
+@pytest.mark.parametrize("m_hat", [1, 4])
+def test_realization_of_another_geometry_rejected(instance, m_hat):
+    geom, real = instance
+    coarse = partition_surface(2.0, 2.0, 4, WL, n_h=2, n_v=2)
+    with pytest.raises(ValueError, match="realization covers 36 presets, geometry has 16"):
+        evaluate_baseline(real, coarse, P, S2, m_hat)

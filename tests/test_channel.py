@@ -10,9 +10,9 @@ from fires.channel import (
     surface_steering,
     synthesize_channel,
 )
-from fires.geometry import Placement, partition_surface, preset_grid
+from fires.geometry import Placement, partition_surface
 from fires.rate import amplitude_weights, evaluate, lattice_rates
-from helpers import WL, default_links, model_from_matrix, offset_covariance, preset_flat_indices
+from helpers import WL, default_links, model_from_matrix, offset_covariance, preset_flat_indices, preset_grid
 
 
 def tiny_geom(n=2, a=None, m=1):
@@ -243,7 +243,7 @@ class TestSynthesis:
             LinkParams(k_factor=1e12, distance=d, alpha=2.5, azimuth=a, elevation=e)
             for d, a, e in [(100.0, 0.3, 0.2), (200.0, 1.0, 0.5), (200.0, 2.0, 1.2)]
         ]
-        real = synthesize_channel(geom, *links, rng=np.random.default_rng(1))
+        real = synthesize_channel(geom, *links, rng=np.random.default_rng(1), corr=correlation_matrix(geom))
         assert np.allclose(np.abs(real.h_f), np.sqrt(path_loss(100.0, 2.5)), rtol=1e-4)
         assert np.allclose(np.abs(real.h_r), np.sqrt(path_loss(200.0, 2.5)), rtol=1e-4)
 
@@ -328,7 +328,8 @@ class TestChannelLookup:
 
     def test_mismatch_rejected(self):
         geom = partition_surface(2.0, 2.0, 4, WL, n_h=3, n_v=3)
-        real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(3))
+        corr = correlation_matrix(geom)
+        real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(3), corr=corr)
         bad = Placement(np.array([[1.7, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]))
         with pytest.raises(ValueError, match="outside its subarea"):
             evaluate(real, bad, geom, 1.0, 1.0)

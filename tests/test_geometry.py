@@ -10,13 +10,12 @@ from fires.geometry import (
     pair_violation_counts,
     partition_surface,
     placement_in_subareas,
-    preset_grid,
     snap_to_lattice,
     snap_to_subarea_presets,
     spacing_violations,
     subarea_bounds,
 )
-from helpers import preset_flat_indices
+from helpers import preset_flat_indices, preset_grid
 
 WL = 0.0856  # ~3.5 GHz carrier
 
@@ -111,8 +110,8 @@ class TestPresetLattice:
     def test_subarea_index_out_of_range(self):
         geom = square_geom(4)
         for m in (0, 5):
-            with pytest.raises(ValueError):
-                preset_grid(geom, m)
+            with pytest.raises(ValueError, match="out of range"):
+                subarea_bounds(geom, m)
 
 
 class TestIndexMapping:

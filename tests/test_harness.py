@@ -27,14 +27,24 @@ from fires.harness import (
 FAST = dict(n_h=4, n_v=4, n_particles=10, n_iterations=10, n_trials=4)
 
 # configs that cannot run, to be rejected at load: an integer no float holds,
-# and subarea or fixed-surface counts that cannot tile the aperture. The two
-# lists below also hold a -3200 dBm noise_dbm, over which the SNR overflows.
+# subarea or fixed-surface counts that cannot tile the aperture, and preset
+# lattices one preset wide or tall. A dict value sets several fields at once
+# and names the field the error must name. The two lists below also hold a
+# -3200 dBm noise_dbm, over which the SNR overflows.
 UNRUNNABLE = [
     pytest.param("a_h", int(sys.float_info.max) * 10, id="a_h-int-beyond-float"),
     ("m_hat", 5),
     ("grid", [3, 3]),
     ("n_subareas", 5),
+    pytest.param("n_h", {"n_subareas": 1, "m_hat": 1, "n_h": 1}, id="n_h-lattice-1-wide"),
+    pytest.param(
+        "n_v", {"n_subareas": 4, "grid": [4, 1], "n_v": 1, "a_h": 4.0, "a_v": 1.0}, id="n_v-lattice-1-tall"
+    ),
 ]
+
+
+def overrides(field, value) -> dict:
+    return value if isinstance(value, dict) else {field: value}
 
 
 class TestUnits:
@@ -147,11 +157,16 @@ class TestConfig:
     )
     def test_bad_field_named_at_load(self, field, value):
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(**{field: value})
+            ExperimentConfig(**overrides(field, value))
 
     def test_explicit_grid_that_tiles_loads(self):
         cfg = ExperimentConfig(n_subareas=2, grid=[2, 1], m_hat=2, **FAST)
         assert cfg.grid == (2, 1)
+        assert run_trial(cfg, 0).fires_rate > 0
+
+    def test_one_preset_per_subarea_loads(self):
+        # a 2 x 2 lattice over the default 2 x 2 subarea grid
+        cfg = ExperimentConfig(**{**FAST, "n_h": 1, "n_v": 1})
         assert run_trial(cfg, 0).fires_rate > 0
 
     def test_power_dbm_list_rejected(self):
@@ -275,7 +290,8 @@ class TestSweeps:
             # the swarm's own history, at the power it ran at
             assert rec.history == alone[top, t].history
 
-    def test_one_swarm_per_trial_on_the_power_axis(self, monkeypatch):
+    @pytest.mark.parametrize("axis", harness.SWEEP_AXES)
+    def test_one_swarm_per_trial_on_the_power_axis(self, axis, monkeypatch):
         calls = []
         plain_optimize = harness.optimize
 
@@ -284,22 +300,15 @@ class TestSweeps:
             return plain_optimize(*args, **kwargs)
 
         monkeypatch.setattr(harness, "optimize", counting)
-        cfg = ExperimentConfig(sweep="power", **FAST)
+        cfg = ExperimentConfig(sweep=axis, area_sweep_m2=(1.0, 4.0), **FAST)
         run_sweep(cfg)
-        assert len(calls) == cfg.n_trials
+        # every area is its own geometry, so only the powers share a swarm
+        per_trial = len(cfg.area_sweep_m2) if axis == "area" else 1
+        assert len(calls) == per_trial * cfg.n_trials
         calls.clear()
         run_trial(cfg, 0)
         run_trial(cfg, 0)
         assert len(calls) == 2  # no memo outside run_sweep
-
-    def test_shared_swarm_serves_only_power_variants(self):
-        cfg = ExperimentConfig(sweep="power", **FAST)
-        share = harness._SharedSwarm(cfg, trial_index=2, area_m2=None)
-        assert share.serves(replace(cfg, power_dbm=20.0), 2, None)
-        assert not share.serves(cfg, 3, None)
-        assert not share.serves(cfg, 2, 4.0)
-        for changed in (replace(cfg, seed=1), replace(cfg, noise_dbm=-80.0), replace(cfg, n_h=5)):
-            assert not share.serves(changed, 2, None)
 
     def test_iterations_sweep_is_mean_history(self):
         cfg = ExperimentConfig(sweep="iterations", **FAST)
@@ -490,7 +499,7 @@ class TestCli:
     )
     def test_bad_config_fails_before_any_trial(self, field, value, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**FAST, field: value}))
+        path.write_text(json.dumps({**FAST, **overrides(field, value)}))
         monkeypatch.setattr(harness, "run_trial", None)  # any trial would raise a TypeError
         code = cli_main(["single", "--config", str(path), "--out", str(tmp_path / "x.csv")])
         assert code == 2

@@ -11,7 +11,6 @@ from fires.geometry import (
     clamp_to_subareas,
     partition_surface,
     placement_in_subareas,
-    preset_grid,
     spacing_violations,
     subarea_bounds,
 )
@@ -26,7 +25,7 @@ from fires.pso import (
     update_velocity,
 )
 from fires.rate import evaluate
-from helpers import WL, complex_rows, default_links
+from helpers import WL, complex_rows, default_links, preset_grid
 
 P, S2 = 10.0, 1e-12
 
@@ -94,11 +93,11 @@ class TestInit:
     def test_particles_start_inside_subareas(self):
         geom, _ = tiny_instance()
         cfg = PsoConfig(n_particles=50)
-        state = init_swarm(geom, cfg, np.random.default_rng(1))
-        assert state.positions.shape == (50, 2, 2)
+        positions, velocities = init_swarm(geom, cfg, np.random.default_rng(1))
+        assert positions.shape == velocities.shape == (50, 2, 2)
         for m in (1, 2):
             x_lo, y_lo, x_hi, y_hi = subarea_bounds(geom, m)
-            xs, ys = state.positions[:, m - 1, 0], state.positions[:, m - 1, 1]
+            xs, ys = positions[:, m - 1, 0], positions[:, m - 1, 1]
             assert np.all((xs >= x_lo) & (xs <= x_hi))
             assert np.all((ys >= y_lo) & (ys <= y_hi))
 
@@ -107,14 +106,14 @@ class TestInit:
         cfg = PsoConfig(n_particles=7)
         a = init_swarm(geom, cfg, np.random.default_rng(9))
         b = init_swarm(geom, cfg, np.random.default_rng(9))
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.velocities, b.velocities)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_velocity_scale(self):
         geom, _ = tiny_instance()
-        state = init_swarm(geom, PsoConfig(n_particles=200), np.random.default_rng(2))
-        assert np.all(np.abs(state.velocities[..., 0]) <= 0.1 * geom.subarea_w)
-        assert np.all(np.abs(state.velocities[..., 1]) <= 0.1 * geom.subarea_h)
+        _, velocities = init_swarm(geom, PsoConfig(n_particles=200), np.random.default_rng(2))
+        assert np.all(np.abs(velocities[..., 0]) <= 0.1 * geom.subarea_w)
+        assert np.all(np.abs(velocities[..., 1]) <= 0.1 * geom.subarea_h)
 
 
 class TestFitness:
@@ -274,6 +273,20 @@ class TestRepair:
         # the farthest preset of subarea 2 from the fixed element
         dists = [math.dist(bad[0], c) for c in preset_grid(geom, 2)]
         assert np.isclose(math.dist(bad[0], fixed[1]), max(dists))
+
+    def test_crowded_corner_moves_elements_in_turn(self):
+        geom, real = quad_instance(40)
+        crowded = np.array([[0.95, 0.95], [1.05, 0.95], [0.95, 1.05], [1.05, 1.05]])
+        fixed = repair_spacing(crowded, real, geom, P, S2)
+        # each later element moves away from the ones fixed before it
+        expect = [
+            [0.95, 0.95],
+            [2.0, 0.5454545454545454],
+            [0.5454545454545454, 1.4545454545454546],
+            [1.6363636363636365, 1.0909090909090908],
+        ]
+        assert fixed.tolist() == expect
+        assert spacing_violations(Placement(fixed), geom.d_min) == 0
 
 
 def quad_instance(seed, d_min=0.5, n=6):
