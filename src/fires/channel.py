@@ -9,10 +9,14 @@ correlation sinc(2 d / wavelength). Two models draw that field, and both are
 built once per geometry and shared by all links:
 
 - `correlation_matrix`: the dense L x L sinc matrix, colored by its
-  symmetric square root. It is exact and is the reference, but its memory
-  grows with L^2. The lattice is mirror-symmetric along both axes, so the
-  square root splits into four blocks of about L / 4 (Cantoni and Butler,
-  Linear Algebra Appl. 1976) and its time grows with L^3 / 16.
+  symmetric square root. It is exact and is the reference. The lattice is
+  mirror-symmetric along both axes, so in the per-axis even/odd basis the
+  matrix and its square root split into four blocks of about L / 4 (Cantoni
+  and Butler, Linear Algebra Appl. 1976). The model keeps only the four
+  block roots, about L^2 / 4 values, and never forms an L x L array: its
+  build folds the offset table straight into the blocks, in time growing
+  with L^3 / 16, and a draw is two per-axis fold products and four block
+  products, the latter in one batched call.
 - `plane_wave_field`: a finite sum of plane waves on a wavenumber grid inside
   the visible disk |k| <= 2 pi / wavelength (the Fourier plane-wave model of
   Pizzo, Marzetta and Sanguinetti, IEEE JSAC 2020). Its memory and time grow
@@ -24,12 +28,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .geometry import SurfaceGeometry, lattice_points
 
-# above this lattice size the dense L x L matrices need several GB
+# above this lattice size the dense model's memory passes half a GB: its four
+# block roots hold about 8 L^2 / 4 bytes, and the fold temporaries of its
+# build peak near 8 L^2 bytes; its eigendecompositions take time in L^3 / 16
 DENSE_MAX_PRESETS = 8000
 # wavenumber grid spacing of the plane-wave model is 2 pi / (q * side) per
 # axis, so the field repeats every q aperture sides. q = 8 keeps the implied
@@ -61,36 +68,53 @@ class LinkParams:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationModel:
-    """Spatial correlation matrix with its symmetric square root.
+    """Dense sinc correlation of a lattice, kept as its four mirror-block
+    square roots.
 
-    `coloring` is the symmetric square root V sqrt(eigvals) V^T of `matrix`,
-    with negative eigenvalues clamped to zero. It maps i.i.d. unit-variance
-    draws to draws with covariance `matrix`, and unlike V sqrt(eigvals) it
-    does not depend on which eigenvectors the decomposition picked among
-    (near-)degenerate ones, so draws agree across LAPACK builds.
+    In the per-axis even/odd mirror basis (`_fold_matrix`) the L x L matrix
+    splits into four blocks, one per pair of row and column parities, in the
+    order (even, even), (even, odd), (odd, even), (odd, odd). `roots[i]` is
+    block i's symmetric square root V sqrt(eigvals) V^T, with negative
+    eigenvalues clamped to zero, padded with zero rows and columns to the
+    size of the (even, even) block where an axis is odd. Together they are
+    the symmetric square root of the whole matrix, which maps i.i.d.
+    unit-variance draws to draws with the sinc covariance, and unlike
+    V sqrt(eigvals) it does not depend on which eigenvectors the
+    decomposition picked among (near-)degenerate ones, so draws agree across
+    LAPACK builds.
     """
 
-    matrix: np.ndarray  # (L, L) real symmetric, unit diagonal
+    roots: np.ndarray  # (4, k, k) padded block roots, k = ceil(rows/2) ceil(cols/2)
     eigvals: np.ndarray  # (L,) ascending, clamped at zero
-    coloring: np.ndarray  # (L, L) symmetric square root of matrix
+    shape: tuple[int, int]  # (lattice_rows, lattice_cols)
 
     @property
     def n_presets(self) -> int:
-        return self.matrix.shape[0]
+        return self.shape[0] * self.shape[1]
 
     def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Scattered-field draw(s) with covariance `matrix`, shape (L,) or
+        """Scattered-field draw(s) with the sinc covariance, shape (L,) or
         (size, L).
 
         Each draw takes 2 L standard normals, the real parts and then the
         imaginary parts of a circularly symmetric complex white vector with
         unit variance, so `size=n` returns what n single draws in a row
-        return. All of them are colored by one real matrix product.
+        return. Every white field is folded into the mirror basis along both
+        axes, each quadrant is multiplied by its block root, and the result
+        is unfolded back onto the lattice.
         """
         n = 1 if size is None else size
-        white = rng.standard_normal((n, 2, self.n_presets))
-        colored = white.reshape(2 * n, self.n_presets) @ self.coloring.T
-        field = _complex_pairs(colored.reshape(n, 2, self.n_presets))
+        rows, cols = self.shape
+        fold_y, fold_x = _fold_matrix(rows), _fold_matrix(cols)
+        half_y, half_x = len(fold_y) // 2, len(fold_x) // 2
+        white = rng.standard_normal((2 * n, rows, cols))
+        folded = fold_y @ (white.reshape(-1, cols) @ fold_x.T).reshape(2 * n, rows, -1)
+        # quadrant (a, b) of the folded fields becomes row block 2 a + b
+        quadrants = folded.reshape(2 * n, 2, half_y, 2, half_x).transpose(1, 3, 0, 2, 4)
+        colored = quadrants.reshape(4, 2 * n, -1) @ self.roots.transpose(0, 2, 1)
+        folded = colored.reshape(2, 2, 2 * n, half_y, half_x).transpose(2, 0, 3, 1, 4)
+        field = (fold_y.T @ folded.reshape(2 * n, 2 * half_y, -1)).reshape(-1, 2 * half_x) @ fold_x
+        field = _complex_pairs(field.reshape(n, 2, rows * cols))
         return field[0] if size is None else field
 
 
@@ -122,62 +146,55 @@ def _mirror_fold(a: np.ndarray, axis: int, odd: bool) -> np.ndarray:
     a = np.moveaxis(a, axis, 0)
     n = a.shape[0]
     m = n // 2
-    tail = a[::-1][:m]  # a[n-1-i] for i < m
-    half = a[:m] - tail if odd else a[:m] + tail
-    half *= _SQRT_HALF
-    if n % 2 and not odd:
-        half = np.concatenate([half, a[m : m + 1]])
+    center = n % 2 and not odd
+    half = np.empty((m + center, *a.shape[1:]))
+    (np.subtract if odd else np.add)(a[:m], a[::-1][:m], out=half[:m])
+    half[:m] *= _SQRT_HALF
+    if center:
+        half[m] = a[m]
     return np.moveaxis(half, 0, axis)
 
 
-def _mirror_unfold(
-    half: np.ndarray, axis: int, odd: bool, n: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Transpose of `_mirror_fold`: the n lattice coordinates along `axis` of
-    one half of the mirror basis, added into `out` when it is given."""
-    if out is None:
-        out = np.zeros(half.shape[:axis] + (n,) + half.shape[axis + 1 :])
-    half = np.moveaxis(half, axis, 0)
-    dest = np.moveaxis(out, axis, 0)
-    m = n // 2
-    spread = half[:m] * _SQRT_HALF
-    dest[:m] += spread
-    if odd:
-        dest[::-1][:m] -= spread
-    else:
-        dest[::-1][:m] += spread
-        if n % 2:
-            dest[m] += half[m]
-    return out
+@lru_cache(maxsize=16)
+def _fold_matrix(n: int) -> np.ndarray:
+    """The orthogonal change of basis of `_mirror_fold` along an axis of n:
+    the even half's rows, then the odd half's, which gets one zero row when
+    n is odd so that both halves have ceil(n / 2) rows. Read-only, as the
+    cache shares it."""
+    eye = np.eye(n)
+    even, odd = _mirror_fold(eye, 0, False), _mirror_fold(eye, 0, True)
+    fold = np.concatenate([even, odd, np.zeros((len(even) - len(odd), n))])
+    fold.flags.writeable = False
+    return fold
 
 
-def _mirror_sqrt(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and symmetric square root of a lattice correlation that is
-    unchanged by mirroring either lattice axis.
+def _mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and padded mirror-block square roots (as in
+    `CorrelationModel.roots`) of a lattice correlation that is unchanged by
+    mirroring either lattice axis.
 
-    `r4` is the (rows, cols, rows, cols) view of the L x L matrix. In the
-    per-axis even/odd mirror basis the matrix splits into four blocks, one
-    per pair of row and column parities; each block gets its own clamped
-    eigendecomposition and square root, and the four roots are transformed
-    back to the lattice. The result is the matrix `_symmetric_sqrt` gives for
-    the whole, up to rounding, for about a sixteenth of the work.
+    `r4` is the (rows, cols, rows, cols) view of the L x L matrix; it is only
+    read through `_mirror_fold`, so it may be a strided view. Each of the
+    four blocks gets its own clamped eigendecomposition and square root, for
+    about a sixteenth of the work of the whole.
     """
     rows, cols = r4.shape[:2]
-    vals = []
-    root = np.zeros(r4.shape)
+    vals, roots = [], []
     for odd_y in (False, True):
         r_y = _mirror_fold(_mirror_fold(r4, 0, odd_y), 2, odd_y)
-        root_y = np.zeros((r_y.shape[0], cols, r_y.shape[2], cols))
         for odd_x in (False, True):
             block = _mirror_fold(_mirror_fold(r_y, 1, odd_x), 3, odd_x)
             k = block.shape[0] * block.shape[1]
             block_vals, block_root = _symmetric_sqrt(block.reshape(k, k))
             vals.append(block_vals)
-            spread = _mirror_unfold(block_root.reshape(block.shape), 3, odd_x, cols)
-            _mirror_unfold(spread, 1, odd_x, cols, out=root_y)
-        _mirror_unfold(_mirror_unfold(root_y, 2, odd_y, rows), 0, odd_y, rows, out=root)
-    n = rows * cols
-    return np.sort(np.concatenate(vals)), root.reshape(n, n)
+            roots.append(block_root.reshape(block.shape))
+        del r_y  # freed before the next parity's fold, which peaks the build
+    half_y, half_x = rows - rows // 2, cols - cols // 2
+    padded = np.zeros((4, half_y, half_x, half_y, half_x))
+    for dest, root in zip(padded, roots):
+        k_y, k_x = root.shape[:2]
+        dest[:k_y, :k_x, :k_y, :k_x] = root
+    return np.sort(np.concatenate(vals)), padded.reshape(4, half_y * half_x, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,21 +238,30 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
     Entry for lattice points with index offsets (dc, dr) is
     sinc(2/wavelength * hypot(dc * a_h / (L_h - 1), dr * a_v / (L_v - 1))),
     i.e. sinc of twice the physical separation in wavelengths. The matrix is
-    read off a table of the (2 L_v - 1) x (2 L_h - 1) lattice offsets, and
-    its square root is computed in the four mirror blocks of the lattice.
+    read off a table of the (2 L_v - 1) x (2 L_h - 1) lattice offsets and
+    folded straight into its four mirror blocks, so no L x L array is formed.
     """
     l_h, l_v = geom.lattice_cols, geom.lattice_rows
     if l_h < 2 or l_v < 2:
         raise ValueError(f"degenerate lattice {l_h} x {l_v}; need at least 2 presets per axis")
-    if geom.n_presets > DENSE_MAX_PRESETS:
-        est_gb = 4 * 8 * geom.n_presets**2 / 1e9
+    n = geom.n_presets
+    if n > DENSE_MAX_PRESETS:
         warnings.warn(
-            f"dense correlation model for L={geom.n_presets} presets needs roughly "
-            f"{est_gb:.1f} GB; above {DENSE_MAX_PRESETS} presets use plane_wave_field, "
-            f"as the experiment harness does",
+            f"dense correlation model for L={n} presets holds about {2 * n**2 / 1e9:.1f} GB "
+            f"of block roots and needs about {8 * n**2 / 1e9:.1f} GB while it builds; above "
+            f"{DENSE_MAX_PRESETS} presets use plane_wave_field, as the experiment harness does",
             RuntimeWarning,
             stacklevel=2,
         )
+    vals, roots = _mirror_roots(_sinc_window(geom))
+    return CorrelationModel(roots=roots, eigvals=vals, shape=(l_v, l_h))
+
+
+def _sinc_window(geom: SurfaceGeometry) -> np.ndarray:
+    """The L x L sinc matrix as a (rows, cols, rows, cols) strided view of one
+    sinc value per lattice offset; it holds (2 rows - 1) x (2 cols - 1)
+    values."""
+    l_h, l_v = geom.lattice_cols, geom.lattice_rows
     # one sinc value per lattice offset (dr, dc), at [dr + l_v - 1, dc + l_h - 1]
     dx = np.arange(1 - l_h, l_h) * (geom.a_h / (l_h - 1))
     dy = np.arange(1 - l_v, l_v) * (geom.a_v / (l_v - 1))
@@ -243,11 +269,7 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
     # entry ((r, c), (r', c')) is table[r' - r + l_v - 1, c' - c + l_h - 1],
     # the table being even in both offsets; the sliding window with reversed
     # origins reads exactly that: window[r, c, r', c'] = table[l_v - 1 - r + r', ...]
-    window = np.lib.stride_tricks.sliding_window_view(table, (l_v, l_h))[::-1, ::-1]
-    r4 = np.ascontiguousarray(window)
-    vals, root = _mirror_sqrt(r4)
-    n = geom.n_presets
-    return CorrelationModel(matrix=r4.reshape(n, n), eigvals=vals, coloring=root)
+    return np.lib.stride_tricks.sliding_window_view(table, (l_v, l_h))[::-1, ::-1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,7 +41,7 @@ from .channel import (
 )
 from .geometry import Placement, SurfaceGeometry, partition_surface
 from .pso import PsoConfig, optimize
-from .rate import evaluate
+from .rate import RateReport, evaluate
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -225,7 +225,8 @@ def geometry_from_config(cfg: ExperimentConfig, area_m2: float | None = None) ->
 @lru_cache(maxsize=8)
 def _field_model(geom: SurfaceGeometry) -> CorrelationModel | PlaneWaveField:
     """Scattered-field model of a geometry: the dense sinc model where its
-    L x L eigendecomposition fits, the plane-wave model above that."""
+    four mirror-block eigendecompositions fit, the plane-wave model above
+    that."""
     if geom.n_presets > DENSE_MAX_PRESETS:
         return plane_wave_field(geom)
     return correlation_matrix(geom)
@@ -256,13 +257,15 @@ class TrialRecord:
 
 @dataclass(frozen=True, eq=False)
 class _TrialSwarm:
-    """A trial's channel draw, and the swarm's placement and best-so-far
-    history on it at the reference power."""
+    """A trial's channel draw, and the swarm's placement, its rates and the
+    best-so-far history on it at the reference power."""
 
     geom: SurfaceGeometry
     realization: ChannelRealization
     placement: Placement
     history: tuple[float, ...]
+    reference_dbm: float
+    report: RateReport  # the placement's rates at reference_dbm
 
 
 # while _sweep_worker runs one power-axis trial at its sweep powers: a list
@@ -294,10 +297,12 @@ def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -
         seed=pso_seed,
     )
     injected = [star_ris_placement(geom)] if cfg.inject_baseline else None
-    placement, _, history = optimize(
+    placement, report, history = optimize(
         realization, geom, pso_cfg, power, dbm_to_watts(cfg.noise_dbm), initial_placements=injected
     )
-    return _TrialSwarm(geom, realization, placement, _float_tuple(history))
+    return _TrialSwarm(
+        geom, realization, placement, _float_tuple(history), float(reference_dbm), report
+    )
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = None) -> TrialRecord:
@@ -319,7 +324,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
 
     power = dbm_to_watts(float(cfg.power_dbm))
     noise = dbm_to_watts(cfg.noise_dbm)
-    report = evaluate(swarm.realization, swarm.placement, swarm.geom, power, noise)
+    if float(cfg.power_dbm) == swarm.reference_dbm:
+        report = swarm.report
+    else:
+        report = evaluate(swarm.realization, swarm.placement, swarm.geom, power, noise)
     baseline = evaluate_baseline(swarm.realization, swarm.geom, power, noise, cfg.m_hat)
     return TrialRecord(
         trial_index=trial_index,

