@@ -13,10 +13,12 @@ built once per geometry and shared by all links:
   mirror-symmetric along both axes, so in the per-axis even/odd basis the
   matrix and its square root split into four blocks of about L / 4 (Cantoni
   and Butler, Linear Algebra Appl. 1976). The model keeps only the four
-  block roots, about L^2 / 4 values, and never forms an L x L array: its
-  build folds the offset table straight into the blocks, in time growing
-  with L^3 / 16, and a draw is two per-axis fold products and four block
-  products, the latter in one batched call.
+  block roots, about L^2 / 4 values (2 L^2 bytes), and never forms an L x L
+  array: its build folds the offset table into one block at a time, a few
+  lattice rows at a time, and roots and frees each block before the next,
+  so it needs the roots plus one block's eigendecomposition, in time
+  growing with L^3 / 16. A draw is two per-axis fold products and four
+  block products, the latter in one batched call.
 - `plane_wave_field`: a finite sum of plane waves on a wavenumber grid inside
   the visible disk |k| <= 2 pi / wavelength (the Fourier plane-wave model of
   Pizzo, Marzetta and Sanguinetti, IEEE JSAC 2020). Its memory and time grow
@@ -29,14 +31,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .geometry import SurfaceGeometry, lattice_points
 
-# above this lattice size the dense model's memory passes half a GB: its four
-# block roots hold about 8 L^2 / 4 bytes, and the fold temporaries of its
-# build peak near 8 L^2 bytes; its eigendecompositions take time in L^3 / 16
+# above this lattice size the dense model's build passes a quarter of a GB: its
+# four block roots hold about 8 L^2 / 4 bytes, and its build adds one block's
+# eigendecomposition, a few arrays of 8 (L / 4)^2 bytes; its
+# eigendecompositions take time in L^3 / 16
 DENSE_MAX_PRESETS = 8000
 # wavenumber grid spacing of the plane-wave model is 2 pi / (q * side) per
 # axis, so the field repeats every q aperture sides. q = 8 keeps the implied
@@ -45,6 +49,8 @@ DENSE_MAX_PRESETS = 8000
 _PLANE_WAVE_OVERSAMPLING = 8
 # Gauss-Legendre nodes per wavenumber cell for the outer spectral integral
 _PLANE_WAVE_NODES = 16
+# bytes of lattice rows that the dense model's build folds at a time
+_FOLD_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -124,10 +130,10 @@ def _complex_pairs(x: np.ndarray) -> np.ndarray:
     return (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
 
 
-def _symmetric_sqrt(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of symmetric r, clamped at zero (PSD repair of
-    numerical noise), and the symmetric square root (V sqrt(vals)) V^T."""
-    vals, vecs = np.linalg.eigh(r)
+def _symmetric_sqrt(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From the `eigh` (vals, V) of a symmetric matrix: its ascending
+    eigenvalues clamped at zero (PSD repair of numerical noise), and its
+    symmetric square root (V sqrt(vals)) V^T."""
     vals = np.clip(vals, 0.0, None)
     return vals, (vecs * np.sqrt(vals)) @ vecs.T
 
@@ -174,26 +180,42 @@ def _mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mirroring either lattice axis.
 
     `r4` is the (rows, cols, rows, cols) view of the L x L matrix; it is only
-    read through `_mirror_fold`, so it may be a strided view. Each of the
-    four blocks gets its own clamped eigendecomposition and square root, for
-    about a sixteenth of the work of the whole.
+    read, so it may be a strided view. Each of the four blocks is folded a
+    few block rows at a time, gets its own clamped eigendecomposition and
+    square root, for about a sixteenth of the work of the whole, and is
+    freed before the next one is folded. A block row i pairs lattice rows i
+    and rows - 1 - i along axis 0, or is the center row alone in the even
+    half of an odd axis; every entry takes the additions and products of
+    `_mirror_fold` along axes 0, 2, 1 and 3, in that order.
     """
     rows, cols = r4.shape[:2]
-    vals, roots = [], []
-    for odd_y in (False, True):
-        r_y = _mirror_fold(_mirror_fold(r4, 0, odd_y), 2, odd_y)
-        for odd_x in (False, True):
-            block = _mirror_fold(_mirror_fold(r_y, 1, odd_x), 3, odd_x)
-            k = block.shape[0] * block.shape[1]
-            block_vals, block_root = _symmetric_sqrt(block.reshape(k, k))
-            vals.append(block_vals)
-            roots.append(block_root.reshape(block.shape))
-        del r_y  # freed before the next parity's fold, which peaks the build
-    half_y, half_x = rows - rows // 2, cols - cols // 2
+    m = rows // 2
+    half_y, half_x = rows - m, cols - cols // 2
     padded = np.zeros((4, half_y, half_x, half_y, half_x))
-    for dest, root in zip(padded, roots):
-        k_y, k_x = root.shape[:2]
-        dest[:k_y, :k_x, :k_y, :k_x] = root
+    step = max(1, _FOLD_CHUNK_BYTES // (8 * r4[0].size))
+    vals = []
+    for dest, (odd_y, odd_x) in zip(padded, product((False, True), repeat=2)):
+        k_y = m if odd_y else half_y
+        k_x = cols // 2 if odd_x else half_x
+        block = np.empty((k_y, k_x, k_y, k_x))
+        # no chunk straddles block row m, the unpaired center row
+        edges = sorted({*range(0, m, step), m, k_y})
+        for start, stop in zip(edges, edges[1:]):
+            if start < m:
+                chunk = np.empty((stop - start, *r4.shape[1:]))
+                (np.subtract if odd_y else np.add)(r4[start:stop], r4[::-1][start:stop], out=chunk)
+                chunk *= _SQRT_HALF
+            else:
+                chunk = r4[m : m + 1]
+            chunk = _mirror_fold(chunk, 2, odd_y)
+            block[start:stop] = _mirror_fold(_mirror_fold(chunk, 1, odd_x), 3, odd_x)
+        k = k_y * k_x
+        eig = np.linalg.eigh(block.reshape(k, k))
+        del block
+        block_vals, block_root = _symmetric_sqrt(*eig)
+        vals.append(block_vals)
+        dest[:k_y, :k_x, :k_y, :k_x] = block_root.reshape(k_y, k_x, k_y, k_x)
+        del eig, block_root  # the next block's eigendecomposition peaks the build
     return np.sort(np.concatenate(vals)), padded.reshape(4, half_y * half_x, -1)
 
 
@@ -248,8 +270,9 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
     if n > DENSE_MAX_PRESETS:
         warnings.warn(
             f"dense correlation model for L={n} presets holds about {2 * n**2 / 1e9:.1f} GB "
-            f"of block roots and needs about {8 * n**2 / 1e9:.1f} GB while it builds; above "
-            f"{DENSE_MAX_PRESETS} presets use plane_wave_field, as the experiment harness does",
+            f"of block roots, and its build adds one block's eigendecomposition, a few arrays "
+            f"of about {n**2 / 2e9:.1f} GB each; above {DENSE_MAX_PRESETS} presets use "
+            f"plane_wave_field, as the experiment harness does",
             RuntimeWarning,
             stacklevel=2,
         )

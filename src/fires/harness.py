@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
@@ -402,6 +401,8 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
     jobs = [(t, variants) for t in range(cfg.n_trials)]
     workers = min(threads, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             by_trial = list(pool.map(_sweep_worker, jobs, chunksize=1))
     else:

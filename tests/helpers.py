@@ -5,7 +5,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fires.channel import CorrelationModel, LinkParams, PlaneWaveField, _complex_pairs, _symmetric_sqrt
+from fires.channel import (
+    CorrelationModel,
+    LinkParams,
+    PlaneWaveField,
+    _complex_pairs,
+    _mirror_fold,
+    _symmetric_sqrt,
+)
 from fires.geometry import SurfaceGeometry, subarea_presets
 
 WL = 0.0856  # ~3.5 GHz carrier
@@ -47,7 +54,7 @@ def model_from_matrix(r) -> DenseModel:
     """Dense model of any symmetric matrix, through one full
     eigendecomposition (no mirror blocks)."""
     r = np.asarray(r, dtype=float)
-    vals, root = _symmetric_sqrt(r)
+    vals, root = _symmetric_sqrt(*np.linalg.eigh(r))
     return DenseModel(eigvals=vals, coloring=root)
 
 
@@ -100,6 +107,29 @@ def dense_coloring(corr: CorrelationModel) -> np.ndarray:
             _mirror_unfold(spread, 1, odd_x, cols, out=root_y)
         _mirror_unfold(_mirror_unfold(root_y, 2, odd_y, rows), 0, odd_y, rows, out=root)
     return root.reshape(corr.n_presets, corr.n_presets)
+
+
+def whole_window_mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`channel._mirror_roots` by whole-window folds: each row parity folds all
+    of `r4` along axes 0 and 2, then each column parity along axes 1 and 3,
+    with temporaries near 8 L^2 bytes; the reference the block-at-a-time
+    build is checked against bit for bit."""
+    rows, cols = r4.shape[:2]
+    vals, roots = [], []
+    for odd_y in (False, True):
+        r_y = _mirror_fold(_mirror_fold(r4, 0, odd_y), 2, odd_y)
+        for odd_x in (False, True):
+            block = _mirror_fold(_mirror_fold(r_y, 1, odd_x), 3, odd_x)
+            k = block.shape[0] * block.shape[1]
+            block_vals, block_root = _symmetric_sqrt(*np.linalg.eigh(block.reshape(k, k)))
+            vals.append(block_vals)
+            roots.append(block_root.reshape(block.shape))
+    half_y, half_x = rows - rows // 2, cols - cols // 2
+    padded = np.zeros((4, half_y, half_x, half_y, half_x))
+    for dest, root in zip(padded, roots):
+        k_y, k_x = root.shape[:2]
+        dest[:k_y, :k_x, :k_y, :k_x] = root
+    return np.sort(np.concatenate(vals)), padded.reshape(4, half_y * half_x, -1)
 
 
 def offset_covariance(field: PlaneWaveField) -> np.ndarray:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fires import channel
 from fires.channel import (
     LinkParams,
     PlaneWaveField,
@@ -26,6 +27,7 @@ from helpers import (
     preset_flat_indices,
     preset_grid,
     sinc_matrix,
+    whole_window_mirror_roots,
 )
 
 
@@ -134,6 +136,38 @@ class TestCorrelation:
             correlation_matrix(partition_surface(1.0, 1.0, 1, WL, n_h=1, n_v=3))
 
 
+BUILD_LATTICES = [
+    tiny_geom(n=2),
+    tiny_geom(n=6, a=WL),
+    tiny_geom(n=7, a=WL),
+    partition_surface(2.0, 2.0, 4, WL, n_h=15, n_v=15),
+    partition_surface(2.0, 2.0, 1, WL, n_h=49, n_v=49),
+    partition_surface(2.0, 2.0, 4, WL, n_h=25, n_v=25),
+    *LATTICES[2:],
+]
+BUILD_LATTICE_IDS = ["2x2", "6x6", "7x7", "30x30", "49x49", "50x50", *LATTICE_IDS[2:]]
+
+
+class TestBlockAtATimeBuild:
+    """Folding one block a few rows at a time gives the bits of folding the
+    whole window."""
+
+    @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
+    def test_same_bits_as_the_whole_window_fold(self, geom):
+        corr = correlation_matrix(geom)
+        vals, roots = whole_window_mirror_roots(_sinc_window(geom))
+        assert np.array_equal(corr.eigvals, vals)
+        assert np.array_equal(corr.roots, roots)
+
+    @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
+    def test_one_row_chunks_give_the_same_bits(self, geom, monkeypatch):
+        corr = correlation_matrix(geom)
+        monkeypatch.setattr(channel, "_FOLD_CHUNK_BYTES", 1)
+        by_row = correlation_matrix(geom)
+        assert np.array_equal(by_row.eigvals, corr.eigvals)
+        assert np.array_equal(by_row.roots, corr.roots)
+
+
 class TestNlosField:
     def test_identity_covariance(self):
         rng = np.random.default_rng(21)
@@ -185,10 +219,9 @@ class TestDenseModelFootprint:
         assert n == 2500
         assert max(corr.eigvals.size, corr.roots.size) <= n**2 / 4
 
-    @pytest.mark.parametrize(
-        "m, n_side", [(4, 25), (1, 49)], ids=["50x50-dense-lattice", "49x49-odd-sides"]
-    )
-    def test_build_peak_at_most_one_l_by_l_matrix(self, m, n_side):
+    @staticmethod
+    def build_peak(m, n_side):
+        """Traced peak bytes of building the model, and L."""
         geom = partition_surface(2.0, 2.0, m, WL, n_h=n_side, n_v=n_side)
         tracemalloc.start()
         try:
@@ -196,7 +229,23 @@ class TestDenseModelFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * geom.n_presets**2
+        return peak, geom.n_presets
+
+    @pytest.mark.parametrize(
+        "m, n_side", [(4, 25), (1, 49)], ids=["50x50-dense-lattice", "49x49-odd-sides"]
+    )
+    def test_build_peak_at_most_one_l_by_l_matrix(self, m, n_side):
+        peak, n = self.build_peak(m, n_side)
+        assert peak <= 8 * n**2
+
+    @pytest.mark.parametrize(
+        "m, n_side", [(4, 25), (1, 49)], ids=["50x50-dense-lattice", "49x49-odd-sides"]
+    )
+    def test_build_peak_is_the_roots_and_one_block(self, m, n_side):
+        # the roots take a quarter of 8 L^2 bytes and one block's
+        # eigendecomposition a few sixteenths
+        peak, n = self.build_peak(m, n_side)
+        assert peak <= 0.65 * 8 * n**2
 
 
 def sinc_offset_error(geom, field: PlaneWaveField) -> float:

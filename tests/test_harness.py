@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import sys
 import warnings
@@ -407,7 +408,7 @@ class TestSweeps:
                 return map(fn, jobs)
 
         pools = []
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = ExperimentConfig(**{**FAST, "n_trials": n_trials})
         threaded = run_sweep(cfg, threads=threads)
         assert pools == started
