@@ -22,8 +22,8 @@ from .harness import (
     run_trial,
     wavelength,
 )
-from .pso import PsoConfig, best_response, brute_force_oracle, fitness, optimize
-from .rate import RateReport, evaluate, optimal_phases, optimal_split, snr
+from .pso import PsoConfig, best_response, optimize
+from .rate import RateReport, evaluate
 
 __all__ = [
     "ChannelRealization",
@@ -38,21 +38,16 @@ __all__ = [
     "SurfaceGeometry",
     "TrialRecord",
     "best_response",
-    "brute_force_oracle",
     "correlation_matrix",
     "dbm_to_watts",
     "emit_results",
     "evaluate",
     "evaluate_baseline",
-    "fitness",
-    "optimal_phases",
-    "optimal_split",
     "optimize",
     "partition_surface",
     "plane_wave_field",
     "run_sweep",
     "run_trial",
-    "snr",
     "spacing_violations",
     "star_ris_placement",
     "synthesize_channel",

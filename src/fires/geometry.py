@@ -207,15 +207,6 @@ def partition_surface(
     )
 
 
-def subarea_bounds(geom: SurfaceGeometry, m: int) -> tuple[float, float, float, float]:
-    """(x_lo, y_lo, x_hi, y_hi) of subarea m (1-based, row-major)."""
-    if not 1 <= m <= geom.n_subareas:
-        raise ValueError(f"subarea index {m} out of range 1..{geom.n_subareas}")
-    i = m - 1
-    lo, hi = subarea_corners(geom)
-    return float(lo[i, 0]), float(lo[i, 1]), float(hi[i, 0]), float(hi[i, 1])
-
-
 def subarea_corners(geom: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (M, 2) lower and upper corners of every subarea, row-major;
     read-only arrays shared by every caller with this geometry."""

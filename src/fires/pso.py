@@ -7,10 +7,9 @@ a final repair pass. The equalizing energy split meets the power budget
 exactly, so the budget needs no penalty. The swarm's result is then polished
 by best-response sweeps over the elements on their preset lattices.
 
-Every search scores lattice indices through the per-preset amplitude
-weights of its realization (`rate.amplitude_weights`, `rate.lattice_rates`).
-
-A brute-force lattice enumerator doubles as the testing oracle.
+The swarm, the repair and the polish score lattice indices with
+`rate.lattice_rates`, from the per-preset amplitude weights of their
+realization (`rate.amplitude_weights`).
 """
 
 from __future__ import annotations
@@ -101,23 +100,6 @@ def _scores_at(
     """Fitness of (n, M) lattice indices whose placements have the given
     spacing-violation counts: the max-min rate minus tau per violation."""
     return lattice_rates(weights, idx, power, noise_power).effective - tau * violations
-
-
-def fitness(
-    placement: Placement,
-    realization: ChannelRealization,
-    geom: SurfaceGeometry,
-    power: float,
-    noise_power: float,
-    cfg: PsoConfig,
-) -> float:
-    """Penalized objective of one placement: max-min rate minus
-    tau * spacing violations."""
-    weights = amplitude_weights(realization)
-    fit, _, _ = _batch_scores(
-        placement.positions[None, :, :], weights, geom, power, noise_power, cfg.tau
-    )
-    return float(fit[0])
 
 
 def _clear_presets(geom: SurfaceGeometry, i: int, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,46 +249,3 @@ def optimize(
     placement = Placement(best_response(best_pos, realization, geom, power, noise_power, cfg))
     report = evaluate(realization, placement, geom, power, noise_power)
     return placement, report, np.asarray(history)
-
-
-def brute_force_oracle(
-    realization: ChannelRealization,
-    geom: SurfaceGeometry,
-    power: float,
-    noise_power: float,
-    cap: int = 1_000_000,
-    chunk: int = 8192,
-) -> tuple[Placement, float]:
-    """Exhaustive max-min rate over one preset per subarea.
-
-    Spacing-infeasible combinations are skipped. Ties resolve to the
-    lexicographically smallest tuple of flat preset indices. Refuses
-    instances with more than `cap` combinations.
-    """
-    m = geom.n_subareas
-    k = geom.n_h * geom.n_v
-    total = k**m
-    if total > cap:
-        raise ValueError(f"{total} lattice combinations exceed the cap of {cap}")
-    blocks, flats = subarea_presets(geom)  # (M, K, 2), (M, K)
-    digits = k ** np.arange(m - 1, -1, -1)  # combo id -> per-subarea digits
-
-    weights = amplitude_weights(realization)
-    best_rate = -np.inf
-    best_positions = None
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total))
-        local = (ids[:, None] // digits[None, :]) % k  # lexicographic order
-        pos = blocks[np.arange(m)[None, :], local]  # (n, M, 2)
-        feasible = _pair_violation_counts(pos, geom.d_min) == 0
-        if not feasible.any():
-            continue
-        lattice_idx = flats[np.arange(m)[None, :], local[feasible]]
-        report = lattice_rates(weights, lattice_idx, power, noise_power)
-        top = int(np.argmax(report.effective))  # first max: smallest combo id
-        if report.effective[top] > best_rate:
-            best_rate = float(report.effective[top])
-            best_positions = pos[feasible][top].copy()
-    if best_positions is None:
-        raise ValueError("no spacing-feasible lattice placement exists")
-    return Placement(best_positions), best_rate

@@ -1,16 +1,15 @@
-"""SNR, optimal phase alignment, energy-split selection, and max-min rates.
+"""Max-min rates of placements under the closed-form phases and energy split.
 
 With every element's phase aligned, a user's SNR depends only on the sum
 over the elements of |h_f| |h_u|, and the equalizing split fixes the rest.
-A placement's rates therefore follow from two per-preset amplitude weights
-of the realization (`amplitude_weights`), and every rate the program reports
-is scored from them by `lattice_rates`. `snr`, `optimal_phases`,
-`optimal_split` and `split_and_rates` state the closed forms that path rests
-on, over explicit channel vectors.
+`split_and_rates` is that closed form and the one scoring primitive: every
+rate the program reports comes from it, fed the per-preset amplitude
+products of the realization (`amplitude_weights`) gathered at a placement's
+presets by `lattice_rates`.
 
-All array functions reduce over the last axis, so they accept a single
-placement's (M,) channel vectors or a batch shaped (..., M) and return
-matching leading dimensions.
+`split_and_rates` and `lattice_rates` reduce over the last axis, so they
+accept one placement's (M,) products or indices, or a batch shaped
+(..., M), and return matching leading dimensions.
 """
 
 from __future__ import annotations
@@ -34,53 +33,14 @@ class RateReport:
     snr_t: float
 
 
-def snr(h_f, h_u, phases, beta, power, noise_power):
-    """Linear SNR of one user for given element phases and energy share.
+def _equalizing_split(g_r, g_t):
+    """Reflect-side share maximizing min(beta * g_r, (1 - beta) * g_t) for
+    nonnegative gains.
 
-    power * |sum_m conj(h_u[m]) * sqrt(beta) * exp(j phases[m]) * h_f[m]|^2
-    / noise_power.
-    """
-    h_f = np.asarray(h_f)
-    h_u = np.asarray(h_u)
-    if h_f.shape != h_u.shape:
-        raise ValueError(f"channel shapes differ: {h_f.shape} vs {h_u.shape}")
-    if power <= 0 or noise_power <= 0:
-        raise ValueError("power and noise_power must be positive")
-    combined = np.sum(np.conj(h_u) * np.sqrt(beta) * np.exp(1j * np.asarray(phases)) * h_f, axis=-1)
-    return power * np.abs(combined) ** 2 / noise_power
-
-
-def optimal_phases(h_f, h_u) -> np.ndarray:
-    """Per-element phases making every summand of the SNR real nonnegative.
-
-    angle(h_u[m]) - angle(h_f[m]); entries where either channel vanishes get
-    phase 0 by convention.
-    """
-    return np.angle(np.asarray(h_u) * np.conj(np.asarray(h_f)))
-
-
-def optimal_split(g_r, g_t):
-    """Reflect-side share maximizing min(beta * g_r, (1 - beta) * g_t).
-
-    Both gains positive: the unique equalizer g_t / (g_r + g_t). One gain
+    Both gains positive: the unique equalizer g_t / (g_r + g_t), which is
+    all but always the case and is then the only thing computed. One gain
     zero: all energy to the live user (the min is 0 either way; this keeps
     the other user's rate maximal). Both zero: 0.5.
-    """
-    g_r = np.asarray(g_r, dtype=float)
-    g_t = np.asarray(g_t, dtype=float)
-    if np.any(g_r < 0) or np.any(g_t < 0):
-        raise ValueError("gains must be nonnegative")
-    beta = _equalizing_split(g_r, g_t)
-    if np.ndim(beta) == 0:
-        return float(beta)
-    return beta
-
-
-def _equalizing_split(g_r, g_t):
-    """optimal_split of gains already known to be nonnegative.
-
-    When every gain is positive, which is all but always, the result is the
-    plain equalizer; the zero-gain cases are only looked at otherwise.
     """
     if (g_r > 0).all() and (g_t > 0).all():
         return g_t / (g_r + g_t)
@@ -91,11 +51,17 @@ def _equalizing_split(g_r, g_t):
     return np.where((g_t > 0) & (g_r == 0), 0.0, beta)
 
 
-def _split_rates(s_r, s_t, power, noise_power) -> RateReport:
-    """Rate report of the equalizing split for amplitude sums s_r and s_t,
-    the gains under phase alignment being power * s^2 / noise."""
-    g_r = power * s_r**2 / noise_power
-    g_t = power * s_t**2 / noise_power
+def split_and_rates(a_r, a_t, power, noise_power) -> RateReport:
+    """Rate report of placements under optimal phases and the equalizing split.
+
+    `a_r` and `a_t` are arrays of each element's amplitude products
+    |h_f| |h_r| and |h_f| |h_t|, shaped (..., M). With every element's
+    phase aligned, a user's gain is power * (sum of its products)^2 / noise;
+    the equalizing split makes the two rates coincide whenever both gains
+    are positive, and the effective rate is their min in every case.
+    """
+    g_r = power * a_r.sum(axis=-1) ** 2 / noise_power
+    g_t = power * a_t.sum(axis=-1) ** 2 / noise_power
     beta_r = _equalizing_split(g_r, g_t)
     snr_r = beta_r * g_r
     snr_t = (1.0 - beta_r) * g_t
@@ -107,22 +73,6 @@ def _split_rates(s_r, s_t, power, noise_power) -> RateReport:
         effective=np.minimum(rate_r, rate_t),
         snr_r=snr_r,
         snr_t=snr_t,
-    )
-
-
-def split_and_rates(h_f, h_r, h_t, power, noise_power) -> RateReport:
-    """Rates of channel vectors under optimal phases and the equalizing split.
-
-    The closed form the scoring path rests on: with each element's phase set
-    by `optimal_phases`, a user's gain is power * (sum |h_f| |h_u|)^2 / noise.
-    With both gains positive the two rates coincide; the effective rate is
-    their min in every case.
-    """
-    return _split_rates(
-        np.sum(np.abs(h_f) * np.abs(h_r), axis=-1),
-        np.sum(np.abs(h_f) * np.abs(h_t), axis=-1),
-        power,
-        noise_power,
     )
 
 
@@ -138,12 +88,10 @@ def amplitude_weights(realization: ChannelRealization) -> tuple[np.ndarray, np.n
 
 def lattice_rates(weights, idx, power, noise_power) -> RateReport:
     """Rate report of a batch of (..., M) flat lattice indices, from the
-    `amplitude_weights` of a realization.
-
-    Equal, bit for bit, to split_and_rates on the channels at those presets.
-    """
+    `amplitude_weights` of a realization: `split_and_rates` of the weights
+    gathered at those presets."""
     w_r, w_t = weights
-    return _split_rates(w_r[idx].sum(axis=-1), w_t[idx].sum(axis=-1), power, noise_power)
+    return split_and_rates(w_r[idx], w_t[idx], power, noise_power)
 
 
 def evaluate(

@@ -1,11 +1,13 @@
 """Shared fixtures-in-spirit: small geometries, default link parameters, and
-reference forms of the channel and lattice models that only tests need."""
+reference forms of the channel, lattice and rate models that only tests
+need, among them the exhaustive lattice oracle."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from fires.channel import (
+    ChannelRealization,
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
@@ -13,7 +15,9 @@ from fires.channel import (
     _mirror_fold,
     _symmetric_sqrt,
 )
-from fires.geometry import SurfaceGeometry, subarea_presets
+from fires.geometry import Placement, SurfaceGeometry, pair_violation_counts, subarea_presets
+from fires.pso import PsoConfig, _batch_scores
+from fires.rate import RateReport, _equalizing_split, amplitude_weights, lattice_rates, split_and_rates
 
 WL = 0.0856  # ~3.5 GHz carrier
 
@@ -151,3 +155,112 @@ def preset_grid(geom: SurfaceGeometry, m: int) -> np.ndarray:
     """(n_h * n_v, 2) preset coordinates of subarea m (1-based), ascending
     flat index."""
     return subarea_presets(geom)[0][m - 1]
+
+
+def snr(h_f, h_u, phases, beta, power, noise_power):
+    """Linear SNR of one user for given element phases and energy share.
+
+    power * |sum_m conj(h_u[m]) * sqrt(beta) * exp(j phases[m]) * h_f[m]|^2
+    / noise_power.
+    """
+    h_f = np.asarray(h_f)
+    h_u = np.asarray(h_u)
+    if h_f.shape != h_u.shape:
+        raise ValueError(f"channel shapes differ: {h_f.shape} vs {h_u.shape}")
+    if power <= 0 or noise_power <= 0:
+        raise ValueError("power and noise_power must be positive")
+    combined = np.sum(np.conj(h_u) * np.sqrt(beta) * np.exp(1j * np.asarray(phases)) * h_f, axis=-1)
+    return power * np.abs(combined) ** 2 / noise_power
+
+
+def optimal_phases(h_f, h_u) -> np.ndarray:
+    """Per-element phases making every summand of the SNR real nonnegative.
+
+    angle(h_u[m]) - angle(h_f[m]); entries where either channel vanishes get
+    phase 0 by convention.
+    """
+    return np.angle(np.asarray(h_u) * np.conj(np.asarray(h_f)))
+
+
+def optimal_split(g_r, g_t):
+    """Reflect-side share maximizing min(beta * g_r, (1 - beta) * g_t).
+
+    Both gains positive: the unique equalizer g_t / (g_r + g_t). One gain
+    zero: all energy to the live user (the min is 0 either way; this keeps
+    the other user's rate maximal). Both zero: 0.5.
+    """
+    g_r = np.asarray(g_r, dtype=float)
+    g_t = np.asarray(g_t, dtype=float)
+    if np.any(g_r < 0) or np.any(g_t < 0):
+        raise ValueError("gains must be nonnegative")
+    beta = _equalizing_split(g_r, g_t)
+    if np.ndim(beta) == 0:
+        return float(beta)
+    return beta
+
+
+def channel_rates(h_f, h_r, h_t, power, noise_power) -> RateReport:
+    """`split_and_rates` of explicit channel vectors: the amplitude products
+    |h_f| |h_r| and |h_f| |h_t|, shaped (..., M)."""
+    amp_f = np.abs(h_f)
+    return split_and_rates(amp_f * np.abs(h_r), amp_f * np.abs(h_t), power, noise_power)
+
+
+def fitness(
+    placement: Placement,
+    realization: ChannelRealization,
+    geom: SurfaceGeometry,
+    power: float,
+    noise_power: float,
+    cfg: PsoConfig,
+) -> float:
+    """Penalized objective of one placement: max-min rate minus
+    tau * spacing violations."""
+    weights = amplitude_weights(realization)
+    fit, _, _ = _batch_scores(
+        placement.positions[None, :, :], weights, geom, power, noise_power, cfg.tau
+    )
+    return float(fit[0])
+
+
+def brute_force_oracle(
+    realization: ChannelRealization,
+    geom: SurfaceGeometry,
+    power: float,
+    noise_power: float,
+    cap: int = 1_000_000,
+    chunk: int = 8192,
+) -> tuple[Placement, float]:
+    """Exhaustive max-min rate over one preset per subarea.
+
+    Spacing-infeasible combinations are skipped. Ties resolve to the
+    lexicographically smallest tuple of flat preset indices. Refuses
+    instances with more than `cap` combinations.
+    """
+    m = geom.n_subareas
+    k = geom.n_h * geom.n_v
+    total = k**m
+    if total > cap:
+        raise ValueError(f"{total} lattice combinations exceed the cap of {cap}")
+    blocks, flats = subarea_presets(geom)  # (M, K, 2), (M, K)
+    digits = k ** np.arange(m - 1, -1, -1)  # combo id -> per-subarea digits
+
+    weights = amplitude_weights(realization)
+    best_rate = -np.inf
+    best_positions = None
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total))
+        local = (ids[:, None] // digits[None, :]) % k  # lexicographic order
+        pos = blocks[np.arange(m)[None, :], local]  # (n, M, 2)
+        feasible = pair_violation_counts(pos, geom.d_min) == 0
+        if not feasible.any():
+            continue
+        lattice_idx = flats[np.arange(m)[None, :], local[feasible]]
+        report = lattice_rates(weights, lattice_idx, power, noise_power)
+        top = int(np.argmax(report.effective))  # first max: smallest combo id
+        if report.effective[top] > best_rate:
+            best_rate = float(report.effective[top])
+            best_positions = pos[feasible][top].copy()
+    if best_positions is None:
+        raise ValueError("no spacing-feasible lattice placement exists")
+    return Placement(best_positions), best_rate

@@ -24,9 +24,15 @@ from fires.harness import (
     trial_links,
     wavelength,
 )
-from fires.pso import PsoConfig, brute_force_oracle, optimize
-from fires.rate import optimal_phases, optimal_split, snr, split_and_rates
-from helpers import sinc_matrix
+from fires.pso import PsoConfig, optimize
+from helpers import (
+    brute_force_oracle,
+    channel_rates,
+    optimal_phases,
+    optimal_split,
+    sinc_matrix,
+    snr,
+)
 
 WL = wavelength(3.5e9)
 P40 = dbm_to_watts(40.0)
@@ -178,7 +184,7 @@ def test_c7_phase_and_split_optimality():
         random_phases = rng.uniform(0, 2 * np.pi, size=(200, 6))
         contenders = snr(h_f, h_r, random_phases, 1.0, 1.0, 1.0)
         assert np.all(aligned >= contenders), "a random phase vector beat the aligned one"
-        report = split_and_rates(h_f, h_r, h_t, 1.0, 1.0)
+        report = channel_rates(h_f, h_r, h_t, 1.0, 1.0)
         gap = abs(float(report.rate_r) - float(report.rate_t))
         assert gap < 1e-9, f"equalized rates differ by {gap}"
         g_r = float(np.sum(np.abs(h_f) * np.abs(h_r))) ** 2

@@ -4,9 +4,8 @@ import pytest
 from fires.baseline import evaluate_baseline, star_ris_placement
 from fires.channel import correlation_matrix, synthesize_channel
 from fires.geometry import lattice_points, partition_surface, snap_to_lattice, spacing_violations
-from fires.pso import brute_force_oracle
 from fires.rate import amplitude_weights, evaluate, lattice_rates
-from helpers import WL, default_links
+from helpers import WL, brute_force_oracle, default_links
 
 P, S2 = 10.0, 1e-12
 

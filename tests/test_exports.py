@@ -1,5 +1,6 @@
 import importlib
 import inspect
+from pathlib import Path
 
 import fires
 from fires import harness
@@ -14,6 +15,13 @@ def test_star_import():
     namespace = {}
     exec("from fires import *", namespace)
     assert set(fires.__all__) <= set(namespace)
+
+
+def test_readme_library_example_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("\n## Library\n") :]
+    start = section.index("```python\n") + len("```python\n")
+    exec(section[start : section.index("```", start)], {})
 
 
 # The benchmark's tracer (perfbench/tracer.py) looks these names up at run

@@ -13,7 +13,7 @@ from fires.geometry import (
     snap_to_lattice,
     snap_to_subarea_presets,
     spacing_violations,
-    subarea_bounds,
+    subarea_corners,
 )
 from helpers import preset_flat_indices, preset_grid
 
@@ -29,9 +29,11 @@ class TestPartition:
         geom = square_geom(4)
         assert geom.grid_cols == geom.grid_rows == 2
         assert geom.subarea_w == geom.subarea_h == 1.0
-        assert subarea_bounds(geom, 1) == (0.0, 0.0, 1.0, 1.0)
-        assert subarea_bounds(geom, 2) == (1.0, 0.0, 2.0, 1.0)
-        assert subarea_bounds(geom, 3) == (0.0, 1.0, 1.0, 2.0)
+        lo, hi = subarea_corners(geom)
+        corners = np.hstack([lo, hi]).tolist()  # rows (x_lo, y_lo, x_hi, y_hi)
+        assert corners[0] == [0.0, 0.0, 1.0, 1.0]
+        assert corners[1] == [1.0, 0.0, 2.0, 1.0]
+        assert corners[2] == [0.0, 1.0, 1.0, 2.0]
 
     def test_nine_subareas(self):
         geom = square_geom(9)
@@ -92,8 +94,9 @@ class TestPresetLattice:
 
     def test_each_preset_inside_its_subarea(self):
         geom = square_geom(9, n=4)
+        lo, hi = subarea_corners(geom)
         for m in range(1, 10):
-            x_lo, y_lo, x_hi, y_hi = subarea_bounds(geom, m)
+            (x_lo, y_lo), (x_hi, y_hi) = lo[m - 1], hi[m - 1]
             pts = preset_grid(geom, m)
             assert np.all(pts[:, 0] >= x_lo - 1e-12) and np.all(pts[:, 0] <= x_hi + 1e-12)
             assert np.all(pts[:, 1] >= y_lo - 1e-12) and np.all(pts[:, 1] <= y_hi + 1e-12)
@@ -106,12 +109,6 @@ class TestPresetLattice:
     def test_large_preset_count(self):
         geom = square_geom(4, n=100)
         assert preset_grid(geom, 1).shape == (10_000, 2)
-
-    def test_subarea_index_out_of_range(self):
-        geom = square_geom(4)
-        for m in (0, 5):
-            with pytest.raises(ValueError, match="out of range"):
-                subarea_bounds(geom, m)
 
 
 class TestIndexMapping:
@@ -160,12 +157,13 @@ class TestProjection:
     def test_idempotent(self):
         geom = square_geom(9)
         rng = np.random.default_rng(3)
+        lo, hi = subarea_corners(geom)
         for _ in range(50):
             batch = rng.uniform(-3, 5, size=(9, 2))
             once = clamp_to_subareas(batch, geom)
             assert np.array_equal(clamp_to_subareas(once, geom), once)
             for m in range(1, 10):
-                x_lo, y_lo, x_hi, y_hi = subarea_bounds(geom, m)
+                (x_lo, y_lo), (x_hi, y_hi) = lo[m - 1], hi[m - 1]
                 assert x_lo <= once[m - 1, 0] <= x_hi and y_lo <= once[m - 1, 1] <= y_hi
 
     def test_projection_is_nearest_point(self):
@@ -186,9 +184,10 @@ class TestProjection:
         rng = np.random.default_rng(5)
         batch = rng.uniform(-1, 3, size=(6, 4, 2))
         clamped = clamp_to_subareas(batch, geom)
+        lo, hi = subarea_corners(geom)
         for i in range(6):
             for m in range(1, 5):
-                x_lo, y_lo, x_hi, y_hi = subarea_bounds(geom, m)
+                (x_lo, y_lo), (x_hi, y_hi) = lo[m - 1], hi[m - 1]
                 x, y = batch[i, m - 1]
                 expect = (min(max(x, x_lo), x_hi), min(max(y, y_lo), y_hi))
                 assert np.array_equal(clamped[i, m - 1], expect)
@@ -286,10 +285,11 @@ class TestSnapping:
         geom = square_geom(4, n=4)
         rng = np.random.default_rng(8)
         grid = lattice_points(geom)
+        lo, hi = subarea_corners(geom)
         for _ in range(25):
             pos = np.empty((4, 2))
             for m in range(1, 5):
-                x_lo, y_lo, x_hi, y_hi = subarea_bounds(geom, m)
+                (x_lo, y_lo), (x_hi, y_hi) = lo[m - 1], hi[m - 1]
                 pos[m - 1] = [rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)]
             got = snap_to_subarea_presets(pos, geom)
             for m in range(1, 5):

@@ -12,20 +12,18 @@ from fires.geometry import (
     partition_surface,
     placement_in_subareas,
     spacing_violations,
-    subarea_bounds,
+    subarea_corners,
 )
 from fires.pso import (
     PsoConfig,
     best_response,
-    brute_force_oracle,
-    fitness,
     init_swarm,
     optimize,
     repair_spacing,
     update_velocity,
 )
 from fires.rate import evaluate
-from helpers import WL, complex_rows, default_links, preset_grid
+from helpers import WL, brute_force_oracle, complex_rows, default_links, fitness, preset_grid
 
 P, S2 = 10.0, 1e-12
 
@@ -95,8 +93,9 @@ class TestInit:
         cfg = PsoConfig(n_particles=50)
         positions, velocities = init_swarm(geom, cfg, np.random.default_rng(1))
         assert positions.shape == velocities.shape == (50, 2, 2)
+        lo, hi = subarea_corners(geom)
         for m in (1, 2):
-            x_lo, y_lo, x_hi, y_hi = subarea_bounds(geom, m)
+            (x_lo, y_lo), (x_hi, y_hi) = lo[m - 1], hi[m - 1]
             xs, ys = positions[:, m - 1, 0], positions[:, m - 1, 1]
             assert np.all((xs >= x_lo) & (xs <= x_hi))
             assert np.all((ys >= y_lo) & (ys <= y_hi))
@@ -314,13 +313,9 @@ class TestBestResponse:
     def start(self, geom, seed):
         # random feasible points strictly inside the subareas, off the lattice
         rng = np.random.default_rng(seed)
+        lo, hi = subarea_corners(geom)
         while True:
-            pos = np.array(
-                [
-                    rng.uniform(subarea_bounds(geom, m)[:2], subarea_bounds(geom, m)[2:])
-                    for m in range(1, geom.n_subareas + 1)
-                ]
-            )
+            pos = np.array([rng.uniform(lo[m], hi[m]) for m in range(geom.n_subareas)])
             if spacing_violations(Placement(pos), geom.d_min) == 0:
                 return pos
 
