@@ -14,8 +14,8 @@ built once per geometry and shared by all links:
   matrix and its square root split into four blocks of about L / 4 (Cantoni
   and Butler, Linear Algebra Appl. 1976). The model keeps only the four
   block roots, about L^2 / 4 values (2 L^2 bytes), and never forms an L x L
-  array: its build folds the offset table into one block at a time, a few
-  lattice rows at a time, and roots and frees each block before the next,
+  array: its build folds the offset table into one block at a time, one
+  block row at a time, and roots and frees each block before the next,
   so it needs the roots plus one block's eigendecomposition, in time
   growing with L^3 / 16. A draw is two per-axis fold products and four
   block products, the latter in one batched call.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -49,8 +49,6 @@ DENSE_MAX_PRESETS = 8000
 _PLANE_WAVE_OVERSAMPLING = 8
 # Gauss-Legendre nodes per wavenumber cell for the outer spectral integral
 _PLANE_WAVE_NODES = 16
-# bytes of lattice rows that the dense model's build folds at a time
-_FOLD_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ def _mirror_fold(a: np.ndarray, axis: int, odd: bool) -> np.ndarray:
     return np.moveaxis(half, 0, axis)
 
 
-@lru_cache(maxsize=16)
+@cache
 def _fold_matrix(n: int) -> np.ndarray:
     """The orthogonal change of basis of `_mirror_fold` along an axis of n:
     the even half's rows, then the odd half's, which gets one zero row when
@@ -180,35 +178,28 @@ def _mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mirroring either lattice axis.
 
     `r4` is the (rows, cols, rows, cols) view of the L x L matrix; it is only
-    read, so it may be a strided view. Each of the four blocks is folded a
-    few block rows at a time, gets its own clamped eigendecomposition and
-    square root, for about a sixteenth of the work of the whole, and is
-    freed before the next one is folded. A block row i pairs lattice rows i
-    and rows - 1 - i along axis 0, or is the center row alone in the even
-    half of an odd axis; every entry takes the additions and products of
+    read, so it may be a strided view. Each of the four blocks is folded one
+    block row at a time, gets its own clamped eigendecomposition and square
+    root, for about a sixteenth of the work of the whole, and is freed before
+    the next one is folded. A block row i pairs lattice rows i and
+    rows - 1 - i along axis 0, or is the center row alone in the even half of
+    an odd axis; every entry takes the additions and products of
     `_mirror_fold` along axes 0, 2, 1 and 3, in that order.
     """
     rows, cols = r4.shape[:2]
     m = rows // 2
     half_y, half_x = rows - m, cols - cols // 2
     padded = np.zeros((4, half_y, half_x, half_y, half_x))
-    step = max(1, _FOLD_CHUNK_BYTES // (8 * r4[0].size))
     vals = []
     for dest, (odd_y, odd_x) in zip(padded, product((False, True), repeat=2)):
         k_y = m if odd_y else half_y
         k_x = cols // 2 if odd_x else half_x
         block = np.empty((k_y, k_x, k_y, k_x))
-        # no chunk straddles block row m, the unpaired center row
-        edges = sorted({*range(0, m, step), m, k_y})
-        for start, stop in zip(edges, edges[1:]):
-            if start < m:
-                chunk = np.empty((stop - start, *r4.shape[1:]))
-                (np.subtract if odd_y else np.add)(r4[start:stop], r4[::-1][start:stop], out=chunk)
-                chunk *= _SQRT_HALF
-            else:
-                chunk = r4[m : m + 1]
-            chunk = _mirror_fold(chunk, 2, odd_y)
-            block[start:stop] = _mirror_fold(_mirror_fold(chunk, 1, odd_x), 3, odd_x)
+        pair = np.subtract if odd_y else np.add
+        for i in range(k_y):
+            row = r4[m] if i == m else pair(r4[i], r4[rows - 1 - i]) * _SQRT_HALF
+            block[i] = _mirror_fold(_mirror_fold(_mirror_fold(row, 1, odd_y), 0, odd_x), 2, odd_x)
+        del row  # only the block stays alive while it is decomposed
         k = k_y * k_x
         eig = np.linalg.eigh(block.reshape(k, k))
         del block
@@ -311,6 +302,11 @@ class PlaneWaveField:
     variances: np.ndarray  # (nky, nkx), nonnegative, summing to 1
 
     @property
+    def shape(self) -> tuple[int, int]:
+        """(lattice_rows, lattice_cols)"""
+        return self.uy.shape[0], self.ux.shape[0]
+
+    @property
     def n_presets(self) -> int:
         return self.ux.shape[0] * self.uy.shape[0]
 
@@ -403,11 +399,12 @@ def synthesize_channel(
     (single-antenna BS), so its lattice profile is the surface steering alone.
     Deterministic given the rng state; the three scattered fields come from
     one `draw(rng, size=3)` of `corr`, in f, r, t order. `corr` is either
-    field model of this geometry.
+    field model of this geometry's lattice shape.
     """
-    if corr.n_presets != geom.n_presets:
+    if corr.shape != (geom.lattice_rows, geom.lattice_cols):
         raise ValueError(
-            f"correlation model covers {corr.n_presets} presets, geometry has {geom.n_presets}"
+            f"correlation model covers {corr.shape[0]} x {corr.shape[1]} presets, "
+            f"geometry has {geom.lattice_rows} x {geom.lattice_cols}"
         )
     coords = lattice_points(geom)
     scattered = corr.draw(rng, size=3)

@@ -14,11 +14,12 @@ from dataclasses import replace
 
 from .harness import ExperimentConfig, config_from_json, emit_results, run_sweep
 
-_AXIS_BY_COMMAND = {
-    "sweep-power": "power",
-    "sweep-area": "area",
-    "convergence": "iterations",
-    "single": "none",
+# subcommand: (sweep axis, help)
+_COMMANDS = {
+    "sweep-power": ("power", "effective rate vs transmit power"),
+    "sweep-area": ("area", "effective rate vs aperture area"),
+    "convergence": ("iterations", "mean best-so-far rate vs swarm iteration"),
+    "single": ("none", "one operating point, no sweep"),
 }
 
 
@@ -29,13 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
         "against a fixed-element baseline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("sweep-power", "effective rate vs transmit power"),
-        ("sweep-area", "effective rate vs aperture area"),
-        ("convergence", "mean best-so-far rate vs swarm iteration"),
-        ("single", "one operating point, no sweep"),
-    ]:
+    for name, (axis, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(sweep=axis)
         cmd.add_argument("--config", help="JSON config file (keys = ExperimentConfig fields)")
         cmd.add_argument("--seed", type=int, help="master seed (fallback: FIRES_SEED)")
         cmd.add_argument("--trials", type=int, help="Monte Carlo repetitions per sweep value")
@@ -61,7 +58,7 @@ def _env_int(name: str) -> int | None:
 
 def _resolve_config(args) -> tuple[ExperimentConfig, int]:
     cfg = config_from_json(args.config) if args.config else ExperimentConfig()
-    overrides = {"sweep": _AXIS_BY_COMMAND[args.command]}
+    overrides = {"sweep": args.sweep}
     seed = args.seed if args.seed is not None else _env_int("FIRES_SEED")
     if seed is not None:
         overrides["seed"] = seed

@@ -21,7 +21,7 @@ import math
 import sys
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, fields, replace
-from functools import lru_cache
+from functools import cache
 from numbers import Integral, Real
 from operator import ge, gt
 
@@ -221,11 +221,11 @@ def geometry_from_config(cfg: ExperimentConfig, area_m2: float | None = None) ->
     )
 
 
-@lru_cache(maxsize=8)
+@cache
 def _field_model(geom: SurfaceGeometry) -> CorrelationModel | PlaneWaveField:
     """Scattered-field model of a geometry: the dense sinc model where its
     four mirror-block eigendecompositions fit, the plane-wave model above
-    that."""
+    that. Built once per geometry and kept for the life of the process."""
     if geom.n_presets > DENSE_MAX_PRESETS:
         return plane_wave_field(geom)
     return correlation_matrix(geom)

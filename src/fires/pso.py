@@ -81,12 +81,11 @@ def _batch_scores(
     power: float,
     noise_power: float,
     tau: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fitness, lattice indices, spacing-violation counts) for a (n, M, 2)
-    batch of placements."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(fitness, lattice indices) for a (n, M, 2) batch of placements."""
     idx = snap_to_subarea_presets(positions, geom)
     violations = _pair_violation_counts(positions, geom.d_min)
-    return _scores_at(idx, violations, weights, power, noise_power, tau), idx, violations
+    return _scores_at(idx, violations, weights, power, noise_power, tau), idx
 
 
 def _scores_at(
@@ -168,7 +167,7 @@ def best_response(
     m = geom.n_subareas
     blocks, flats = subarea_presets(geom)  # ascending flat index
     weights = amplitude_weights(realization)
-    fit, idx, _ = _batch_scores(pos[None], weights, geom, power, noise_power, cfg.tau)
+    fit, idx = _batch_scores(pos[None], weights, geom, power, noise_power, cfg.tau)
     current = float(fit[0])
     idx = idx[0]
     # elements known to be best responses to the others as they stand; the

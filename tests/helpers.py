@@ -217,7 +217,7 @@ def fitness(
     """Penalized objective of one placement: max-min rate minus
     tau * spacing violations."""
     weights = amplitude_weights(realization)
-    fit, _, _ = _batch_scores(
+    fit, _ = _batch_scores(
         placement.positions[None, :, :], weights, geom, power, noise_power, cfg.tau
     )
     return float(fit[0])

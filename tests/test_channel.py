@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fires import channel
 from fires.channel import (
     LinkParams,
     PlaneWaveField,
@@ -149,8 +148,8 @@ BUILD_LATTICE_IDS = ["2x2", "6x6", "7x7", "30x30", "49x49", "50x50", *LATTICE_ID
 
 
 class TestBlockAtATimeBuild:
-    """Folding one block a few rows at a time gives the bits of folding the
-    whole window."""
+    """Folding each block one block row at a time gives the bits of folding
+    the whole window."""
 
     @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
     def test_same_bits_as_the_whole_window_fold(self, geom):
@@ -158,14 +157,6 @@ class TestBlockAtATimeBuild:
         vals, roots = whole_window_mirror_roots(_sinc_window(geom))
         assert np.array_equal(corr.eigvals, vals)
         assert np.array_equal(corr.roots, roots)
-
-    @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
-    def test_one_row_chunks_give_the_same_bits(self, geom, monkeypatch):
-        corr = correlation_matrix(geom)
-        monkeypatch.setattr(channel, "_FOLD_CHUNK_BYTES", 1)
-        by_row = correlation_matrix(geom)
-        assert np.array_equal(by_row.eigvals, corr.eigvals)
-        assert np.array_equal(by_row.roots, corr.roots)
 
 
 class TestNlosField:
@@ -382,6 +373,13 @@ class TestSynthesis:
             synthesize_channel(
                 tiny_geom(n=4, a=WL), *links, rng=np.random.default_rng(5), corr=field
             )
+        # as many presets on another lattice shape: 20 x 20 against 5 x 80
+        square = partition_surface(2.0, 2.0, 4, WL, n_h=10, n_v=10)
+        strip = partition_surface(4.0, 1.0, 4, WL, n_h=20, n_v=5, grid=(4, 1))
+        assert square.n_presets == strip.n_presets
+        for model in (correlation_matrix(square), plane_wave_field(square)):
+            with pytest.raises(ValueError, match="presets"):
+                synthesize_channel(strip, *links, rng=np.random.default_rng(5), corr=model)
 
     @pytest.mark.slow
     def test_per_entry_mean_power(self):

@@ -276,6 +276,22 @@ class TestSweeps:
         assert [r.sweep_value for r in records] == [1.0, 4.0]
         assert all(r.n_trials == cfg.n_trials for r in records)
 
+    def test_one_field_model_per_geometry(self, monkeypatch):
+        builds = []
+        plain_build = harness.correlation_matrix
+
+        def counting(geom):
+            builds.append(geom)
+            return plain_build(geom)
+
+        monkeypatch.setattr(harness, "correlation_matrix", counting)
+        harness._field_model.cache_clear()
+        areas = tuple(float(a) for a in range(1, 10))
+        cfg = ExperimentConfig(sweep="area", area_sweep_m2=areas, **{**FAST, "n_trials": 2})
+        run_sweep(cfg)
+        # every area is its own geometry, and each is built once for all trials
+        assert len(builds) == len(set(builds)) == len(areas)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_power_records_equal_separate_runs(self, seed, monkeypatch):
         cfg = ExperimentConfig(sweep="power", seed=seed, **FAST)
