@@ -24,6 +24,9 @@ built once per geometry and shared by all links:
   Pizzo, Marzetta and Sanguinetti, IEEE JSAC 2020). Its memory and time grow
   with the lattice side times the wavenumber count, and its covariance stays
   within 1% (relative Frobenius) of the sinc matrix.
+
+Both draw alike: `draw(rng, size)` returns a (size, L) array, and n draws of
+`size=1` in a row return what one draw of `size=n` does.
 """
 
 from __future__ import annotations
@@ -78,48 +81,41 @@ class CorrelationModel:
     In the per-axis even/odd mirror basis (`_fold_matrix`) the L x L matrix
     splits into four blocks, one per pair of row and column parities, in the
     order (even, even), (even, odd), (odd, even), (odd, odd). `roots[i]` is
-    block i's symmetric square root V sqrt(eigvals) V^T, with negative
-    eigenvalues clamped to zero, padded with zero rows and columns to the
-    size of the (even, even) block where an axis is odd. Together they are
-    the symmetric square root of the whole matrix, which maps i.i.d.
-    unit-variance draws to draws with the sinc covariance, and unlike
-    V sqrt(eigvals) it does not depend on which eigenvectors the
+    block i's symmetric square root V sqrt(Λ) V^T from its eigendecomposition
+    V Λ V^T, with negative eigenvalues clamped to zero, padded with zero rows
+    and columns to the size of the (even, even) block where an axis is odd.
+    Together they are the symmetric square root of the whole matrix, which
+    maps i.i.d. unit-variance draws to draws with the sinc covariance, and
+    unlike V sqrt(Λ) it does not depend on which eigenvectors the
     decomposition picked among (near-)degenerate ones, so draws agree across
     LAPACK builds.
     """
 
     roots: np.ndarray  # (4, k, k) padded block roots, k = ceil(rows/2) ceil(cols/2)
-    eigvals: np.ndarray  # (L,) ascending, clamped at zero
     shape: tuple[int, int]  # (lattice_rows, lattice_cols)
 
-    @property
-    def n_presets(self) -> int:
-        return self.shape[0] * self.shape[1]
-
-    def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Scattered-field draw(s) with the sinc covariance, shape (L,) or
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` scattered-field draws with the sinc covariance, shape
         (size, L).
 
         Each draw takes 2 L standard normals, the real parts and then the
         imaginary parts of a circularly symmetric complex white vector with
-        unit variance, so `size=n` returns what n single draws in a row
+        unit variance, so `size=n` returns what n draws of `size=1` in a row
         return. Every white field is folded into the mirror basis along both
         axes, each quadrant is multiplied by its block root, and the result
         is unfolded back onto the lattice.
         """
-        n = 1 if size is None else size
         rows, cols = self.shape
         fold_y, fold_x = _fold_matrix(rows), _fold_matrix(cols)
         half_y, half_x = len(fold_y) // 2, len(fold_x) // 2
-        white = rng.standard_normal((2 * n, rows, cols))
-        folded = fold_y @ (white.reshape(-1, cols) @ fold_x.T).reshape(2 * n, rows, -1)
+        white = rng.standard_normal((2 * size, rows, cols))
+        folded = fold_y @ (white.reshape(-1, cols) @ fold_x.T).reshape(2 * size, rows, -1)
         # quadrant (a, b) of the folded fields becomes row block 2 a + b
-        quadrants = folded.reshape(2 * n, 2, half_y, 2, half_x).transpose(1, 3, 0, 2, 4)
-        colored = quadrants.reshape(4, 2 * n, -1) @ self.roots.transpose(0, 2, 1)
-        folded = colored.reshape(2, 2, 2 * n, half_y, half_x).transpose(2, 0, 3, 1, 4)
-        field = (fold_y.T @ folded.reshape(2 * n, 2 * half_y, -1)).reshape(-1, 2 * half_x) @ fold_x
-        field = _complex_pairs(field.reshape(n, 2, rows * cols))
-        return field[0] if size is None else field
+        quadrants = folded.reshape(2 * size, 2, half_y, 2, half_x).transpose(1, 3, 0, 2, 4)
+        colored = quadrants.reshape(4, 2 * size, -1) @ self.roots.transpose(0, 2, 1)
+        folded = colored.reshape(2, 2, 2 * size, half_y, half_x).transpose(2, 0, 3, 1, 4)
+        field = (fold_y.T @ folded.reshape(2 * size, 2 * half_y, -1)).reshape(-1, 2 * half_x) @ fold_x
+        return _complex_pairs(field.reshape(size, 2, rows * cols))
 
 
 def _complex_pairs(x: np.ndarray) -> np.ndarray:
@@ -128,12 +124,11 @@ def _complex_pairs(x: np.ndarray) -> np.ndarray:
     return (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
 
 
-def _symmetric_sqrt(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """From the `eigh` (vals, V) of a symmetric matrix: its ascending
-    eigenvalues clamped at zero (PSD repair of numerical noise), and its
-    symmetric square root (V sqrt(vals)) V^T."""
-    vals = np.clip(vals, 0.0, None)
-    return vals, (vecs * np.sqrt(vals)) @ vecs.T
+def _symmetric_sqrt(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """From the `eigh` (vals, V) of a symmetric matrix, its symmetric square
+    root (V sqrt(vals)) V^T, with negative eigenvalues (numerical noise)
+    clamped at zero."""
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
 _SQRT_HALF = np.sqrt(0.5)
@@ -172,10 +167,9 @@ def _fold_matrix(n: int) -> np.ndarray:
     return fold
 
 
-def _mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and padded mirror-block square roots (as in
-    `CorrelationModel.roots`) of a lattice correlation that is unchanged by
-    mirroring either lattice axis.
+def _mirror_roots(r4: np.ndarray) -> np.ndarray:
+    """Padded mirror-block square roots (as in `CorrelationModel.roots`) of a
+    lattice correlation that is unchanged by mirroring either lattice axis.
 
     `r4` is the (rows, cols, rows, cols) view of the L x L matrix; it is only
     read, so it may be a strided view. Each of the four blocks is folded one
@@ -190,7 +184,6 @@ def _mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = rows // 2
     half_y, half_x = rows - m, cols - cols // 2
     padded = np.zeros((4, half_y, half_x, half_y, half_x))
-    vals = []
     for dest, (odd_y, odd_x) in zip(padded, product((False, True), repeat=2)):
         k_y = m if odd_y else half_y
         k_x = cols // 2 if odd_x else half_x
@@ -203,11 +196,9 @@ def _mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = k_y * k_x
         eig = np.linalg.eigh(block.reshape(k, k))
         del block
-        block_vals, block_root = _symmetric_sqrt(*eig)
-        vals.append(block_vals)
-        dest[:k_y, :k_x, :k_y, :k_x] = block_root.reshape(k_y, k_x, k_y, k_x)
-        del eig, block_root  # the next block's eigendecomposition peaks the build
-    return np.sort(np.concatenate(vals)), padded.reshape(4, half_y * half_x, -1)
+        dest[:k_y, :k_x, :k_y, :k_x] = _symmetric_sqrt(*eig).reshape(k_y, k_x, k_y, k_x)
+        del eig  # the next block's eigendecomposition peaks the build
+    return padded.reshape(4, half_y * half_x, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,8 +258,7 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
             RuntimeWarning,
             stacklevel=2,
         )
-    vals, roots = _mirror_roots(_sinc_window(geom))
-    return CorrelationModel(roots=roots, eigvals=vals, shape=(l_v, l_h))
+    return CorrelationModel(roots=_mirror_roots(_sinc_window(geom)), shape=(l_v, l_h))
 
 
 def _sinc_window(geom: SurfaceGeometry) -> np.ndarray:
@@ -306,21 +296,15 @@ class PlaneWaveField:
         """(lattice_rows, lattice_cols)"""
         return self.uy.shape[0], self.ux.shape[0]
 
-    @property
-    def n_presets(self) -> int:
-        return self.ux.shape[0] * self.uy.shape[0]
-
-    def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Scattered-field draw(s) over the lattice, shape (L,) or (size, L).
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` scattered-field draws over the lattice, shape (size, L).
 
         Each draw takes the real and then the imaginary parts of its
-        amplitudes from the stream, so `size=n` returns what n single draws
-        in a row return.
+        amplitudes from the stream, so `size=n` returns what n draws of
+        `size=1` in a row return.
         """
-        n = 1 if size is None else size
-        white = _complex_pairs(rng.standard_normal((n, 2, *self.variances.shape)))
-        field = (self.uy @ (np.sqrt(self.variances) * white) @ self.ux.T).reshape(n, self.n_presets)
-        return field[0] if size is None else field
+        white = _complex_pairs(rng.standard_normal((size, 2, *self.variances.shape)))
+        return (self.uy @ (np.sqrt(self.variances) * white) @ self.ux.T).reshape(size, -1)
 
 
 def _wavenumber_cells(k0: float, side: float) -> tuple[np.ndarray, np.ndarray]:

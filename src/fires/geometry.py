@@ -18,6 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
+# how far (m) outside its subarea an element may sit and still count as inside
+_SUBAREA_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SurfaceGeometry:
@@ -145,10 +148,6 @@ class Placement:
             raise ValueError("positions must be finite")
         object.__setattr__(self, "positions", pos)
 
-    @property
-    def n_elements(self) -> int:
-        return self.positions.shape[0]
-
 
 def _subarea_grid_shape(a_h: float, a_v: float, m: int) -> tuple[int, int]:
     """Infer a (cols, rows) factorization of m giving square subareas.
@@ -238,13 +237,14 @@ def clamp_to_subareas(positions: np.ndarray, geom: SurfaceGeometry) -> np.ndarra
     return np.minimum(np.maximum(positions, lo), hi)
 
 
-def placement_in_subareas(placement: Placement, geom: SurfaceGeometry, tol: float = 1e-9) -> bool:
-    """True when every element lies inside its own subarea."""
-    if placement.n_elements != geom.n_subareas:
+def placement_in_subareas(placement: Placement, geom: SurfaceGeometry) -> bool:
+    """True when every element lies inside its own subarea, up to
+    `_SUBAREA_TOL` meters."""
+    if len(placement.positions) != geom.n_subareas:
         return False
     lo, hi = subarea_corners(geom)
     pos = placement.positions
-    return bool(np.all(pos >= lo - tol) and np.all(pos <= hi + tol))
+    return bool(np.all(pos >= lo - _SUBAREA_TOL) and np.all(pos <= hi + _SUBAREA_TOL))
 
 
 def pair_violation_counts(positions: np.ndarray, d_min: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from operator import ge, gt
 
 import numpy as np
 
-from .baseline import evaluate_baseline, star_ris_placement
+from .baseline import evaluate_baseline, fixed_surface_presets, star_ris_placement
 from .channel import (
     DENSE_MAX_PRESETS,
     ChannelRealization,
@@ -183,11 +183,17 @@ class ExperimentConfig:
                     f"{name} must be large enough for 2 presets per lattice axis, "
                     f"got a {geom.lattice_cols} x {geom.lattice_rows} lattice"
                 )
-        try:
-            if self.m_hat != self.n_subareas:
-                partition_surface(self.a_h, self.a_v, self.m_hat, wavelength(self.f_c))
-        except (ValueError, OverflowError):
-            raise ValueError(f"m_hat must be able to tile the aperture in squares, got {self.m_hat}") from None
+        # a snap to the nearest preset can break a tie either way at another
+        # area, so the fixed surface is checked at every swept one too
+        for area in (None, *self.area_sweep_m2) if self.sweep == "area" else (None,):
+            try:
+                fixed_surface_presets(geometry_from_config(self, area), self.m_hat)
+            except (ValueError, OverflowError):
+                at = "" if area is None else f" at {area:g} m^2"
+                raise ValueError(
+                    f"m_hat must be able to tile the aperture in squares on distinct presets{at}, "
+                    f"got {self.m_hat}"
+                ) from None
 
     def digest(self) -> str:
         """Short stable hash of the full configuration."""

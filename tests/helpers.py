@@ -39,27 +39,19 @@ class DenseModel:
     with one dense product; the reference the mirror-block model is checked
     against."""
 
-    eigvals: np.ndarray  # (L,) ascending, clamped at zero
     coloring: np.ndarray  # (L, L) symmetric square root
 
-    @property
-    def n_presets(self) -> int:
-        return self.coloring.shape[0]
-
-    def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        n = 1 if size is None else size
-        white = rng.standard_normal((n, 2, self.n_presets))
-        colored = white.reshape(2 * n, self.n_presets) @ self.coloring.T
-        field = _complex_pairs(colored.reshape(n, 2, self.n_presets))
-        return field[0] if size is None else field
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        n = len(self.coloring)
+        white = rng.standard_normal((size, 2, n))
+        colored = white.reshape(2 * size, n) @ self.coloring.T
+        return _complex_pairs(colored.reshape(size, 2, n))
 
 
 def model_from_matrix(r) -> DenseModel:
     """Dense model of any symmetric matrix, through one full
     eigendecomposition (no mirror blocks)."""
-    r = np.asarray(r, dtype=float)
-    vals, root = _symmetric_sqrt(*np.linalg.eigh(r))
-    return DenseModel(eigvals=vals, coloring=root)
+    return DenseModel(coloring=_symmetric_sqrt(*np.linalg.eigh(np.asarray(r, dtype=float))))
 
 
 def sinc_matrix(geom: SurfaceGeometry) -> np.ndarray:
@@ -110,14 +102,15 @@ def dense_coloring(corr: CorrelationModel) -> np.ndarray:
             spread = _mirror_unfold(block_root, 3, odd_x, cols)
             _mirror_unfold(spread, 1, odd_x, cols, out=root_y)
         _mirror_unfold(_mirror_unfold(root_y, 2, odd_y, rows), 0, odd_y, rows, out=root)
-    return root.reshape(corr.n_presets, corr.n_presets)
+    return root.reshape(rows * cols, rows * cols)
 
 
 def whole_window_mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`channel._mirror_roots` by whole-window folds: each row parity folds all
     of `r4` along axes 0 and 2, then each column parity along axes 1 and 3,
     with temporaries near 8 L^2 bytes; the reference the block-at-a-time
-    build is checked against bit for bit."""
+    build is checked against bit for bit. Also returns the four blocks'
+    eigenvalues, sorted ascending and not clamped."""
     rows, cols = r4.shape[:2]
     vals, roots = [], []
     for odd_y in (False, True):
@@ -125,9 +118,9 @@ def whole_window_mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for odd_x in (False, True):
             block = _mirror_fold(_mirror_fold(r_y, 1, odd_x), 3, odd_x)
             k = block.shape[0] * block.shape[1]
-            block_vals, block_root = _symmetric_sqrt(*np.linalg.eigh(block.reshape(k, k)))
-            vals.append(block_vals)
-            roots.append(block_root.reshape(block.shape))
+            eig = np.linalg.eigh(block.reshape(k, k))
+            vals.append(eig.eigenvalues)
+            roots.append(_symmetric_sqrt(*eig).reshape(block.shape))
     half_y, half_x = rows - rows // 2, cols - cols // 2
     padded = np.zeros((4, half_y, half_x, half_y, half_x))
     for dest, root in zip(padded, roots):

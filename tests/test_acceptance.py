@@ -140,7 +140,6 @@ def test_c6_channel_statistics():
     r = sinc_matrix(geom)
     assert np.array_equal(r, r.T)
     assert np.all(np.diag(r) == 1.0)
-    assert np.all(corr.eigvals >= 0)
 
     rng = np.random.default_rng(60)
     draws = corr.draw(rng, size=100_000)

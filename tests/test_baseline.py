@@ -81,3 +81,15 @@ def test_realization_of_another_geometry_rejected(instance, m_hat):
     coarse = partition_surface(2.0, 2.0, 4, WL, n_h=2, n_v=2)
     with pytest.raises(ValueError, match="realization covers 36 presets, geometry has 16"):
         evaluate_baseline(real, coarse, P, S2, m_hat)
+
+
+def test_fixed_surface_stacked_on_presets_rejected():
+    geom = partition_surface(2.0, 2.0, 4, WL, n_h=10, n_v=10)  # 20 x 20 lattice
+    corr = correlation_matrix(geom)
+    real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(19), corr=corr)
+    # 18 x 18 centers snap to distinct presets, 19 x 19 to only 289
+    assert evaluate_baseline(real, geom, P, S2, m_hat=324).effective > 0
+    with pytest.raises(ValueError, match="361 fixed elements snap to only 289 distinct presets"):
+        evaluate_baseline(real, geom, P, S2, m_hat=361)
+    with pytest.raises(ValueError, match="do not fit"):
+        evaluate_baseline(real, geom, P, S2, m_hat=10**12)

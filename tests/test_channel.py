@@ -7,6 +7,7 @@ from fires.channel import (
     LinkParams,
     PlaneWaveField,
     _sinc_window,
+    _symmetric_sqrt,
     correlation_matrix,
     path_loss,
     plane_wave_field,
@@ -97,9 +98,12 @@ class TestCorrelation:
         assert np.isclose(r[0, 1], 2 / np.pi, rtol=1e-12)
 
     def test_eigvals_clamped_and_reconstruction(self):
+        # eigenvalues -1 and 1: the root of the clamped matrix, not a NaN
+        root = _symmetric_sqrt(*np.linalg.eigh(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert not np.any(np.isnan(root))
+        assert np.allclose(root @ root, 0.5, rtol=0, atol=1e-15)
         geom = tiny_geom(n=5, a=WL)
         corr, r = correlation_matrix(geom), sinc_matrix(geom)
-        assert np.all(corr.eigvals >= 0)
         coloring = dense_coloring(corr)
         rebuilt = coloring @ coloring.T
         rel = np.linalg.norm(rebuilt - r) / np.linalg.norm(r)
@@ -115,7 +119,8 @@ class TestCorrelation:
         full = model_from_matrix(r)
         root = dense_coloring(corr)
         assert np.max(np.abs(root - full.coloring)) <= 1e-9
-        assert np.max(np.abs(corr.eigvals - full.eigvals)) <= 1e-12
+        block_vals, _ = whole_window_mirror_roots(_sinc_window(geom))
+        assert np.max(np.abs(block_vals - np.linalg.eigvalsh(r))) <= 1e-12
         assert np.max(np.abs(root - root.T)) <= 1e-12
         rel = np.linalg.norm(root @ root.T - r) / np.linalg.norm(r)
         assert rel <= 1e-8
@@ -153,10 +158,8 @@ class TestBlockAtATimeBuild:
 
     @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
     def test_same_bits_as_the_whole_window_fold(self, geom):
-        corr = correlation_matrix(geom)
-        vals, roots = whole_window_mirror_roots(_sinc_window(geom))
-        assert np.array_equal(corr.eigvals, vals)
-        assert np.array_equal(corr.roots, roots)
+        _, roots = whole_window_mirror_roots(_sinc_window(geom))
+        assert np.array_equal(correlation_matrix(geom).roots, roots)
 
 
 class TestNlosField:
@@ -181,21 +184,21 @@ class TestNlosField:
         corr = correlation_matrix(LATTICES[2])
         batch = corr.draw(np.random.default_rng(4), size=3)
         rng = np.random.default_rng(4)
-        singles = np.stack([corr.draw(rng) for _ in range(3)])
-        assert batch.shape == (3, corr.n_presets)
+        singles = np.concatenate([corr.draw(rng, size=1) for _ in range(3)])
+        assert batch.shape == (3, LATTICES[2].n_presets)
         assert np.max(np.abs(batch - singles)) <= 1e-12
 
     @pytest.mark.parametrize("geom", LATTICES, ids=LATTICE_IDS)
     def test_draw_is_the_dense_coloring_of_the_same_stream(self, geom):
         corr = correlation_matrix(geom)
-        dense = DenseModel(eigvals=corr.eigvals, coloring=dense_coloring(corr))
+        dense = DenseModel(coloring=dense_coloring(corr))
         got = corr.draw(np.random.default_rng(9), size=3)
         expect = dense.draw(np.random.default_rng(9), size=3)
         assert np.max(np.abs(got - expect)) <= 1e-13
 
     def test_all_zero_eigenvalues_give_zero_field(self):
         corr = model_from_matrix(np.zeros((4, 4)))
-        out = corr.draw(np.random.default_rng(0))
+        out = corr.draw(np.random.default_rng(0), size=1)
         assert np.allclose(out, 0.0)
 
 
@@ -205,10 +208,10 @@ class TestDenseModelFootprint:
 
     def test_dense_lattice_holds_no_array_above_a_quarter_of_l_squared(self):
         # the dense-lattice benchmark geometry: 25 x 25 presets per subarea
-        corr = correlation_matrix(geometry_from_config(ExperimentConfig(n_h=25, n_v=25)))
-        n = corr.n_presets
+        geom = geometry_from_config(ExperimentConfig(n_h=25, n_v=25))
+        n = geom.n_presets
         assert n == 2500
-        assert max(corr.eigvals.size, corr.roots.size) <= n**2 / 4
+        assert correlation_matrix(geom).roots.size <= n**2 / 4
 
     @staticmethod
     def build_peak(m, n_side):
@@ -297,15 +300,15 @@ class TestPlaneWaveField:
         b = field.draw(np.random.default_rng(3), size=2)
         assert a.shape == (2, geom.n_presets)
         assert np.array_equal(a, b)
-        single = field.draw(np.random.default_rng(3))
-        assert single.shape == (geom.n_presets,)
-        assert not np.array_equal(single, field.draw(np.random.default_rng(4)))
+        single = field.draw(np.random.default_rng(3), size=1)
+        assert single.shape == (1, geom.n_presets)
+        assert not np.array_equal(single, field.draw(np.random.default_rng(4), size=1))
 
     def test_batch_equals_single_draws_in_a_row(self):
         field = plane_wave_field(partition_surface(1.0, 1.0, 4, WL, n_h=6, n_v=6))
         batch = field.draw(np.random.default_rng(3), size=3)
         rng = np.random.default_rng(3)
-        assert np.array_equal(batch, np.stack([field.draw(rng) for _ in range(3)]))
+        assert np.array_equal(batch, np.concatenate([field.draw(rng, size=1) for _ in range(3)]))
 
     def test_sampled_covariance(self):
         geom = tiny_geom(n=5, a=WL)
@@ -341,7 +344,7 @@ class TestSynthesis:
         real = synthesize_channel(geom, *links, rng=rng, corr=corr)
         # same stream replayed by hand: the mix must be exactly sqrt(l) * nlos
         rng2 = np.random.default_rng(5)
-        expect = np.sqrt(path_loss(100.0, 2.5)) * corr.draw(rng2)
+        expect = np.sqrt(path_loss(100.0, 2.5)) * corr.draw(rng2, size=1)[0]
         assert np.allclose(real.h_f, expect)
 
     def test_rician_weights_normalized(self):
@@ -368,7 +371,7 @@ class TestSynthesis:
         # the three links take successive draws, bit for bit
         rng = np.random.default_rng(5)
         for h in (real.h_f, real.h_r, real.h_t):
-            assert np.array_equal(h, np.sqrt(path_loss(100.0, 2.5)) * field.draw(rng))
+            assert np.array_equal(h, np.sqrt(path_loss(100.0, 2.5)) * field.draw(rng, size=1)[0])
         with pytest.raises(ValueError, match="presets"):
             synthesize_channel(
                 tiny_geom(n=4, a=WL), *links, rng=np.random.default_rng(5), corr=field

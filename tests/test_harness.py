@@ -28,8 +28,9 @@ from fires.harness import (
 FAST = dict(n_h=4, n_v=4, n_particles=10, n_iterations=10, n_trials=4)
 
 # configs that cannot run, to be rejected at load: an integer no float holds,
-# subarea or fixed-surface counts that cannot tile the aperture, and preset
-# lattices one preset wide or tall. A dict value sets several fields at once
+# subarea or fixed-surface counts that cannot tile the aperture, a fixed
+# surface that stacks elements on one preset, and preset lattices one preset
+# wide or tall. A dict value sets several fields at once
 # and names the field the error must name. The two lists below also hold a
 # -3200 dBm noise_dbm, over which the SNR overflows.
 UNRUNNABLE = [
@@ -37,6 +38,7 @@ UNRUNNABLE = [
     ("m_hat", 5),
     ("grid", [3, 3]),
     ("n_subareas", 5),
+    pytest.param("m_hat", {"m_hat": 361, "n_h": 10, "n_v": 10}, id="m_hat-stacked-on-presets"),
     pytest.param("n_h", {"n_subareas": 1, "m_hat": 1, "n_h": 1}, id="n_h-lattice-1-wide"),
     pytest.param(
         "n_v", {"n_subareas": 4, "grid": [4, 1], "n_v": 1, "a_h": 4.0, "a_v": 1.0}, id="n_v-lattice-1-tall"
@@ -159,6 +161,17 @@ class TestConfig:
     def test_bad_field_named_at_load(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**overrides(field, value))
+
+    def test_fixed_surface_on_distinct_presets(self):
+        # on the default 20 x 20 lattice 18 x 18 centers snap to 324 distinct
+        # presets (19 x 19 to only 289, see UNRUNNABLE)
+        assert ExperimentConfig(m_hat=324).m_hat == 324
+        # 7 x 7 centers fall half-way between the presets of an 8 x 8
+        # lattice: distinct at 4 m^2, stacked at 2.5 m^2
+        small = dict(m_hat=49, n_h=4, n_v=4, sweep="area")
+        assert ExperimentConfig(**small, area_sweep_m2=(1.0, 4.0, 16.0)).m_hat == 49
+        with pytest.raises(ValueError, match="distinct presets at 2.5 m"):
+            ExperimentConfig(**small, area_sweep_m2=(4.0, 2.5))
 
     def test_explicit_grid_that_tiles_loads(self):
         cfg = ExperimentConfig(n_subareas=2, grid=[2, 1], m_hat=2, **FAST)
