@@ -7,10 +7,12 @@ so any rate gap isolates position reconfigurability.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .channel import ChannelRealization
-from .geometry import Placement, SurfaceGeometry, partition_surface, snap_to_lattice, subarea_corners
+from .geometry import Placement, SurfaceGeometry, subarea_corners, subarea_grid_shape
 from .rate import RateReport, amplitude_weights, lattice_rates
 
 
@@ -20,22 +22,33 @@ def star_ris_placement(geom: SurfaceGeometry) -> Placement:
     return Placement((lo + hi) / 2.0)
 
 
+def _nearest_lines(k: int, count: int) -> np.ndarray:
+    """Lattice line nearest to the center of each of k equal cells across
+    `count` lines: cell j's center, at line (2j + 1)(count - 1) / (2k),
+    rounded in integers with half-way cases to the smaller line."""
+    return -((k - (2 * np.arange(k) + 1) * (count - 1)) // (2 * k))
+
+
+@cache
 def fixed_surface_presets(geom: SurfaceGeometry, m_hat: int | None = None) -> np.ndarray:
     """0-based flat indices of the presets the fixed surface of m_hat elements
     sits on: the subarea centers of `geom`, or with another m_hat those of a
-    re-tiling of its aperture, each snapped to the nearest global preset. A
-    shared subarea's center is nearer its own presets than any other
-    subarea's, so `evaluate` snaps it to the same preset. Raises ValueError
-    where two elements would sit on one preset.
+    re-tiling of its aperture in square cells, each on the nearest global
+    preset (`_nearest_lines`). They depend on the lattice and the tiling,
+    not on the aperture's scale; read-only, computed once per (geometry,
+    m_hat). Raises ValueError where two elements would sit on one preset.
     """
-    tiling = geom
-    if m_hat is not None and m_hat != geom.n_subareas:
-        if m_hat > geom.n_presets:  # never build a tiling that cannot fit
-            raise ValueError(f"{m_hat} fixed elements do not fit on {geom.n_presets} presets")
-        tiling = partition_surface(geom.a_h, geom.a_v, m_hat, geom.wavelength)
-    idx = snap_to_lattice(star_ris_placement(tiling).positions, geom)
+    if m_hat is None or m_hat == geom.n_subareas:
+        cols, rows = geom.grid_cols, geom.grid_rows
+    elif m_hat > geom.n_presets:  # never tile what cannot fit
+        raise ValueError(f"{m_hat} fixed elements do not fit on {geom.n_presets} presets")
+    else:
+        cols, rows = subarea_grid_shape(geom.a_h, geom.a_v, m_hat)
+    lines = _nearest_lines(rows, geom.lattice_rows)[:, None] * geom.lattice_cols
+    idx = (lines + _nearest_lines(cols, geom.lattice_cols)).ravel()
     if (distinct := len(set(idx.tolist()))) < len(idx):
         raise ValueError(f"{len(idx)} fixed elements snap to only {distinct} distinct presets")
+    idx.flags.writeable = False
     return idx
 
 

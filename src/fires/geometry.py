@@ -111,10 +111,25 @@ class SurfaceGeometry:
         _, _, lo, _, _ = self._subarea_tables
         rows, cols = np.divmod(np.arange(self.n_h * self.n_v), self.n_h)  # in-block offsets
         flats = (lo[:, 1, None] + rows) * self.lattice_cols + lo[:, 0, None] + cols
-        coords = lattice_points(self)[flats]
+        coords = preset_points(self, flats)
         for table in (coords, flats):
             table.flags.writeable = False
         return coords, flats
+
+    @cached_property
+    def blocked_offsets(self) -> np.ndarray:
+        """Boolean table of the lattice offsets (dr, dc) at which two presets
+        lie closer than d_min (strictly): dr^2 py^2 + dc^2 px^2 < d_min^2 for
+        row and column pitches py and px. Shape (2 R + 1, 2 C + 1), centered
+        on (0, 0), with R and C the largest row and column offsets shorter
+        than d_min; read-only, and built once per geometry."""
+        # per axis, the offsets from the first lattice line shorter than d_min
+        dy, dx = ((c - c[0])[c - c[0] < self.d_min] for c in (self.lattice_y(), self.lattice_x()))
+        quadrant = dy[:, None] ** 2 + dx**2 < self.d_min * self.d_min
+        rows, cols = (np.abs(np.arange(1 - len(d), len(d))) for d in (dy, dx))
+        table = quadrant[rows[:, None], cols]
+        table.flags.writeable = False
+        return table
 
     def lattice_x(self) -> np.ndarray:
         """x coordinate of each lattice column, spanning [0, a_h] inclusive."""
@@ -139,6 +154,7 @@ class Placement:
     """
 
     positions: np.ndarray  # (M, 2) float
+    presets: np.ndarray | None = None  # (M,) flat indices, when the positions are presets
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -149,7 +165,7 @@ class Placement:
         object.__setattr__(self, "positions", pos)
 
 
-def _subarea_grid_shape(a_h: float, a_v: float, m: int) -> tuple[int, int]:
+def subarea_grid_shape(a_h: float, a_v: float, m: int) -> tuple[int, int]:
     """Infer a (cols, rows) factorization of m giving square subareas.
 
     cols/rows = a_h/a_v exactly, so cols^2 = m * a_h / a_v. At most one
@@ -190,7 +206,7 @@ def partition_surface(
     if n_subareas < 1:
         raise ValueError(f"need at least one subarea, got {n_subareas}")
     if grid is None:
-        cols, rows = _subarea_grid_shape(a_h, a_v, n_subareas)
+        cols, rows = subarea_grid_shape(a_h, a_v, n_subareas)
     else:
         cols, rows = grid
     return SurfaceGeometry(
@@ -220,10 +236,15 @@ def subarea_presets(geom: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
     return geom._presets
 
 
+def preset_points(geom: SurfaceGeometry, idx) -> np.ndarray:
+    """(..., 2) coordinates of 0-based global flat preset indices."""
+    rows, cols = np.divmod(idx, geom.lattice_cols)
+    return np.stack([geom.lattice_x()[cols], geom.lattice_y()[rows]], axis=-1)
+
+
 def lattice_points(geom: SurfaceGeometry) -> np.ndarray:
     """(L, 2) coordinates of every preset, ordered by global flat index."""
-    xx, yy = np.meshgrid(geom.lattice_x(), geom.lattice_y())
-    return np.stack([xx.ravel(), yy.ravel()], axis=-1)
+    return preset_points(geom, np.arange(geom.n_presets))
 
 
 def clamp_to_subareas(positions: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
@@ -268,23 +289,33 @@ def spacing_violations(placement: Placement, d_min: float) -> int:
     return int(pair_violation_counts(placement.positions[None], d_min)[0])
 
 
-def _nearest_col_row(points: np.ndarray, pitch: np.ndarray) -> np.ndarray:
-    """Nearest lattice (column, row) of (..., 2) points, unclipped, shape
-    (..., 2), for a lattice pitch that broadcasts against the points;
-    half-way cases go to the smaller index."""
-    return np.ceil(points / pitch - 0.5).astype(np.int64)
+def preset_violations(idx: np.ndarray, geom: SurfaceGeometry) -> int:
+    """Number of unordered pairs among the (M,) flat presets `idx` closer
+    than d_min (strictly), read off `SurfaceGeometry.blocked_offsets`."""
+    blocked = geom.blocked_offsets
+    r, c = np.array(blocked.shape) // 2
+    rows, cols = np.divmod(idx, geom.lattice_cols)
+    dr, dc = np.abs(rows[:, None] - rows), np.abs(cols[:, None] - cols)
+    hits = blocked[np.minimum(dr, r) + r, np.minimum(dc, c) + c] & (dr <= r) & (dc <= c)
+    # each element is counted once against itself, and every pair twice
+    return (int(hits.sum()) - len(idx)) // 2
 
 
-def snap_to_lattice(points: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
-    """Nearest global preset for (..., 2) points -> 0-based flat indices.
-
-    Ties resolve to the smaller flat index (smaller row, then column).
-    """
-    cols = geom.lattice_cols
-    pitch = geom._subarea_tables[4][0]  # the same for every subarea
-    cr = _nearest_col_row(np.asarray(points, dtype=float), pitch)
-    cr = np.minimum(np.maximum(cr, 0), (cols - 1, geom.lattice_rows - 1))
-    return cr[..., 1] * cols + cr[..., 0]
+def clear_presets(geom: SurfaceGeometry, i: int, others: np.ndarray) -> np.ndarray:
+    """Mask over element i's presets, in ascending flat index, of those at
+    least d_min from every flat preset in `others`: each of those blocks the
+    part inside element i's subarea of the `blocked_offsets` window on it."""
+    blocked = geom.blocked_offsets
+    span_r, span_c = blocked.shape
+    clear = np.ones((geom.n_v, geom.n_h), dtype=bool)
+    # top-left corner of each window, in rows and columns of the subarea
+    corners = np.divmod(others, geom.lattice_cols) - geom._subarea_tables[2][i][::-1, None]
+    for top, left in (corners - np.array([[span_r], [span_c]]) // 2).T.tolist():
+        r0, r1 = max(top, 0), min(top + span_r, geom.n_v)
+        c0, c1 = max(left, 0), min(left + span_c, geom.n_h)
+        if r0 < r1 and c0 < c1:
+            clear[r0:r1, c0:c1][blocked[r0 - top : r1 - top, c0 - left : c1 - left]] = False
+    return clear.ravel()
 
 
 def snap_to_subarea_presets(positions: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
@@ -301,5 +332,7 @@ def snap_to_subarea_presets(positions: np.ndarray, geom: SurfaceGeometry) -> np.
             f"expected {geom.n_subareas} element positions, got {positions.shape[-2]}"
         )
     _, _, lo, hi, pitch = geom._subarea_tables
-    cr = np.minimum(np.maximum(_nearest_col_row(positions, pitch), lo), hi)
+    # nearest lattice (column, row), half-way cases to the smaller index
+    nearest = np.ceil(positions / pitch - 0.5).astype(np.int64)
+    cr = np.minimum(np.maximum(nearest, lo), hi)
     return cr[..., 1] * geom.lattice_cols + cr[..., 0]

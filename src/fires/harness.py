@@ -38,9 +38,9 @@ from .channel import (
     plane_wave_field,
     synthesize_channel,
 )
-from .geometry import Placement, SurfaceGeometry, partition_surface
+from .geometry import SurfaceGeometry, partition_surface
 from .pso import PsoConfig, optimize
-from .rate import RateReport, evaluate
+from .rate import amplitude_weights, lattice_rates
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -183,17 +183,11 @@ class ExperimentConfig:
                     f"{name} must be large enough for 2 presets per lattice axis, "
                     f"got a {geom.lattice_cols} x {geom.lattice_rows} lattice"
                 )
-        # a snap to the nearest preset can break a tie either way at another
-        # area, so the fixed surface is checked at every swept one too
-        for area in (None, *self.area_sweep_m2) if self.sweep == "area" else (None,):
-            try:
-                fixed_surface_presets(geometry_from_config(self, area), self.m_hat)
-            except (ValueError, OverflowError):
-                at = "" if area is None else f" at {area:g} m^2"
-                raise ValueError(
-                    f"m_hat must be able to tile the aperture in squares on distinct presets{at}, "
-                    f"got {self.m_hat}"
-                ) from None
+        try:  # the presets depend on the lattice, not its scale: this covers every area
+            fixed_surface_presets(geom, self.m_hat)
+        except (ValueError, OverflowError):
+            msg = f"m_hat must be able to tile the aperture in squares on distinct presets, got {self.m_hat}"
+            raise ValueError(msg) from None
 
     def digest(self) -> str:
         """Short stable hash of the full configuration."""
@@ -215,16 +209,23 @@ def config_from_json(path) -> ExperimentConfig:
 
 
 def geometry_from_config(cfg: ExperimentConfig, area_m2: float | None = None) -> SurfaceGeometry:
-    """Build the surface geometry, optionally rescaled to a target area."""
+    """The surface geometry, optionally rescaled to a target area; equal
+    geometries are one shared instance (`_shared_geometry`)."""
     wl = wavelength(cfg.f_c)
     a_h, a_v = cfg.a_h, cfg.a_v
     if area_m2 is not None:
         scale = float(np.sqrt(area_m2 / (a_h * a_v)))
         a_h, a_v = a_h * scale, a_v * scale
     d_min = wl / 2.0 if cfg.min_spacing == "half-lambda" else float(cfg.min_spacing)
-    return partition_surface(
+    geom = partition_surface(
         a_h, a_v, cfg.n_subareas, wl, n_h=cfg.n_h, n_v=cfg.n_v, d_min=d_min, grid=cfg.grid
     )
+    return _shared_geometry(geom)
+
+
+# the process's first geometry equal to a given one, so that its cached tables
+# (subarea bounds, presets, blocked offsets) are built once, not once per trial
+_shared_geometry = cache(lambda geom: geom)
 
 
 @cache
@@ -262,15 +263,13 @@ class TrialRecord:
 
 @dataclass(frozen=True, eq=False)
 class _TrialSwarm:
-    """A trial's channel draw, and the swarm's placement, its rates and the
-    best-so-far history on it at the reference power."""
+    """A trial's channel draw, the flat presets of the swarm's placement, and
+    the swarm's best-so-far history at the reference power."""
 
     geom: SurfaceGeometry
     realization: ChannelRealization
-    placement: Placement
+    presets: np.ndarray
     history: tuple[float, ...]
-    reference_dbm: float
-    report: RateReport  # the placement's rates at reference_dbm
 
 
 # while _sweep_worker runs one power-axis trial at its sweep powers: a list
@@ -287,27 +286,17 @@ def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -
     links = trial_links(cfg, channel_rng)
     realization = synthesize_channel(geom, *links, rng=channel_rng, corr=corr)
 
-    reference_dbm = max(cfg.power_sweep_dbm) if cfg.sweep == "power" else cfg.power_dbm
-    power = dbm_to_watts(float(reference_dbm))
-    pso_seed = int(
-        np.random.SeedSequence(cfg.seed, spawn_key=(trial_index, 1)).generate_state(1, np.uint64)[0]
-    )
-    pso_cfg = PsoConfig(
-        n_particles=cfg.n_particles,
-        n_iterations=cfg.n_iterations,
-        w=cfg.w,
-        c1=cfg.c1,
-        c2=cfg.c2,
-        tau=cfg.tau,
-        seed=pso_seed,
-    )
+    power = dbm_to_watts(float(max(cfg.power_sweep_dbm) if cfg.sweep == "power" else cfg.power_dbm))
+    swarm_seq = np.random.SeedSequence(cfg.seed, spawn_key=(trial_index, 1))
+    pso_seed = int(swarm_seq.generate_state(1, np.uint64)[0])
+    # every swarm parameter but the seed is the config's field of the same name
+    swarm_fields = {f.name: getattr(cfg, f.name) for f in fields(PsoConfig) if f.name != "seed"}
+    pso_cfg = PsoConfig(**swarm_fields, seed=pso_seed)
     injected = [star_ris_placement(geom)] if cfg.inject_baseline else None
-    placement, report, history = optimize(
+    placement, _, history = optimize(
         realization, geom, pso_cfg, power, dbm_to_watts(cfg.noise_dbm), initial_placements=injected
     )
-    return _TrialSwarm(
-        geom, realization, placement, _float_tuple(history), float(reference_dbm), report
-    )
+    return _TrialSwarm(geom, realization, placement.presets, _float_tuple(history))
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = None) -> TrialRecord:
@@ -317,7 +306,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
     On the power axis the swarm runs at the highest sweep power: the rates
     are that placement's at cfg.power_dbm, and the history is the swarm's
     own at the highest sweep power. Inside run_sweep the powers of one trial
-    share that swarm; the records are the same either way.
+    share that swarm; the records are the same either way. Every power
+    scores the swarm's presets directly, without another snap.
     """
     share = _power_share.get()
     if share:
@@ -329,10 +319,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
 
     power = dbm_to_watts(float(cfg.power_dbm))
     noise = dbm_to_watts(cfg.noise_dbm)
-    if float(cfg.power_dbm) == swarm.reference_dbm:
-        report = swarm.report
-    else:
-        report = evaluate(swarm.realization, swarm.placement, swarm.geom, power, noise)
+    report = lattice_rates(amplitude_weights(swarm.realization), swarm.presets, power, noise)
     baseline = evaluate_baseline(swarm.realization, swarm.geom, power, noise, cfg.m_hat)
     return TrialRecord(
         trial_index=trial_index,

@@ -4,12 +4,13 @@ A particle encodes one full placement (all M element positions jointly).
 Per-subarea clamping keeps every particle inside its feasible rectangles;
 the minimum-spacing constraint is handled by a large additive penalty plus
 a final repair pass. The equalizing energy split meets the power budget
-exactly, so the budget needs no penalty. The swarm's result is then polished
-by best-response sweeps over the elements on their preset lattices.
+exactly, so the budget needs no penalty.
 
-The swarm, the repair and the polish score lattice indices with
-`rate.lattice_rates`, from the per-preset amplitude weights of their
-realization (`rate.amplitude_weights`).
+After the swarm, a placement is its presets: the swarm's best is snapped
+once, and the repair and the best-response polish work on flat preset
+indices and check the spacing between presets. The swarm, the repair and
+the polish score lattice indices with `rate.lattice_rates`, from the
+per-preset amplitude weights of their realization.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ from .geometry import (
     Placement,
     SurfaceGeometry,
     clamp_to_subareas,
+    clear_presets,
     pair_violation_counts as _pair_violation_counts,  # the swarm's spacing check
+    preset_points,
+    preset_violations,
     snap_to_subarea_presets,
-    spacing_violations,
     subarea_corners,
     subarea_presets,
 )
-from .rate import RateReport, amplitude_weights, evaluate, lattice_rates
+from .rate import RateReport, amplitude_weights, lattice_rates
 
 
 @dataclass(frozen=True)
@@ -75,124 +78,84 @@ def update_velocity(v, pos, p_best, g_best, cfg: PsoConfig, rng: np.random.Gener
 
 
 def _batch_scores(
-    positions: np.ndarray,
-    weights,
-    geom: SurfaceGeometry,
-    power: float,
-    noise_power: float,
-    tau: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(fitness, lattice indices) for a (n, M, 2) batch of placements."""
+    positions: np.ndarray, weights, geom: SurfaceGeometry, power: float, noise_power: float, tau: float
+) -> np.ndarray:
+    """Fitness of a (n, M, 2) batch of placements: the max-min rate at their
+    presets minus tau per pair of positions closer than d_min."""
     idx = snap_to_subarea_presets(positions, geom)
     violations = _pair_violation_counts(positions, geom.d_min)
-    return _scores_at(idx, violations, weights, power, noise_power, tau), idx
-
-
-def _scores_at(
-    idx: np.ndarray,
-    violations,
-    weights,
-    power: float,
-    noise_power: float,
-    tau: float,
-) -> np.ndarray:
-    """Fitness of (n, M) lattice indices whose placements have the given
-    spacing-violation counts: the max-min rate minus tau per violation."""
     return lattice_rates(weights, idx, power, noise_power).effective - tau * violations
 
 
-def _clear_presets(geom: SurfaceGeometry, i: int, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances (K, len(others)) from each preset of element i's
-    subarea, in ascending flat index, to the `others` positions, and the
-    mask of those presets at least d_min from every one of them."""
-    dd = ((subarea_presets(geom)[0][i][:, None, :] - others[None, :, :]) ** 2).sum(axis=-1)
-    return dd, np.all(dd >= geom.d_min**2, axis=1)
-
-
 def repair_spacing(
-    positions: np.ndarray,
-    realization: ChannelRealization,
-    geom: SurfaceGeometry,
-    power: float,
-    noise_power: float,
+    presets: np.ndarray, weights, geom: SurfaceGeometry, power: float, noise_power: float
 ) -> np.ndarray:
-    """Re-place spacing offenders on their subarea lattices, front to back.
+    """Re-place spacing offenders among (M,) flat presets, front to back.
 
-    Element m moves only if it sits closer than d_min to an already-fixed
-    element; it then takes the spacing-feasible preset of its own subarea
-    with the best effective rate (other elements held still), or, if no
-    preset clears the spacing, the preset maximizing the worst pairwise
-    distance. Ties resolve to the smaller flat index.
+    Element m moves only if its preset lies closer than d_min to the preset
+    of an already-fixed element; it then takes the spacing-feasible preset
+    of its own subarea with the best effective rate (other elements held
+    still), or, if no preset clears the spacing, the preset maximizing the
+    worst distance to the fixed ones. Ties resolve to the smaller flat
+    index. `weights` are the realization's `amplitude_weights`.
     """
-    pos = np.asarray(positions, dtype=float).copy()
-    idx = snap_to_subarea_presets(pos, geom)
+    idx = np.array(presets)
     blocks, flats = subarea_presets(geom)
-    weights = amplitude_weights(realization)
     for i in range(1, geom.n_subareas):
-        fixed = pos[:i]
-        if np.all(((pos[i] - fixed) ** 2).sum(axis=-1) >= geom.d_min**2):
+        clear = clear_presets(geom, i, idx[:i])
+        if clear[np.searchsorted(flats[i], idx[i])]:
             continue
-        dd, clear = _clear_presets(geom, i, fixed)
         if clear.any():
             trials = np.repeat(idx[None, :], np.count_nonzero(clear), axis=0)
             trials[:, i] = flats[i][clear]
             rates = lattice_rates(weights, trials, power, noise_power).effective
-            k = np.flatnonzero(clear)[int(np.argmax(rates))]
+            idx[i] = trials[int(np.argmax(rates)), i]
         else:
-            k = int(np.argmax(dd.min(axis=1)))
-        pos[i] = blocks[i][k]
-        idx[i] = flats[i][k]
-    return pos
+            dd = ((blocks[i][:, None, :] - preset_points(geom, idx[:i])) ** 2).sum(axis=-1)
+            idx[i] = flats[i][int(np.argmax(dd.min(axis=1)))]
+    return idx
 
 
 def best_response(
-    positions: np.ndarray,
-    realization: ChannelRealization,
-    geom: SurfaceGeometry,
-    power: float,
-    noise_power: float,
-    cfg: PsoConfig,
+    presets: np.ndarray, weights, geom: SurfaceGeometry, power: float, noise_power: float, cfg: PsoConfig
 ) -> np.ndarray:
-    """Best-response sweeps over the elements, front to back.
+    """Best-response sweeps over the elements of (M,) flat presets, front to back.
 
     Element m, with every other element held still, moves to the preset of
     its own subarea that maximizes the swarm's penalized objective among the
-    presets at least d_min from all other elements; it moves only when that
-    strictly raises the objective, and among equal presets the smaller flat
-    index wins. Sweeps repeat until none moves. This is repair_spacing's step
-    applied to every element, so the objective never decreases and a
-    spacing-feasible start stays feasible.
+    presets at least d_min from the presets of all other elements; it moves
+    only when that strictly raises the objective, and among equal presets
+    the smaller flat index wins. Sweeps repeat until none moves. This is
+    repair_spacing's step applied to every element, so the objective never
+    decreases and a spacing-feasible start stays feasible. `weights` are the
+    realization's `amplitude_weights`.
     """
-    pos = np.asarray(positions, dtype=float).copy()
-    m = geom.n_subareas
-    blocks, flats = subarea_presets(geom)  # ascending flat index
-    weights = amplitude_weights(realization)
-    fit, idx = _batch_scores(pos[None], weights, geom, power, noise_power, cfg.tau)
-    current = float(fit[0])
-    idx = idx[0]
+    idx, m = np.array(presets), geom.n_subareas
+    flats = subarea_presets(geom)[1]  # ascending flat index
+    violations = preset_violations(idx, geom)
+    current = float(lattice_rates(weights, idx, power, noise_power).effective) - cfg.tau * violations
     # elements known to be best responses to the others as they stand; the
     # search ends when all m are, as after a full sweep without a move
-    stable = 0
-    i = 0
+    stable = i = 0
     while stable < m:
-        others = np.delete(pos, i, axis=0)
-        _, clear = _clear_presets(geom, i, others)
+        others = np.delete(idx, i)
+        clear = clear_presets(geom, i, others)
         stable += 1
         if clear.any():
             trials = np.repeat(idx[None, :], np.count_nonzero(clear), axis=0)
             trials[:, i] = flats[i][clear]
             # candidates clear every other element, which leaves the
             # violations among the others
-            held = spacing_violations(Placement(others), geom.d_min)
-            fit = _scores_at(trials, held, weights, power, noise_power, cfg.tau)
+            held = violations and preset_violations(others, geom)
+            fit = lattice_rates(weights, trials, power, noise_power).effective - cfg.tau * held
             top = int(np.argmax(fit))
             if fit[top] > current:
-                pos[i] = blocks[i][clear][top]
                 idx[i] = trials[top, i]
                 current = float(fit[top])
+                violations = held
                 stable = 1
         i = (i + 1) % m
-    return pos
+    return idx
 
 
 def optimize(
@@ -208,11 +171,12 @@ def optimize(
     history[k] is the best fitness seen after k iterations (entry 0 covers
     the initial swarm) and is nondecreasing. The run is fully determined by
     cfg.seed. `initial_placements` overwrite the leading particles, which
-    lower-bounds the result by any injected candidate. If the best placement
-    still violates spacing, a repair pass rebuilds it; best-response sweeps
-    (`best_response`) then polish the placement, and the returned report
-    reflects the final placement. The history is the swarm's own and does
-    not include the polish.
+    lower-bounds the result by any injected candidate. The swarm's best
+    placement is snapped to its presets once; if two of them lie closer
+    than d_min, a repair pass rebuilds it, and best-response sweeps
+    (`best_response`) then polish the presets. The returned placement holds
+    the final presets (coordinates and flat indices), and the report is
+    theirs. The history is the swarm's own and does not include the polish.
     """
     rng = np.random.default_rng(cfg.seed)
     weights = amplitude_weights(realization)
@@ -234,7 +198,7 @@ def optimize(
             vel = update_velocity(velocities, positions, own_pos, best_pos, cfg, rng)
             velocities = np.minimum(np.maximum(vel, v_min), v_max)
             positions = clamp_to_subareas(positions + velocities, geom)
-        fit = _batch_scores(positions, weights, geom, power, noise_power, cfg.tau)[0]
+        fit = _batch_scores(positions, weights, geom, power, noise_power, cfg.tau)
         improved = fit > own_fit
         np.copyto(own_pos, positions, where=improved[:, None, None])
         np.copyto(own_fit, fit, where=improved)
@@ -243,8 +207,9 @@ def optimize(
             best_fit, best_pos = float(fit[leader]), positions[leader].copy()
         history.append(best_fit)
 
-    if spacing_violations(Placement(best_pos), geom.d_min) > 0:
-        best_pos = repair_spacing(best_pos, realization, geom, power, noise_power)
-    placement = Placement(best_response(best_pos, realization, geom, power, noise_power, cfg))
-    report = evaluate(realization, placement, geom, power, noise_power)
-    return placement, report, np.asarray(history)
+    presets = snap_to_subarea_presets(best_pos, geom)
+    if preset_violations(presets, geom):
+        presets = repair_spacing(presets, weights, geom, power, noise_power)
+    presets = best_response(presets, weights, geom, power, noise_power, cfg)
+    placement = Placement(preset_points(geom, presets), presets)
+    return placement, lattice_rates(weights, presets, power, noise_power), np.asarray(history)

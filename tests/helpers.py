@@ -210,9 +210,7 @@ def fitness(
     """Penalized objective of one placement: max-min rate minus
     tau * spacing violations."""
     weights = amplitude_weights(realization)
-    fit, _ = _batch_scores(
-        placement.positions[None, :, :], weights, geom, power, noise_power, cfg.tau
-    )
+    fit = _batch_scores(placement.positions[None, :, :], weights, geom, power, noise_power, cfg.tau)
     return float(fit[0])
 
 

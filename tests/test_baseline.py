@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fires.baseline import evaluate_baseline, star_ris_placement
+from fires.baseline import evaluate_baseline, fixed_surface_presets, star_ris_placement
 from fires.channel import correlation_matrix, synthesize_channel
-from fires.geometry import lattice_points, partition_surface, snap_to_lattice, spacing_violations
+from fires.geometry import lattice_points, partition_surface, spacing_violations
+from fires.harness import ExperimentConfig, geometry_from_config
 from fires.rate import amplitude_weights, evaluate, lattice_rates
 from helpers import WL, brute_force_oracle, default_links
 
@@ -61,8 +62,10 @@ def test_positive_rate_at_default_power(instance):
 def test_mismatched_element_count(instance):
     geom, real = instance
     got = evaluate_baseline(real, geom, P, S2, m_hat=1)
-    # one element at the aperture center, snapped to the nearest global preset
-    idx = snap_to_lattice(np.array([[1.0, 1.0]]), geom)
+    # one element at the aperture center, half-way between lattice columns
+    # (and rows) 2 and 3 of the 6 x 6 lattice: the tie goes to the smaller
+    idx = np.array([2 * geom.lattice_cols + 2])
+    assert np.array_equal(fixed_surface_presets(geom, 1), idx)
     expect = lattice_rates(amplitude_weights(real), idx, P, S2)
     for name in ("effective", "rate_r", "rate_t", "snr_r", "snr_t"):
         assert getattr(got, name) == getattr(expect, name), name
@@ -84,12 +87,44 @@ def test_realization_of_another_geometry_rejected(instance, m_hat):
 
 
 def test_fixed_surface_stacked_on_presets_rejected():
-    geom = partition_surface(2.0, 2.0, 4, WL, n_h=10, n_v=10)  # 20 x 20 lattice
+    geom = partition_surface(2.0, 2.0, 4, WL, n_h=10, n_v=2)  # 20 columns x 4 rows
     corr = correlation_matrix(geom)
     real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(19), corr=corr)
-    # 18 x 18 centers snap to distinct presets, 19 x 19 to only 289
-    assert evaluate_baseline(real, geom, P, S2, m_hat=324).effective > 0
-    with pytest.raises(ValueError, match="361 fixed elements snap to only 289 distinct presets"):
-        evaluate_baseline(real, geom, P, S2, m_hat=361)
+    # 4 x 4 centers sit on distinct rows 0-3; 5 x 5 put rows 1 and 2 on row 1
+    assert evaluate_baseline(real, geom, P, S2, m_hat=16).effective > 0
+    with pytest.raises(ValueError, match="25 fixed elements snap to only 20 distinct presets"):
+        evaluate_baseline(real, geom, P, S2, m_hat=25)
     with pytest.raises(ValueError, match="do not fit"):
         evaluate_baseline(real, geom, P, S2, m_hat=10**12)
+    # 19 x 19 centers lie half-way between the lines of the 20 x 20 lattice,
+    # and the ties to the smaller line keep them on distinct presets
+    square = partition_surface(2.0, 2.0, 4, WL, n_h=10, n_v=10)
+    lines = np.arange(19)
+    assert np.array_equal(fixed_surface_presets(square, 361), (lines[:, None] * 20 + lines).ravel())
+
+
+@pytest.mark.parametrize(
+    "overrides, m_hat, expect",
+    [
+        # one element at the center of the 50 x 50 lattice, half-way between
+        # lines 24 and 25 on both axes
+        pytest.param({"n_h": 25, "n_v": 25}, 1, [24 * 50 + 24], id="50x50-one-element"),
+        # M = 9 on a 30 x 30 lattice: the middle third's center is half-way
+        # between lines 14 and 15
+        pytest.param(
+            {"n_subareas": 9}, 9, [r * 30 + c for r in (5, 14, 24) for c in (5, 14, 24)], id="30x30-M9"
+        ),
+    ],
+)
+def test_fixed_surface_ties_go_to_the_smaller_line_at_every_area(overrides, m_hat, expect):
+    cfg = ExperimentConfig(**overrides, m_hat=m_hat)
+    for area in (1.0, 2.5, 4.0, 16.0):
+        geom = geometry_from_config(cfg, area)
+        assert fixed_surface_presets(geom, m_hat).tolist() == expect, area
+
+
+def test_fixed_surface_presets_built_once_per_geometry(instance):
+    geom, _ = instance
+    presets = fixed_surface_presets(geom, 1)
+    assert fixed_surface_presets(geom, 1) is presets
+    assert not presets.flags.writeable

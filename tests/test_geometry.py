@@ -6,15 +6,19 @@ import pytest
 from fires.geometry import (
     Placement,
     clamp_to_subareas,
+    clear_presets,
     lattice_points,
     pair_violation_counts,
     partition_surface,
     placement_in_subareas,
-    snap_to_lattice,
+    preset_points,
+    preset_violations,
     snap_to_subarea_presets,
     spacing_violations,
     subarea_corners,
+    subarea_presets,
 )
+from fires.harness import ExperimentConfig, geometry_from_config
 from helpers import preset_flat_indices, preset_grid
 
 WL = 0.0856  # ~3.5 GHz carrier
@@ -114,24 +118,28 @@ class TestPresetLattice:
 class TestIndexMapping:
     """Presets are numbered row-major over the whole lattice: the preset in
     1-based column n_h and row n_v of an l_h-wide lattice is number
-    (n_v - 1) * l_h + n_h; the snapping functions return that number - 1."""
+    (n_v - 1) * l_h + n_h; the snapping function returns that number - 1."""
 
     def test_first_element(self):
         geom = square_geom(4, n=3)
         assert preset_flat_indices(geom, 1)[0] == 1
-        assert snap_to_lattice(np.zeros(2), geom) == 0
+        assert snap_to_subarea_presets(np.zeros((4, 2)), geom)[0] == 0
 
     def test_row_major_formula(self):
         geom = partition_surface(2.0, 1.0, 2, WL, n_h=5, n_v=5)  # 10 x 5 lattice
         assert geom.lattice_cols == 10
         column_3_row_2 = (geom.lattice_x()[2], geom.lattice_y()[1])
-        assert snap_to_lattice(np.array(column_3_row_2), geom) + 1 == 13
+        in_subarea_2 = (1.5, 0.5)
+        assert snap_to_subarea_presets(np.array([column_3_row_2, in_subarea_2]), geom)[0] + 1 == 13
         assert np.array_equal(lattice_points(geom)[12], column_3_row_2)
+        assert np.array_equal(preset_points(geom, 12), column_3_row_2)
 
     def test_round_trip_full_lattice(self):
+        # one preset per subarea, so the subarea snap is the global one
         geom = partition_surface(7.0, 5.0, 35, WL, n_h=1, n_v=1)  # 7 x 5 lattice
         assert (geom.lattice_cols, geom.lattice_rows) == (7, 5)
-        assert np.array_equal(snap_to_lattice(lattice_points(geom), geom), np.arange(35))
+        assert np.array_equal(snap_to_subarea_presets(lattice_points(geom), geom), np.arange(35))
+        assert np.array_equal(preset_points(geom, np.arange(35)), lattice_points(geom))
 
 
 class TestProjection:
@@ -243,6 +251,70 @@ class TestSpacing:
         assert counts[0] == m * (m - 1) // 2 and counts[1] == 0
 
 
+# geometries of the usual CLI command set, of the benchmark workloads and of
+# the reference-density acceptance checks: (config overrides, area in m^2)
+SPACING_GEOMETRIES = [
+    pytest.param({}, area, id=f"default-{area or 4:g}m2") for area in (None, 1.0, 16.0)
+] + [
+    pytest.param({"n_subareas": 9, "m_hat": 9}, area, id=f"m9-{area or 4:g}m2")
+    for area in (None, 1.0, 16.0)
+] + [
+    pytest.param({"n_h": 25, "n_v": 25}, None, id="25x25-4m2"),
+    pytest.param({"n_h": 45, "n_v": 45}, None, id="45x45-4m2"),
+    pytest.param({"n_h": 4, "n_v": 4}, 1.0, id="4x4-1m2"),
+] + [
+    pytest.param({"n_h": 100, "n_v": 100}, area, id=f"100x100-{area:g}m2") for area in (1.0, 4.0, 16.0)
+]
+
+
+class TestPresetSpacing:
+    """Spacing between presets is read off a table of blocked lattice
+    offsets; it must decide every pair as the swarm's float distance check
+    does."""
+
+    @pytest.mark.parametrize("overrides, area", SPACING_GEOMETRIES)
+    def test_offset_table_matches_float_distances(self, overrides, area):
+        geom = geometry_from_config(ExperimentConfig(**overrides), area)
+        blocked = geom.blocked_offsets
+        assert np.array_equal(blocked, blocked[::-1, ::-1])
+        r, c = np.array(blocked.shape) // 2
+        pts = lattice_points(geom).reshape(geom.lattice_rows, geom.lattice_cols, 2)
+        rows, cols = pts.shape[:2]
+        ties = 0
+        # every pair at every offset of the window and of the ring around it
+        for dr in range(min(r + 1, rows - 1) + 1):
+            for dc in range(-min(c + 1, cols - 1), min(c + 1, cols - 1) + 1):
+                near = pts[: rows - dr, max(-dc, 0) : cols - max(dc, 0)].reshape(-1, 2)
+                far = pts[dr:, max(dc, 0) : cols + min(dc, 0)].reshape(-1, 2)
+                hit = pair_violation_counts(np.stack([near, far], axis=1), geom.d_min) == 1
+                assert np.all(hit == (dr <= r and abs(dc) <= c and blocked[dr + r, dc + c]))
+                ties += np.count_nonzero(((near - far) ** 2).sum(axis=-1) == geom.d_min * geom.d_min)
+        assert ties == 0  # no preset pair of these geometries sits exactly d_min apart
+
+    def test_presets_exactly_d_min_apart_are_clear(self):
+        # pitch 0.25 and d_min 0.5, both exact in binary
+        geom = partition_surface(1.0, 1.0, 1, WL, n_h=5, n_v=5, d_min=0.5)
+        assert geom.blocked_offsets.tolist() == [[True] * 3] * 3
+        assert preset_violations(np.array([0, 2]), geom) == 0  # two columns apart
+        assert preset_violations(np.array([0, 6]), geom) == 1  # one diagonal step
+        assert clear_presets(geom, 0, np.array([12])).reshape(5, 5)[1:4, 1:4].sum() == 0
+        assert clear_presets(geom, 0, np.array([12])).sum() == 25 - 9
+
+    @pytest.mark.parametrize("d_min", [WL / 2, 0.5, 0.9, 10.0])
+    def test_clear_presets_and_violations_match_float_distances(self, d_min):
+        geom = square_geom(9, n=5, a=3.0, d_min=d_min)
+        coords, flats = subarea_presets(geom)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            idx = flats[np.arange(9), rng.integers(0, 25, size=9)]
+            pts = preset_points(geom, idx)
+            assert preset_violations(idx, geom) == spacing_violations(Placement(pts), d_min)
+            i = int(rng.integers(0, 9))
+            others = np.delete(idx, i)
+            dd = ((coords[i][:, None, :] - pts[np.arange(9) != i]) ** 2).sum(axis=-1)
+            assert np.array_equal(clear_presets(geom, i, others), np.all(dd >= d_min**2, axis=1))
+
+
 class TestSnapping:
     def test_snap_identity_on_lattice(self):
         geom = square_geom(4, n=3)
@@ -279,7 +351,7 @@ class TestSnapping:
         pos = np.array([[0.32, 0.5], [0.5, 0.5], [0.9, 0.5]])
         idx = snap_to_subarea_presets(pos, geom)
         assert idx[0] == 1  # in-block column 1 (x=0.2), not global-nearest x=0.4
-        assert snap_to_lattice(pos[:1], geom)[0] == 2
+        assert np.argmin(np.linalg.norm(lattice_points(geom) - pos[0], axis=1)) == 2
 
     def test_snap_matches_exhaustive_nearest(self):
         geom = square_geom(4, n=4)

@@ -8,10 +8,17 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from fires import harness
-from fires.channel import CorrelationModel, PlaneWaveField, correlation_matrix, plane_wave_field
+from fires import harness, pso, rate
+from fires.baseline import fixed_surface_presets
+from fires.channel import (
+    ChannelRealization,
+    CorrelationModel,
+    PlaneWaveField,
+    correlation_matrix,
+    plane_wave_field,
+)
 from fires.cli import main as cli_main
-from fires.geometry import partition_surface
+from fires.geometry import partition_surface, preset_points, snap_to_subarea_presets
 from fires.harness import (
     ExperimentConfig,
     ResultRecord,
@@ -38,7 +45,7 @@ UNRUNNABLE = [
     ("m_hat", 5),
     ("grid", [3, 3]),
     ("n_subareas", 5),
-    pytest.param("m_hat", {"m_hat": 361, "n_h": 10, "n_v": 10}, id="m_hat-stacked-on-presets"),
+    pytest.param("m_hat", {"m_hat": 25, "n_h": 10, "n_v": 2}, id="m_hat-stacked-on-presets"),
     pytest.param("n_h", {"n_subareas": 1, "m_hat": 1, "n_h": 1}, id="n_h-lattice-1-wide"),
     pytest.param(
         "n_v", {"n_subareas": 4, "grid": [4, 1], "n_v": 1, "a_h": 4.0, "a_v": 1.0}, id="n_v-lattice-1-tall"
@@ -163,15 +170,18 @@ class TestConfig:
             ExperimentConfig(**overrides(field, value))
 
     def test_fixed_surface_on_distinct_presets(self):
-        # on the default 20 x 20 lattice 18 x 18 centers snap to 324 distinct
-        # presets (19 x 19 to only 289, see UNRUNNABLE)
+        # on the default 20 x 20 lattice 18 x 18 and 19 x 19 centers sit on
+        # distinct presets (5 x 5 on 4 lattice rows do not, see UNRUNNABLE)
         assert ExperimentConfig(m_hat=324).m_hat == 324
+        assert ExperimentConfig(m_hat=361).m_hat == 361
         # 7 x 7 centers fall half-way between the presets of an 8 x 8
-        # lattice: distinct at 4 m^2, stacked at 2.5 m^2
-        small = dict(m_hat=49, n_h=4, n_v=4, sweep="area")
-        assert ExperimentConfig(**small, area_sweep_m2=(1.0, 4.0, 16.0)).m_hat == 49
-        with pytest.raises(ValueError, match="distinct presets at 2.5 m"):
-            ExperimentConfig(**small, area_sweep_m2=(4.0, 2.5))
+        # lattice; the ties go to the smaller line at every area
+        small = dict(m_hat=49, n_h=4, n_v=4, sweep="area", area_sweep_m2=(1.0, 4.0, 16.0, 2.5))
+        cfg = ExperimentConfig(**small)
+        lines = np.arange(7)
+        for area in cfg.area_sweep_m2:
+            presets = fixed_surface_presets(geometry_from_config(cfg, area), 49)
+            assert np.array_equal(presets, (lines[:, None] * 8 + lines).ravel())
 
     def test_explicit_grid_that_tiles_loads(self):
         cfg = ExperimentConfig(n_subareas=2, grid=[2, 1], m_hat=2, **FAST)
@@ -225,6 +235,65 @@ class TestTrials:
             warnings.simplefilter("error")  # the dense model would warn here
             rec = run_trial(fine, 0)
         assert rec.fires_rate > 0 and rec.baseline_rate > 0
+
+    def test_final_presets_keep_the_minimum_spacing(self, monkeypatch):
+        # the swarm's best of this trial snaps two elements onto adjacent
+        # presets 0.0345 m apart (d_min is 0.0428 m); the repair must see it
+        results = []
+        plain_optimize = harness.optimize
+
+        def keeping(*args, **kwargs):
+            results.append(plain_optimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "optimize", keeping)
+        cfg = ExperimentConfig(n_subareas=9, m_hat=9, sweep="area")
+        run_trial(cfg, 30, 1.0)
+        geom = geometry_from_config(cfg, 1.0)
+        placement = results[0][0]
+        presets = snap_to_subarea_presets(placement.positions, geom)  # where the rates are read
+        points = preset_points(geom, presets)
+        gaps = np.linalg.norm(points[:, None] - points, axis=-1)
+        assert np.min(gaps[np.triu_indices(9, 1)]) >= geom.d_min
+        # the placement is those presets
+        assert np.array_equal(placement.positions, points)
+        assert np.array_equal(placement.presets, presets)
+
+    def test_ulp_perturbed_channels_keep_placements(self, monkeypatch):
+        # placements must not hinge on rounding: every channel entry times
+        # (1 + k * 2.2e-16), k drawn from -4..4, moves no placement and moves
+        # the rates by at most 1e-9
+        cfg = ExperimentConfig(n_trials=20)
+        presets = []
+        plain_optimize, plain_synthesize = harness.optimize, harness.synthesize_channel
+        rng = np.random.default_rng(5)
+
+        def keeping(*args, **kwargs):
+            result = plain_optimize(*args, **kwargs)
+            presets.append(result[0].presets)
+            return result
+
+        def jitter(h):
+            return h * (1 + rng.integers(-4, 5, size=h.shape) * 2.2e-16)
+
+        def perturbed(*args, **kwargs):
+            real = plain_synthesize(*args, **kwargs)
+            return ChannelRealization(jitter(real.h_f), jitter(real.h_r), jitter(real.h_t))
+
+        monkeypatch.setattr(harness, "optimize", keeping)
+        plain = [run_trial(cfg, t) for t in range(cfg.n_trials)]
+        monkeypatch.setattr(harness, "synthesize_channel", perturbed)
+        moved = [run_trial(cfg, t) for t in range(cfg.n_trials)]
+        half = cfg.n_trials
+        assert [p.tolist() for p in presets[:half]] == [p.tolist() for p in presets[half:]]
+        for a, b in zip(plain, moved):
+            assert b.fires_rate == pytest.approx(a.fires_rate, rel=1e-9, abs=0)
+            assert b.baseline_rate == pytest.approx(a.baseline_rate, rel=1e-9, abs=0)
+
+    def test_trials_share_one_geometry_per_area(self):
+        cfg = ExperimentConfig(sweep="area", **FAST)
+        assert geometry_from_config(cfg, 1.0) is geometry_from_config(replace(cfg, seed=5), 1.0)
+        assert geometry_from_config(cfg, 1.0) is not geometry_from_config(cfg, 4.0)
 
     def test_history_length_and_monotonicity(self):
         cfg = ExperimentConfig(**FAST)
@@ -351,19 +420,24 @@ class TestSweeps:
 
     @pytest.mark.parametrize("axis", harness.SWEEP_AXES)
     def test_swarm_report_reused_at_the_swarm_power(self, axis, monkeypatch):
-        calls = []
-        plain_evaluate = harness.evaluate
+        # the swarm's presets serve every power: optimize snaps its swarm
+        # once per iteration and its best once, and nothing snaps after it
+        snaps = []
+        plain_snap = pso.snap_to_subarea_presets
 
         def counting(*args, **kwargs):
-            calls.append(1)
-            return plain_evaluate(*args, **kwargs)
+            snaps.append(1)
+            return plain_snap(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "evaluate", counting)
+        def refused(*args, **kwargs):
+            raise AssertionError("a placement was snapped outside the swarm")
+
+        monkeypatch.setattr(pso, "snap_to_subarea_presets", counting)
+        monkeypatch.setattr(rate, "snap_to_subarea_presets", refused)
         cfg = ExperimentConfig(sweep=axis, area_sweep_m2=(1.0, 4.0), **FAST)
         run_sweep(cfg)
-        # the swarm's own report serves its power; only lower powers rescore
-        per_trial = len(cfg.power_sweep_dbm) - 1 if axis == "power" else 0
-        assert len(calls) == per_trial * cfg.n_trials
+        swarms = len(cfg.area_sweep_m2) if axis == "area" else 1
+        assert len(snaps) == swarms * cfg.n_trials * (cfg.n_iterations + 2)
 
     def test_iterations_sweep_is_mean_history(self):
         cfg = ExperimentConfig(sweep="iterations", **FAST)

@@ -11,6 +11,8 @@ from fires.geometry import (
     clamp_to_subareas,
     partition_surface,
     placement_in_subareas,
+    preset_points,
+    snap_to_subarea_presets,
     spacing_violations,
     subarea_corners,
 )
@@ -22,10 +24,18 @@ from fires.pso import (
     repair_spacing,
     update_velocity,
 )
-from fires.rate import evaluate
+from fires.rate import amplitude_weights, evaluate
 from helpers import WL, brute_force_oracle, complex_rows, default_links, fitness, preset_grid
 
 P, S2 = 10.0, 1e-12
+
+
+def assert_spaced(placement, geom):
+    """The placement sits on presets, and they are pairwise at least d_min
+    apart."""
+    assert np.array_equal(placement.presets, snap_to_subarea_presets(placement.positions, geom))
+    assert np.array_equal(placement.positions, preset_points(geom, placement.presets))
+    assert spacing_violations(placement, geom.d_min) == 0
 
 
 class OnesRng:
@@ -174,31 +184,35 @@ class TestOptimize:
         assert rep_a.effective == rep_b.effective
         assert len(hist_a) == cfg.n_iterations + 1
         assert np.all(np.diff(hist_a) >= 0)
+        assert_spaced(pl_a, geom)
 
     def test_positions_stay_feasible(self):
         geom, real = tiny_instance(seed=12)
         cfg = PsoConfig(n_particles=15, n_iterations=25, seed=1)
         pl, _, _ = optimize(real, geom, cfg, P, S2)
         assert placement_in_subareas(pl, geom)
+        assert_spaced(pl, geom)
 
     def test_oracle_dominates_pso(self):
         geom, real = tiny_instance(seed=13)
         _, oracle_rate = brute_force_oracle(real, geom, P, S2)
         for seed in range(5):
-            _, report, _ = optimize(
+            pl, report, _ = optimize(
                 real, geom, PsoConfig(n_particles=20, n_iterations=40, seed=seed), P, S2
             )
             assert report.effective <= oracle_rate + 1e-12
+            assert_spaced(pl, geom)
 
     def test_injection_lower_bounds_result(self):
         geom, real = tiny_instance(seed=14)
         anchor = Placement(np.array([[0.5, 1.0], [1.5, 1.0]]))
         anchor_rate = evaluate(real, anchor, geom, P, S2).effective
-        _, report, _ = optimize(
+        pl, report, _ = optimize(
             real, geom, PsoConfig(n_particles=10, n_iterations=5, seed=2), P, S2,
             initial_placements=[anchor],
         )
         assert report.effective >= anchor_rate - 1e-9
+        assert_spaced(pl, geom)
 
     def test_too_many_injections_rejected(self):
         geom, real = tiny_instance()
@@ -220,7 +234,7 @@ class TestOptimize:
             (  # every particle starts infeasible, and the best needs repair
                 1.2, 1,
                 [[0.0, 0.0], [1.2727272727272727, 0.7272727272727273],
-                 [0.2161848697693169, 1.7899098269425158], [1.4545454545454546, 2.0]],
+                 [0.18181818181818182, 1.8181818181818183], [1.4545454545454546, 2.0]],
                 [-1999951.8402464825, -1999951.8402464825, -999952.1769210094,
                  -999952.1769210094, -999952.1769210094, -999952.1769210094],
             ),
@@ -234,29 +248,33 @@ class TestOptimize:
         pl, _, hist = optimize(real, geom, PsoConfig(n_particles=8, n_iterations=5, seed=seed), P, S2)
         assert pl.positions.tolist() == positions
         assert hist.tolist() == history
+        assert_spaced(pl, geom)
 
     def test_spacing_respected_when_feasible_exists(self):
         # d_min = 1.0 rules out most of the space but feasible pairs exist
         geom, real = tiny_instance(seed=15, d_min=1.0)
         cfg = PsoConfig(n_particles=30, n_iterations=40, seed=3, tau=1e6)
         pl, _, _ = optimize(real, geom, cfg, P, S2)
-        assert spacing_violations(pl, geom.d_min) == 0
+        assert_spaced(pl, geom)
 
 
 class TestRepair:
+    # the bad placements below sit on presets: on the 6 x 3 lattice of
+    # tiny_instance, columns at x = 0, 0.4, ..., 2 and rows at y = 0, 1, 2
+
     def test_repair_restores_spacing(self):
         geom, real = tiny_instance(seed=16, d_min=0.9)
-        bad = np.array([[0.8, 1.0], [1.2, 1.0]])  # 0.4 m apart
-        fixed = repair_spacing(bad, real, geom, P, S2)
-        assert spacing_violations(Placement(fixed), geom.d_min) == 0
-        assert np.array_equal(fixed[0], bad[0])  # first element never moves
-        assert placement_in_subareas(Placement(fixed), geom)
+        bad = snap_to_subarea_presets(np.array([[0.8, 1.0], [1.2, 1.0]]), geom)  # 0.4 m apart
+        fixed = repair_spacing(bad, amplitude_weights(real), geom, P, S2)
+        assert spacing_violations(Placement(preset_points(geom, fixed)), geom.d_min) == 0
+        assert fixed[0] == bad[0]  # first element never moves
+        assert np.array_equal(snap_to_subarea_presets(preset_points(geom, fixed), geom), fixed)
 
     def test_repair_picks_best_feasible_preset(self):
         geom, real = tiny_instance(seed=17, d_min=0.9)
         bad = np.array([[0.8, 1.0], [1.2, 1.0]])
-        fixed = repair_spacing(bad, real, geom, P, S2)
-        got = evaluate(real, Placement(fixed), geom, P, S2).effective
+        fixed = repair_spacing(snap_to_subarea_presets(bad, geom), amplitude_weights(real), geom, P, S2)
+        got = evaluate(real, Placement(preset_points(geom, fixed)), geom, P, S2).effective
         best = -1.0
         for cand in preset_grid(geom, 2):
             if math.dist(bad[0], cand) < geom.d_min:
@@ -268,24 +286,26 @@ class TestRepair:
     def test_impossible_spacing_falls_back_to_max_min_distance(self):
         geom, real = tiny_instance(seed=18, d_min=10.0)
         bad = np.array([[0.8, 1.0], [1.2, 1.0]])
-        fixed = repair_spacing(bad, real, geom, P, S2)
+        fixed = repair_spacing(snap_to_subarea_presets(bad, geom), amplitude_weights(real), geom, P, S2)
         # the farthest preset of subarea 2 from the fixed element
         dists = [math.dist(bad[0], c) for c in preset_grid(geom, 2)]
-        assert np.isclose(math.dist(bad[0], fixed[1]), max(dists))
+        assert np.isclose(math.dist(bad[0], preset_points(geom, fixed[1])), max(dists))
 
     def test_crowded_corner_moves_elements_in_turn(self):
         geom, real = quad_instance(40)
         crowded = np.array([[0.95, 0.95], [1.05, 0.95], [0.95, 1.05], [1.05, 1.05]])
-        fixed = repair_spacing(crowded, real, geom, P, S2)
+        presets = snap_to_subarea_presets(crowded, geom)
+        fixed = repair_spacing(presets, amplitude_weights(real), geom, P, S2)
         # each later element moves away from the ones fixed before it
         expect = [
-            [0.95, 0.95],
+            [0.9090909090909092, 0.9090909090909092],
             [2.0, 0.5454545454545454],
             [0.5454545454545454, 1.4545454545454546],
             [1.6363636363636365, 1.0909090909090908],
         ]
-        assert fixed.tolist() == expect
-        assert spacing_violations(Placement(fixed), geom.d_min) == 0
+        assert fixed[0] == presets[0]
+        assert preset_points(geom, fixed).tolist() == expect
+        assert spacing_violations(Placement(preset_points(geom, fixed)), geom.d_min) == 0
 
 
 def quad_instance(seed, d_min=0.5, n=6):
@@ -296,7 +316,8 @@ def quad_instance(seed, d_min=0.5, n=6):
     return geom, real
 
 
-def assert_no_single_move_improves(positions, real, geom, cfg):
+def assert_no_single_move_improves(presets, real, geom, cfg):
+    positions = preset_points(geom, presets)
     final = fitness(Placement(positions), real, geom, P, S2, cfg)
     for i in range(geom.n_subareas):
         for cand in preset_grid(geom, i + 1):
@@ -311,45 +332,49 @@ class TestBestResponse:
     CFG = PsoConfig(n_particles=8, n_iterations=4, seed=5)
 
     def start(self, geom, seed):
-        # random feasible points strictly inside the subareas, off the lattice
+        # the presets of random points inside the subareas, spacing-feasible
         rng = np.random.default_rng(seed)
         lo, hi = subarea_corners(geom)
         while True:
             pos = np.array([rng.uniform(lo[m], hi[m]) for m in range(geom.n_subareas)])
-            if spacing_violations(Placement(pos), geom.d_min) == 0:
-                return pos
+            presets = snap_to_subarea_presets(pos, geom)
+            if spacing_violations(Placement(preset_points(geom, presets)), geom.d_min) == 0:
+                return presets
+
+    def polish(self, presets, real, geom):
+        return best_response(presets, amplitude_weights(real), geom, P, S2, self.CFG)
 
     def test_feasible_and_no_single_move_improves(self):
         for seed in range(3):
             geom, real = quad_instance(seed)
-            polished = best_response(self.start(geom, seed), real, geom, P, S2, self.CFG)
-            assert spacing_violations(Placement(polished), geom.d_min) == 0
+            polished = self.polish(self.start(geom, seed), real, geom)
+            assert spacing_violations(Placement(preset_points(geom, polished)), geom.d_min) == 0
             assert_no_single_move_improves(polished, real, geom, self.CFG)
 
     def test_never_below_the_start(self):
         for seed in range(3):
             geom, real = quad_instance(seed + 10)
             start = self.start(geom, seed)
-            polished = best_response(start, real, geom, P, S2, self.CFG)
-            before = fitness(Placement(start), real, geom, P, S2, self.CFG)
-            after = fitness(Placement(polished), real, geom, P, S2, self.CFG)
+            polished = self.polish(start, real, geom)
+            before = fitness(Placement(preset_points(geom, start)), real, geom, P, S2, self.CFG)
+            after = fitness(Placement(preset_points(geom, polished)), real, geom, P, S2, self.CFG)
             assert after >= before
 
     def test_deterministic(self):
         geom, real = quad_instance(20)
         start = self.start(geom, 20)
-        a = best_response(start, real, geom, P, S2, self.CFG)
-        b = best_response(start, real, geom, P, S2, self.CFG)
+        a = self.polish(start, real, geom)
+        b = self.polish(start, real, geom)
         assert np.array_equal(a, b)
 
     def test_optimize_keeps_the_swarm_history(self, monkeypatch):
         geom, real = quad_instance(30)
         cfg = PsoConfig(n_particles=10, n_iterations=15, seed=7)
         placement, report, history = optimize(real, geom, cfg, P, S2)
-        monkeypatch.setattr(pso, "best_response", lambda pos, *args: pos)
+        monkeypatch.setattr(pso, "best_response", lambda presets, *args: presets)
         _, raw_report, raw_history = optimize(real, geom, cfg, P, S2)
         assert len(history) == cfg.n_iterations + 1
         assert np.array_equal(history, raw_history)
         assert report.effective > raw_report.effective  # the swarm alone stalls here
-        assert spacing_violations(placement, geom.d_min) == 0
-        assert_no_single_move_improves(placement.positions, real, geom, cfg)
+        assert_spaced(placement, geom)
+        assert_no_single_move_improves(placement.presets, real, geom, cfg)
