@@ -11,7 +11,7 @@ from .channel import (
     plane_wave_field,
     synthesize_channel,
 )
-from .geometry import Placement, SurfaceGeometry, partition_surface, spacing_violations
+from .geometry import Placement, SurfaceGeometry, partition_surface
 from .harness import (
     ExperimentConfig,
     ResultRecord,
@@ -23,7 +23,7 @@ from .harness import (
     wavelength,
 )
 from .pso import PsoConfig, best_response, optimize
-from .rate import RateReport, evaluate
+from .rate import RateReport, amplitude_weights, evaluate
 
 __all__ = [
     "ChannelRealization",
@@ -37,6 +37,7 @@ __all__ = [
     "ResultRecord",
     "SurfaceGeometry",
     "TrialRecord",
+    "amplitude_weights",
     "best_response",
     "correlation_matrix",
     "dbm_to_watts",
@@ -48,7 +49,6 @@ __all__ = [
     "plane_wave_field",
     "run_sweep",
     "run_trial",
-    "spacing_violations",
     "star_ris_placement",
     "synthesize_channel",
     "wavelength",

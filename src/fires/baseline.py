@@ -11,9 +11,8 @@ from functools import cache
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .geometry import Placement, SurfaceGeometry, subarea_corners, subarea_grid_shape
-from .rate import RateReport, amplitude_weights, lattice_rates
+from .rate import RateReport, _check_weights, lattice_rates
 
 
 def star_ris_placement(geom: SurfaceGeometry) -> Placement:
@@ -53,17 +52,14 @@ def fixed_surface_presets(geom: SurfaceGeometry, m_hat: int | None = None) -> np
 
 
 def evaluate_baseline(
-    realization: ChannelRealization,
+    weights,
     geom: SurfaceGeometry,
     power: float,
     noise_power: float,
     m_hat: int | None = None,
 ) -> RateReport:
     """Rate report of the fixed surface of m_hat elements on the fluid
-    surface's channel field, at the presets `fixed_surface_presets` gives."""
-    if realization.n_presets != geom.n_presets:
-        raise ValueError(
-            f"realization covers {realization.n_presets} presets, geometry has {geom.n_presets}"
-        )
-    idx = fixed_surface_presets(geom, m_hat)
-    return lattice_rates(amplitude_weights(realization), idx, power, noise_power)
+    surface's channel field, from its `amplitude_weights`, at the presets
+    `fixed_surface_presets` gives."""
+    _check_weights(weights, geom)
+    return lattice_rates(weights, fixed_surface_presets(geom, m_hat), power, noise_power)

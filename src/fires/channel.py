@@ -209,10 +209,6 @@ class ChannelRealization:
     h_r: np.ndarray  # surface to reflect user
     h_t: np.ndarray  # surface to transmit user
 
-    @property
-    def n_presets(self) -> int:
-        return self.h_f.shape[0]
-
 
 def surface_steering(azimuth, elevation, positions, wavelength: float) -> np.ndarray:
     """Plane-wave phase response of the surface at the given positions.

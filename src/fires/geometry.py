@@ -284,11 +284,6 @@ def pair_violation_counts(positions: np.ndarray, d_min: float) -> np.ndarray:
     return ((d2 < d_min * d_min).reshape(m * m, n).sum(axis=0) - m) // 2
 
 
-def spacing_violations(placement: Placement, d_min: float) -> int:
-    """Number of unordered element pairs closer than d_min (strictly)."""
-    return int(pair_violation_counts(placement.positions[None], d_min)[0])
-
-
 def preset_violations(idx: np.ndarray, geom: SurfaceGeometry) -> int:
     """Number of unordered pairs among the (M,) flat presets `idx` closer
     than d_min (strictly), read off `SurfaceGeometry.blocked_offsets`."""

@@ -30,7 +30,6 @@ import numpy as np
 from .baseline import evaluate_baseline, fixed_surface_presets, star_ris_placement
 from .channel import (
     DENSE_MAX_PRESETS,
-    ChannelRealization,
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
@@ -263,11 +262,12 @@ class TrialRecord:
 
 @dataclass(frozen=True, eq=False)
 class _TrialSwarm:
-    """A trial's channel draw, the flat presets of the swarm's placement, and
-    the swarm's best-so-far history at the reference power."""
+    """A trial's channel draw as its `amplitude_weights`, the flat presets of
+    the swarm's placement, and the swarm's best-so-far history at the
+    reference power."""
 
     geom: SurfaceGeometry
-    realization: ChannelRealization
+    weights: tuple[np.ndarray, np.ndarray]
     presets: np.ndarray
     history: tuple[float, ...]
 
@@ -278,13 +278,15 @@ _power_share: ContextVar[list[_TrialSwarm] | None] = ContextVar("power_share", d
 
 
 def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -> _TrialSwarm:
-    """Draw the trial's channel and run the swarm at the reference power: the
-    highest sweep power on the power axis, cfg.power_dbm otherwise."""
+    """Draw the trial's channel, convert it to its `amplitude_weights` (the
+    trial's only conversion), and run the swarm on them at the reference
+    power: the highest sweep power on the power axis, cfg.power_dbm
+    otherwise."""
     geom = geometry_from_config(cfg, area_m2)
     corr = _field_model(geom)
     channel_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(trial_index,)))
     links = trial_links(cfg, channel_rng)
-    realization = synthesize_channel(geom, *links, rng=channel_rng, corr=corr)
+    weights = amplitude_weights(synthesize_channel(geom, *links, rng=channel_rng, corr=corr))
 
     power = dbm_to_watts(float(max(cfg.power_sweep_dbm) if cfg.sweep == "power" else cfg.power_dbm))
     swarm_seq = np.random.SeedSequence(cfg.seed, spawn_key=(trial_index, 1))
@@ -294,9 +296,9 @@ def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -
     pso_cfg = PsoConfig(**swarm_fields, seed=pso_seed)
     injected = [star_ris_placement(geom)] if cfg.inject_baseline else None
     placement, _, history = optimize(
-        realization, geom, pso_cfg, power, dbm_to_watts(cfg.noise_dbm), initial_placements=injected
+        weights, geom, pso_cfg, power, dbm_to_watts(cfg.noise_dbm), initial_placements=injected
     )
-    return _TrialSwarm(geom, realization, placement.presets, _float_tuple(history))
+    return _TrialSwarm(geom, weights, placement.presets, _float_tuple(history))
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = None) -> TrialRecord:
@@ -307,7 +309,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
     are that placement's at cfg.power_dbm, and the history is the swarm's
     own at the highest sweep power. Inside run_sweep the powers of one trial
     share that swarm; the records are the same either way. Every power
-    scores the swarm's presets directly, without another snap.
+    scores the swarm's presets and the fixed surface from the trial's
+    weights, without another snap or conversion.
     """
     share = _power_share.get()
     if share:
@@ -319,8 +322,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
 
     power = dbm_to_watts(float(cfg.power_dbm))
     noise = dbm_to_watts(cfg.noise_dbm)
-    report = lattice_rates(amplitude_weights(swarm.realization), swarm.presets, power, noise)
-    baseline = evaluate_baseline(swarm.realization, swarm.geom, power, noise, cfg.m_hat)
+    report = lattice_rates(swarm.weights, swarm.presets, power, noise)
+    baseline = evaluate_baseline(swarm.weights, swarm.geom, power, noise, cfg.m_hat)
     return TrialRecord(
         trial_index=trial_index,
         fires_rate=float(report.effective),

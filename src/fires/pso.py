@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .geometry import (
     Placement,
     SurfaceGeometry,
@@ -32,7 +31,7 @@ from .geometry import (
     subarea_corners,
     subarea_presets,
 )
-from .rate import RateReport, amplitude_weights, lattice_rates
+from .rate import RateReport, _check_weights, lattice_rates
 
 
 @dataclass(frozen=True)
@@ -122,13 +121,16 @@ def best_response(
     """Best-response sweeps over the elements of (M,) flat presets, front to back.
 
     Element m, with every other element held still, moves to the preset of
-    its own subarea that maximizes the swarm's penalized objective among the
-    presets at least d_min from the presets of all other elements; it moves
-    only when that strictly raises the objective, and among equal presets
-    the smaller flat index wins. Sweeps repeat until none moves. This is
-    repair_spacing's step applied to every element, so the objective never
-    decreases and a spacing-feasible start stays feasible. `weights` are the
-    realization's `amplitude_weights`.
+    its own subarea that maximizes the polish's objective among the presets
+    at least d_min from the presets of all other elements; it moves only
+    when that strictly raises the objective, and among equal presets the
+    smaller flat index wins. The objective is the max-min rate minus tau per
+    pair of presets closer than d_min (`preset_violations`). The swarm's
+    (`_batch_scores`) penalizes pairs of its unsnapped positions closer than
+    d_min instead, so the two can disagree on one placement. Sweeps repeat
+    until none moves. This is repair_spacing's step applied to every
+    element, so the objective never decreases and a spacing-feasible start
+    stays feasible. `weights` are the realization's `amplitude_weights`.
     """
     idx, m = np.array(presets), geom.n_subareas
     flats = subarea_presets(geom)[1]  # ascending flat index
@@ -159,14 +161,15 @@ def best_response(
 
 
 def optimize(
-    realization: ChannelRealization,
+    weights,
     geom: SurfaceGeometry,
     cfg: PsoConfig,
     power: float,
     noise_power: float,
     initial_placements: list[Placement] | None = None,
 ) -> tuple[Placement, RateReport, np.ndarray]:
-    """Run the swarm and return (best placement, its rate report, history).
+    """Run the swarm on a realization's `amplitude_weights` and return (best
+    placement, its rate report, history).
 
     history[k] is the best fitness seen after k iterations (entry 0 covers
     the initial swarm) and is nondecreasing. The run is fully determined by
@@ -178,8 +181,8 @@ def optimize(
     the final presets (coordinates and flat indices), and the report is
     theirs. The history is the swarm's own and does not include the polish.
     """
+    _check_weights(weights, geom)
     rng = np.random.default_rng(cfg.seed)
-    weights = amplitude_weights(realization)
     positions, velocities = init_swarm(geom, cfg, rng)
     if initial_placements:
         if len(initial_placements) > cfg.n_particles:

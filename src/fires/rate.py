@@ -5,7 +5,8 @@ over the elements of |h_f| |h_u|, and the equalizing split fixes the rest.
 `split_and_rates` is that closed form and the one scoring primitive: every
 rate the program reports comes from it, fed the per-preset amplitude
 products of the realization (`amplitude_weights`) gathered at a placement's
-presets by `lattice_rates`.
+presets by `lattice_rates`. Every scorer takes those weights, not the
+realization, so a trial converts its channel once.
 
 `split_and_rates` and `lattice_rates` reduce over the last axis, so they
 accept one placement's (M,) products or indices, or a batch shaped
@@ -94,21 +95,25 @@ def lattice_rates(weights, idx, power, noise_power) -> RateReport:
     return split_and_rates(w_r[idx], w_t[idx], power, noise_power)
 
 
+def _check_weights(weights, geom: SurfaceGeometry) -> None:
+    """Reject `amplitude_weights` drawn on a lattice of another preset count."""
+    if len(weights[0]) != geom.n_presets:
+        raise ValueError(f"weights cover {len(weights[0])} presets, geometry has {geom.n_presets}")
+
+
 def evaluate(
-    realization: ChannelRealization,
+    weights,
     placement: Placement,
     geom: SurfaceGeometry,
     power: float,
     noise_power: float,
 ) -> RateReport:
-    """Max-min rate report of a placement: each element snaps to the nearest
-    preset of its own subarea (ties toward the smaller flat index), and the
-    presets are scored by `lattice_rates`."""
-    if realization.n_presets != geom.n_presets:
-        raise ValueError(
-            f"realization covers {realization.n_presets} presets, geometry has {geom.n_presets}"
-        )
+    """Max-min rate report of a placement from a realization's
+    `amplitude_weights`: each element snaps to the nearest preset of its own
+    subarea (ties toward the smaller flat index), and the presets are scored
+    by `lattice_rates`."""
+    _check_weights(weights, geom)
     if not placement_in_subareas(placement, geom):
         raise ValueError("placement does not match geometry: element outside its subarea")
     idx = snap_to_subarea_presets(placement.positions, geom)
-    return lattice_rates(amplitude_weights(realization), idx, power, noise_power)
+    return lattice_rates(weights, idx, power, noise_power)

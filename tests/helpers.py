@@ -7,17 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from fires.channel import (
-    ChannelRealization,
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
     _complex_pairs,
     _mirror_fold,
     _symmetric_sqrt,
+    synthesize_channel,
 )
 from fires.geometry import Placement, SurfaceGeometry, pair_violation_counts, subarea_presets
 from fires.pso import PsoConfig, _batch_scores
-from fires.rate import RateReport, _equalizing_split, amplitude_weights, lattice_rates, split_and_rates
+from fires.rate import RateReport, _equalizing_split, lattice_rates, split_and_rates
 
 WL = 0.0856  # ~3.5 GHz carrier
 
@@ -46,6 +46,47 @@ class DenseModel:
         white = rng.standard_normal((size, 2, n))
         colored = white.reshape(2 * size, n) @ self.coloring.T
         return _complex_pairs(colored.reshape(size, 2, n))
+
+
+@dataclass(frozen=True, eq=False)
+class BatchedDraws:
+    """A field model that makes `synthesize_channel` draw n channels at once.
+
+    Its `draw(rng, size=3)` is one draw of 3 n fields from the wrapped
+    model, shaped (3, n, L): link k of channel i gets field 3 i + k, as in n
+    calls in a row, since both models read the stream of n draws of `size=1`
+    as one draw of `size=n`. The Rician mix then broadcasts over the n rows.
+    """
+
+    model: CorrelationModel | PlaneWaveField
+    n: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.model.shape
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        fields = self.model.draw(rng, size=size * self.n)
+        return fields.reshape(self.n, size, -1).swapaxes(0, 1)
+
+
+def channel_batches(geom, links, rng, corr, n: int, chunk: int = 10_000):
+    """`synthesize_channel` of n channels in a row, in realizations of up to
+    `chunk` channels each, whose vectors are (chunk, L)."""
+    for start in range(0, n, chunk):
+        yield synthesize_channel(geom, *links, rng=rng, corr=BatchedDraws(corr, min(chunk, n - start)))
+
+
+def mean_link_powers(geom, links, rng, corr, n: int) -> np.ndarray:
+    """Per-preset mean |h|^2 of the f, r and t links over n channels drawn in
+    a row (`channel_batches`), shape (3, L). The sum runs channel by channel,
+    as a loop over n `synthesize_channel` calls adds them."""
+    acc = np.zeros((3, geom.n_presets))
+    for real in channel_batches(geom, links, rng, corr, n):
+        powers = np.abs(np.stack([real.h_f, real.h_r, real.h_t], axis=1)) ** 2
+        # a sum over the leading axis adds its rows in order
+        acc = np.concatenate([acc[None], powers]).sum(axis=0)
+    return acc / n
 
 
 def model_from_matrix(r) -> DenseModel:
@@ -201,28 +242,28 @@ def channel_rates(h_f, h_r, h_t, power, noise_power) -> RateReport:
 
 def fitness(
     placement: Placement,
-    realization: ChannelRealization,
+    weights,
     geom: SurfaceGeometry,
     power: float,
     noise_power: float,
     cfg: PsoConfig,
 ) -> float:
-    """Penalized objective of one placement: max-min rate minus
-    tau * spacing violations."""
-    weights = amplitude_weights(realization)
+    """The swarm's penalized objective of one placement, from a realization's
+    `amplitude_weights`: max-min rate minus tau * spacing violations."""
     fit = _batch_scores(placement.positions[None, :, :], weights, geom, power, noise_power, cfg.tau)
     return float(fit[0])
 
 
 def brute_force_oracle(
-    realization: ChannelRealization,
+    weights,
     geom: SurfaceGeometry,
     power: float,
     noise_power: float,
     cap: int = 1_000_000,
     chunk: int = 8192,
 ) -> tuple[Placement, float]:
-    """Exhaustive max-min rate over one preset per subarea.
+    """Exhaustive max-min rate over one preset per subarea, from a
+    realization's `amplitude_weights`.
 
     Spacing-infeasible combinations are skipped. Ties resolve to the
     lexicographically smallest tuple of flat preset indices. Refuses
@@ -236,7 +277,6 @@ def brute_force_oracle(
     blocks, flats = subarea_presets(geom)  # (M, K, 2), (M, K)
     digits = k ** np.arange(m - 1, -1, -1)  # combo id -> per-subarea digits
 
-    weights = amplitude_weights(realization)
     best_rate = -np.inf
     best_positions = None
     for start in range(0, total, chunk):

@@ -25,9 +25,11 @@ from fires.harness import (
     wavelength,
 )
 from fires.pso import PsoConfig, optimize
+from fires.rate import amplitude_weights
 from helpers import (
     brute_force_oracle,
     channel_rates,
+    mean_link_powers,
     optimal_phases,
     optimal_split,
     sinc_matrix,
@@ -53,11 +55,11 @@ def test_c1_oracle_equivalence():
     corr = correlation_matrix(geom)
     rng = np.random.default_rng(np.random.SeedSequence(ORACLE_INSTANCE_SEED, spawn_key=(0,)))
     links = trial_links(ExperimentConfig(), rng)
-    realization = synthesize_channel(geom, *links, rng=rng, corr=corr)
-    _, oracle_rate = brute_force_oracle(realization, geom, P40, NOISE)
+    weights = amplitude_weights(synthesize_channel(geom, *links, rng=rng, corr=corr))
+    _, oracle_rate = brute_force_oracle(weights, geom, P40, NOISE)
     hits = 0
     for seed in range(20):
-        _, report, _ = optimize(realization, geom, PsoConfig(seed=seed), P40, NOISE)
+        _, report, _ = optimize(weights, geom, PsoConfig(seed=seed), P40, NOISE)
         hits += report.effective >= 0.99 * oracle_rate
     ok = hits >= 19  # 95% of 20 seeds
     assert _verdict(
@@ -133,7 +135,6 @@ def test_c5_convergence_profile():
     )
 
 
-@pytest.mark.slow
 def test_c6_channel_statistics():
     geom = partition_surface(WL, WL, 1, WL, n_h=5, n_v=5)  # L = 25, quarter-wave pitch
     corr = correlation_matrix(geom)
@@ -150,14 +151,7 @@ def test_c6_channel_statistics():
     links = trial_links(cfg, rng)
     l_f = cfg.d_f**-cfg.alpha
     l_u = cfg.d_u**-cfg.alpha
-    acc = np.zeros((3, geom.n_presets))
-    n_draws = 100_000
-    for _ in range(n_draws):
-        real = synthesize_channel(geom, *links, rng=rng, corr=corr)
-        acc[0] += np.abs(real.h_f) ** 2
-        acc[1] += np.abs(real.h_r) ** 2
-        acc[2] += np.abs(real.h_t) ** 2
-    acc /= n_draws
+    acc = mean_link_powers(geom, links, rng, corr, 100_000)
     power_err = max(
         np.max(np.abs(acc[0] / l_f - 1.0)),
         np.max(np.abs(acc[1] / l_u - 1.0)),

@@ -3,7 +3,7 @@ import pytest
 
 from fires.baseline import evaluate_baseline, fixed_surface_presets, star_ris_placement
 from fires.channel import correlation_matrix, synthesize_channel
-from fires.geometry import lattice_points, partition_surface, spacing_violations
+from fires.geometry import lattice_points, pair_violation_counts, partition_surface
 from fires.harness import ExperimentConfig, geometry_from_config
 from fires.rate import amplitude_weights, evaluate, lattice_rates
 from helpers import WL, brute_force_oracle, default_links
@@ -16,7 +16,7 @@ def instance():
     geom = partition_surface(2.0, 2.0, 4, WL, n_h=3, n_v=3)
     corr = correlation_matrix(geom)
     real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(19), corr=corr)
-    return geom, real
+    return geom, amplitude_weights(real)
 
 
 def test_centers_of_two_by_two_tiling(instance):
@@ -24,7 +24,7 @@ def test_centers_of_two_by_two_tiling(instance):
     pl = star_ris_placement(geom)
     expect = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]])
     assert np.allclose(pl.positions, expect)
-    assert spacing_violations(pl, geom.d_min) == 0
+    assert pair_violation_counts(pl.positions[None], geom.d_min)[0] == 0
 
 
 def test_single_element_at_aperture_center():
@@ -40,62 +40,63 @@ def test_placement_is_deterministic(instance):
 
 
 def test_matches_direct_evaluate(instance):
-    geom, real = instance
-    got = evaluate_baseline(real, geom, P, S2)
-    direct = evaluate(real, star_ris_placement(geom), geom, P, S2)
+    geom, w = instance
+    got = evaluate_baseline(w, geom, P, S2)
+    direct = evaluate(w, star_ris_placement(geom), geom, P, S2)
     assert got.effective == direct.effective
 
 
 def test_oracle_dominates_baseline(instance):
-    geom, real = instance
-    base = evaluate_baseline(real, geom, P, S2).effective
-    _, oracle = brute_force_oracle(real, geom, P, S2)
+    geom, w = instance
+    base = evaluate_baseline(w, geom, P, S2).effective
+    _, oracle = brute_force_oracle(w, geom, P, S2)
     assert base <= oracle + 1e-12
 
 
 def test_positive_rate_at_default_power(instance):
-    geom, real = instance
-    report = evaluate_baseline(real, geom, P, S2)
+    geom, w = instance
+    report = evaluate_baseline(w, geom, P, S2)
     assert report.effective > 0
 
 
 def test_mismatched_element_count(instance):
-    geom, real = instance
-    got = evaluate_baseline(real, geom, P, S2, m_hat=1)
+    geom, w = instance
+    got = evaluate_baseline(w, geom, P, S2, m_hat=1)
     # one element at the aperture center, half-way between lattice columns
     # (and rows) 2 and 3 of the 6 x 6 lattice: the tie goes to the smaller
     idx = np.array([2 * geom.lattice_cols + 2])
     assert np.array_equal(fixed_surface_presets(geom, 1), idx)
-    expect = lattice_rates(amplitude_weights(real), idx, P, S2)
+    expect = lattice_rates(w, idx, P, S2)
     for name in ("effective", "rate_r", "rate_t", "snr_r", "snr_t"):
         assert getattr(got, name) == getattr(expect, name), name
     assert lattice_points(geom).shape == (geom.n_presets, 2)
 
 
 def test_bad_config_rejected(instance):
-    geom, real = instance
+    geom, w = instance
     with pytest.raises(ValueError):
-        evaluate_baseline(real, geom, P, S2, m_hat=0)
+        evaluate_baseline(w, geom, P, S2, m_hat=0)
 
 
 @pytest.mark.parametrize("m_hat", [1, 4])
 def test_realization_of_another_geometry_rejected(instance, m_hat):
-    geom, real = instance
+    geom, w = instance
     coarse = partition_surface(2.0, 2.0, 4, WL, n_h=2, n_v=2)
-    with pytest.raises(ValueError, match="realization covers 36 presets, geometry has 16"):
-        evaluate_baseline(real, coarse, P, S2, m_hat)
+    with pytest.raises(ValueError, match="weights cover 36 presets, geometry has 16"):
+        evaluate_baseline(w, coarse, P, S2, m_hat)
 
 
 def test_fixed_surface_stacked_on_presets_rejected():
     geom = partition_surface(2.0, 2.0, 4, WL, n_h=10, n_v=2)  # 20 columns x 4 rows
     corr = correlation_matrix(geom)
     real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(19), corr=corr)
+    w = amplitude_weights(real)
     # 4 x 4 centers sit on distinct rows 0-3; 5 x 5 put rows 1 and 2 on row 1
-    assert evaluate_baseline(real, geom, P, S2, m_hat=16).effective > 0
+    assert evaluate_baseline(w, geom, P, S2, m_hat=16).effective > 0
     with pytest.raises(ValueError, match="25 fixed elements snap to only 20 distinct presets"):
-        evaluate_baseline(real, geom, P, S2, m_hat=25)
+        evaluate_baseline(w, geom, P, S2, m_hat=25)
     with pytest.raises(ValueError, match="do not fit"):
-        evaluate_baseline(real, geom, P, S2, m_hat=10**12)
+        evaluate_baseline(w, geom, P, S2, m_hat=10**12)
     # 19 x 19 centers lie half-way between the lines of the 20 x 20 lattice,
     # and the ties to the smaller line keep them on distinct presets
     square = partition_surface(2.0, 2.0, 4, WL, n_h=10, n_v=10)

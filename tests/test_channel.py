@@ -20,8 +20,10 @@ from fires.rate import amplitude_weights, evaluate, lattice_rates
 from helpers import (
     WL,
     DenseModel,
+    channel_batches,
     default_links,
     dense_coloring,
+    mean_link_powers,
     model_from_matrix,
     offset_covariance,
     preset_flat_indices,
@@ -384,20 +386,23 @@ class TestSynthesis:
             with pytest.raises(ValueError, match="presets"):
                 synthesize_channel(strip, *links, rng=np.random.default_rng(5), corr=model)
 
-    @pytest.mark.slow
-    def test_per_entry_mean_power(self):
-        geom = tiny_geom(n=3, a=WL)  # L = 9 keeps the loop cheap
+    @pytest.mark.parametrize("n", [3, 5])  # L = 9 and 25
+    def test_batched_channels_equal_calls_in_a_row(self, n):
+        geom = tiny_geom(n=n, a=WL)
         corr = correlation_matrix(geom)
         links = default_links()
-        rng = np.random.default_rng(7)
-        acc = np.zeros((3, geom.n_presets))
-        n_draws = 100_000
-        for _ in range(n_draws):
-            real = synthesize_channel(geom, *links, rng=rng, corr=corr)
-            acc[0] += np.abs(real.h_f) ** 2
-            acc[1] += np.abs(real.h_r) ** 2
-            acc[2] += np.abs(real.h_t) ** 2
-        acc /= n_draws
+        batches = list(channel_batches(geom, links, np.random.default_rng(11), corr, 2000, chunk=500))
+        assert [b.h_f.shape for b in batches] == [(500, geom.n_presets)] * 4
+        rng = np.random.default_rng(11)
+        calls = [synthesize_channel(geom, *links, rng=rng, corr=corr) for _ in range(2000)]
+        for name in ("h_f", "h_r", "h_t"):
+            batched = np.concatenate([getattr(b, name) for b in batches])
+            assert np.array_equal(batched, np.stack([getattr(c, name) for c in calls])), name
+
+    def test_per_entry_mean_power(self):
+        geom = tiny_geom(n=3, a=WL)  # L = 9
+        corr = correlation_matrix(geom)
+        acc = mean_link_powers(geom, default_links(), np.random.default_rng(7), corr, 100_000)
         assert np.allclose(acc[0], path_loss(100.0, 2.5), rtol=0.03)
         assert np.allclose(acc[1], path_loss(200.0, 2.5), rtol=0.03)
         assert np.allclose(acc[2], path_loss(200.0, 2.5), rtol=0.03)
@@ -413,10 +418,11 @@ class TestChannelLookup:
         real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(3), corr=corr)
         pos = np.stack([preset_grid(geom, m)[4] for m in range(1, 5)])
         idx = np.array([preset_flat_indices(geom, m)[4] - 1 for m in range(1, 5)])
-        expect = lattice_rates(amplitude_weights(real), idx, 10.0, 1e-12)
+        w = amplitude_weights(real)
+        expect = lattice_rates(w, idx, 10.0, 1e-12)
         pitch = 2.0 / (geom.lattice_cols - 1)
         for shift in (0.0, 0.3 * pitch, -0.3 * pitch):
-            got = evaluate(real, Placement(pos + shift), geom, 10.0, 1e-12)
+            got = evaluate(w, Placement(pos + shift), geom, 10.0, 1e-12)
             for name in ("effective", "rate_r", "rate_t", "snr_r", "snr_t"):
                 assert getattr(got, name) == getattr(expect, name), (shift, name)
 
@@ -424,13 +430,14 @@ class TestChannelLookup:
         geom = partition_surface(2.0, 2.0, 4, WL, n_h=3, n_v=3)
         corr = correlation_matrix(geom)
         real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(3), corr=corr)
+        w = amplitude_weights(real)
         bad = Placement(np.array([[1.7, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]))
         with pytest.raises(ValueError, match="outside its subarea"):
-            evaluate(real, bad, geom, 1.0, 1.0)
+            evaluate(w, bad, geom, 1.0, 1.0)
         small = Placement(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
-            evaluate(real, small, geom, 1.0, 1.0)
+            evaluate(w, small, geom, 1.0, 1.0)
         coarse = partition_surface(2.0, 2.0, 4, WL, n_h=2, n_v=2)
         centers = Placement(np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]))
         with pytest.raises(ValueError, match="presets"):
-            evaluate(real, centers, coarse, 1.0, 1.0)
+            evaluate(w, centers, coarse, 1.0, 1.0)

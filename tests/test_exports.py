@@ -1,9 +1,10 @@
+import ast
 import importlib
 import inspect
 from pathlib import Path
 
 import fires
-from fires import harness
+from fires import baseline, harness, pso
 
 
 def test_every_exported_name_resolves():
@@ -52,3 +53,11 @@ def test_benchmark_hooks_resolve():
         ("trial_index", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
         ("area_m2", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
     ]
+
+
+def test_scorers_import_nothing_from_the_channel_layer():
+    # the swarm and the baseline read amplitude weights, never a realization
+    for module in (pso, baseline):
+        tree = ast.parse(inspect.getsource(module))
+        sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "channel" not in sources, module.__name__

@@ -14,7 +14,6 @@ from fires.geometry import (
     preset_points,
     preset_violations,
     snap_to_subarea_presets,
-    spacing_violations,
     subarea_corners,
     subarea_presets,
 )
@@ -203,15 +202,15 @@ class TestProjection:
 
 class TestSpacing:
     def test_exactly_d_apart_is_feasible(self):
-        pl = Placement(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        assert spacing_violations(pl, 1.0) == 0
+        pos = np.array([[0.0, 0.0], [1.0, 0.0]])
+        assert pair_violation_counts(pos[None], 1.0)[0] == 0
 
     def test_single_close_pair(self):
-        pl = Placement(np.array([[0.0, 0.0], [0.25, 0.0], [5.0, 5.0]]))
-        assert spacing_violations(pl, 0.5) == 1
+        pos = np.array([[0.0, 0.0], [0.25, 0.0], [5.0, 5.0]])
+        assert pair_violation_counts(pos[None], 0.5)[0] == 1
 
     def test_single_element(self):
-        assert spacing_violations(Placement(np.array([[1.0, 1.0]])), 10.0) == 0
+        assert pair_violation_counts(np.array([[[1.0, 1.0]]]), 10.0)[0] == 0
 
     def test_matches_double_loop_and_permutation_symmetric(self):
         rng = np.random.default_rng(6)
@@ -225,9 +224,9 @@ class TestSpacing:
                 for j in range(i + 1, m)
                 if math.dist(pos[i], pos[j]) < d
             )
-            assert spacing_violations(Placement(pos), d) == expect
+            assert pair_violation_counts(pos[None], d)[0] == expect
             perm = rng.permutation(m)
-            assert spacing_violations(Placement(pos[perm]), d) == expect
+            assert pair_violation_counts(pos[perm][None], d)[0] == expect
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_batched_count_matches_pair_loop(self, m):
@@ -308,7 +307,7 @@ class TestPresetSpacing:
         for _ in range(20):
             idx = flats[np.arange(9), rng.integers(0, 25, size=9)]
             pts = preset_points(geom, idx)
-            assert preset_violations(idx, geom) == spacing_violations(Placement(pts), d_min)
+            assert preset_violations(idx, geom) == pair_violation_counts(pts[None], d_min)[0]
             i = int(rng.integers(0, 9))
             others = np.delete(idx, i)
             dd = ((coords[i][:, None, :] - pts[np.arange(9) != i]) ** 2).sum(axis=-1)

@@ -8,7 +8,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from fires import harness, pso, rate
+from fires import baseline, harness, pso, rate
 from fires.baseline import fixed_surface_presets
 from fires.channel import (
     ChannelRealization,
@@ -438,6 +438,31 @@ class TestSweeps:
         run_sweep(cfg)
         swarms = len(cfg.area_sweep_m2) if axis == "area" else 1
         assert len(snaps) == swarms * cfg.n_trials * (cfg.n_iterations + 2)
+
+    @pytest.mark.parametrize(
+        "axis, extra, channels",
+        [
+            ("power", {}, 1),  # five powers share one channel
+            ("area", {"n_subareas": 9, "m_hat": 9}, 3),  # one channel per area
+            ("none", {}, 1),
+        ],
+    )
+    def test_one_weight_conversion_per_channel(self, axis, extra, channels, monkeypatch):
+        # every scorer reads the amplitude weights the trial converted its
+        # channel to; the name is counted in every module that holds it
+        calls = []
+        plain_weights = rate.amplitude_weights
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return plain_weights(*args, **kwargs)
+
+        for module in (harness, pso, rate, baseline):
+            if hasattr(module, "amplitude_weights"):
+                monkeypatch.setattr(module, "amplitude_weights", counting)
+        cfg = ExperimentConfig(**{**FAST, "sweep": axis, **extra})
+        run_sweep(cfg)
+        assert len(calls) == channels * cfg.n_trials
 
     def test_iterations_sweep_is_mean_history(self):
         cfg = ExperimentConfig(sweep="iterations", **FAST)

@@ -9,11 +9,11 @@ from fires.channel import ChannelRealization, correlation_matrix, synthesize_cha
 from fires.geometry import (
     Placement,
     clamp_to_subareas,
+    pair_violation_counts,
     partition_surface,
     placement_in_subareas,
     preset_points,
     snap_to_subarea_presets,
-    spacing_violations,
     subarea_corners,
 )
 from fires.pso import (
@@ -30,12 +30,17 @@ from helpers import WL, brute_force_oracle, complex_rows, default_links, fitness
 P, S2 = 10.0, 1e-12
 
 
+def close_pairs(positions, geom):
+    """Pairs of the (M, 2) positions closer than d_min."""
+    return int(pair_violation_counts(positions[None], geom.d_min)[0])
+
+
 def assert_spaced(placement, geom):
     """The placement sits on presets, and they are pairwise at least d_min
     apart."""
     assert np.array_equal(placement.presets, snap_to_subarea_presets(placement.positions, geom))
     assert np.array_equal(placement.positions, preset_points(geom, placement.presets))
-    assert spacing_violations(placement, geom.d_min) == 0
+    assert close_pairs(placement.positions, geom) == 0
 
 
 class OnesRng:
@@ -49,7 +54,7 @@ def tiny_instance(seed=0, d_min=None):
     geom = partition_surface(2.0, 2.0, 2, WL, n_h=3, n_v=3, grid=(2, 1), d_min=d_min)
     corr = correlation_matrix(geom)
     real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(seed), corr=corr)
-    return geom, real
+    return geom, amplitude_weights(real)
 
 
 class TestUpdates:
@@ -127,19 +132,19 @@ class TestInit:
 
 class TestFitness:
     def test_feasible_placement_fitness_is_effective_rate(self):
-        geom, real = tiny_instance()
+        geom, w = tiny_instance()
         pl = Placement(np.array([[0.5, 1.0], [1.5, 1.0]]))
         cfg = PsoConfig()
-        assert fitness(pl, real, geom, P, S2, cfg) == pytest.approx(
-            evaluate(real, pl, geom, P, S2).effective, abs=0
+        assert fitness(pl, w, geom, P, S2, cfg) == pytest.approx(
+            evaluate(w, pl, geom, P, S2).effective, abs=0
         )
 
     def test_violation_dominates(self):
-        geom, real = tiny_instance(d_min=0.5)
+        geom, w = tiny_instance(d_min=0.5)
         pl = Placement(np.array([[0.9, 1.0], [1.1, 1.0]]))  # 0.2 m apart
         cfg = PsoConfig(tau=1e6)
-        eff = evaluate(real, pl, geom, P, S2).effective
-        assert fitness(pl, real, geom, P, S2, cfg) <= eff - 1e6
+        eff = evaluate(w, pl, geom, P, S2).effective
+        assert fitness(pl, w, geom, P, S2, cfg) <= eff - 1e6
 
 
 class TestOracle:
@@ -147,38 +152,39 @@ class TestOracle:
         geom = partition_surface(1.0, 1.0, 1, WL, n_h=3, n_v=3)
         corr = correlation_matrix(geom)
         real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(3), corr=corr)
-        pl, rate = brute_force_oracle(real, geom, P, S2)
+        w = amplitude_weights(real)
+        pl, rate = brute_force_oracle(w, geom, P, S2)
         rates = [
-            evaluate(real, Placement(preset_grid(geom, 1)[k : k + 1]), geom, P, S2).effective
+            evaluate(w, Placement(preset_grid(geom, 1)[k : k + 1]), geom, P, S2).effective
             for k in range(9)
         ]
         assert np.isclose(rate, max(rates), rtol=1e-12)
 
     def test_matches_exhaustive_reference(self):
-        geom, real = tiny_instance(seed=5)
-        pl, rate = brute_force_oracle(real, geom, P, S2)
+        geom, w = tiny_instance(seed=5)
+        pl, rate = brute_force_oracle(w, geom, P, S2)
         # independent reference: plain double loop over all 81 combos
         best = -1.0
         for a, b in itertools.product(preset_grid(geom, 1), preset_grid(geom, 2)):
             if math.dist(a, b) < geom.d_min:
                 continue
-            cand = evaluate(real, Placement(np.stack([a, b])), geom, P, S2).effective
+            cand = evaluate(w, Placement(np.stack([a, b])), geom, P, S2).effective
             best = max(best, cand)
         assert np.isclose(rate, best, rtol=1e-12)
         assert placement_in_subareas(pl, geom)
 
     def test_cap_enforced(self):
-        geom, real = tiny_instance()
+        geom, w = tiny_instance()
         with pytest.raises(ValueError, match="cap"):
-            brute_force_oracle(real, geom, P, S2, cap=10)
+            brute_force_oracle(w, geom, P, S2, cap=10)
 
 
 class TestOptimize:
     def test_history_nondecreasing_and_deterministic(self):
-        geom, real = tiny_instance(seed=11)
+        geom, w = tiny_instance(seed=11)
         cfg = PsoConfig(n_particles=20, n_iterations=30, seed=4)
-        pl_a, rep_a, hist_a = optimize(real, geom, cfg, P, S2)
-        pl_b, rep_b, hist_b = optimize(real, geom, cfg, P, S2)
+        pl_a, rep_a, hist_a = optimize(w, geom, cfg, P, S2)
+        pl_b, rep_b, hist_b = optimize(w, geom, cfg, P, S2)
         assert np.array_equal(pl_a.positions, pl_b.positions)
         assert np.array_equal(hist_a, hist_b)
         assert rep_a.effective == rep_b.effective
@@ -187,38 +193,38 @@ class TestOptimize:
         assert_spaced(pl_a, geom)
 
     def test_positions_stay_feasible(self):
-        geom, real = tiny_instance(seed=12)
+        geom, w = tiny_instance(seed=12)
         cfg = PsoConfig(n_particles=15, n_iterations=25, seed=1)
-        pl, _, _ = optimize(real, geom, cfg, P, S2)
+        pl, _, _ = optimize(w, geom, cfg, P, S2)
         assert placement_in_subareas(pl, geom)
         assert_spaced(pl, geom)
 
     def test_oracle_dominates_pso(self):
-        geom, real = tiny_instance(seed=13)
-        _, oracle_rate = brute_force_oracle(real, geom, P, S2)
+        geom, w = tiny_instance(seed=13)
+        _, oracle_rate = brute_force_oracle(w, geom, P, S2)
         for seed in range(5):
             pl, report, _ = optimize(
-                real, geom, PsoConfig(n_particles=20, n_iterations=40, seed=seed), P, S2
+                w, geom, PsoConfig(n_particles=20, n_iterations=40, seed=seed), P, S2
             )
             assert report.effective <= oracle_rate + 1e-12
             assert_spaced(pl, geom)
 
     def test_injection_lower_bounds_result(self):
-        geom, real = tiny_instance(seed=14)
+        geom, w = tiny_instance(seed=14)
         anchor = Placement(np.array([[0.5, 1.0], [1.5, 1.0]]))
-        anchor_rate = evaluate(real, anchor, geom, P, S2).effective
+        anchor_rate = evaluate(w, anchor, geom, P, S2).effective
         pl, report, _ = optimize(
-            real, geom, PsoConfig(n_particles=10, n_iterations=5, seed=2), P, S2,
+            w, geom, PsoConfig(n_particles=10, n_iterations=5, seed=2), P, S2,
             initial_placements=[anchor],
         )
         assert report.effective >= anchor_rate - 1e-9
         assert_spaced(pl, geom)
 
     def test_too_many_injections_rejected(self):
-        geom, real = tiny_instance()
+        geom, w = tiny_instance()
         anchors = [Placement(np.array([[0.5, 1.0], [1.5, 1.0]]))] * 3
         with pytest.raises(ValueError):
-            optimize(real, geom, PsoConfig(n_particles=2, n_iterations=1), P, S2,
+            optimize(w, geom, PsoConfig(n_particles=2, n_iterations=1), P, S2,
                      initial_placements=anchors)
 
     @pytest.mark.parametrize(
@@ -245,16 +251,17 @@ class TestOptimize:
         # arithmetic or random stream shows up here
         geom = partition_surface(2.0, 2.0, 4, WL, n_h=6, n_v=6, d_min=d_min)
         real = ChannelRealization(*complex_rows(np.random.default_rng(seed), (3, geom.n_presets)))
-        pl, _, hist = optimize(real, geom, PsoConfig(n_particles=8, n_iterations=5, seed=seed), P, S2)
+        w = amplitude_weights(real)
+        pl, _, hist = optimize(w, geom, PsoConfig(n_particles=8, n_iterations=5, seed=seed), P, S2)
         assert pl.positions.tolist() == positions
         assert hist.tolist() == history
         assert_spaced(pl, geom)
 
     def test_spacing_respected_when_feasible_exists(self):
         # d_min = 1.0 rules out most of the space but feasible pairs exist
-        geom, real = tiny_instance(seed=15, d_min=1.0)
+        geom, w = tiny_instance(seed=15, d_min=1.0)
         cfg = PsoConfig(n_particles=30, n_iterations=40, seed=3, tau=1e6)
-        pl, _, _ = optimize(real, geom, cfg, P, S2)
+        pl, _, _ = optimize(w, geom, cfg, P, S2)
         assert_spaced(pl, geom)
 
 
@@ -263,39 +270,39 @@ class TestRepair:
     # tiny_instance, columns at x = 0, 0.4, ..., 2 and rows at y = 0, 1, 2
 
     def test_repair_restores_spacing(self):
-        geom, real = tiny_instance(seed=16, d_min=0.9)
+        geom, w = tiny_instance(seed=16, d_min=0.9)
         bad = snap_to_subarea_presets(np.array([[0.8, 1.0], [1.2, 1.0]]), geom)  # 0.4 m apart
-        fixed = repair_spacing(bad, amplitude_weights(real), geom, P, S2)
-        assert spacing_violations(Placement(preset_points(geom, fixed)), geom.d_min) == 0
+        fixed = repair_spacing(bad, w, geom, P, S2)
+        assert close_pairs(preset_points(geom, fixed), geom) == 0
         assert fixed[0] == bad[0]  # first element never moves
         assert np.array_equal(snap_to_subarea_presets(preset_points(geom, fixed), geom), fixed)
 
     def test_repair_picks_best_feasible_preset(self):
-        geom, real = tiny_instance(seed=17, d_min=0.9)
+        geom, w = tiny_instance(seed=17, d_min=0.9)
         bad = np.array([[0.8, 1.0], [1.2, 1.0]])
-        fixed = repair_spacing(snap_to_subarea_presets(bad, geom), amplitude_weights(real), geom, P, S2)
-        got = evaluate(real, Placement(preset_points(geom, fixed)), geom, P, S2).effective
+        fixed = repair_spacing(snap_to_subarea_presets(bad, geom), w, geom, P, S2)
+        got = evaluate(w, Placement(preset_points(geom, fixed)), geom, P, S2).effective
         best = -1.0
         for cand in preset_grid(geom, 2):
             if math.dist(bad[0], cand) < geom.d_min:
                 continue
             trial = np.stack([bad[0], cand])
-            best = max(best, evaluate(real, Placement(trial), geom, P, S2).effective)
+            best = max(best, evaluate(w, Placement(trial), geom, P, S2).effective)
         assert np.isclose(got, best, rtol=1e-12)
 
     def test_impossible_spacing_falls_back_to_max_min_distance(self):
-        geom, real = tiny_instance(seed=18, d_min=10.0)
+        geom, w = tiny_instance(seed=18, d_min=10.0)
         bad = np.array([[0.8, 1.0], [1.2, 1.0]])
-        fixed = repair_spacing(snap_to_subarea_presets(bad, geom), amplitude_weights(real), geom, P, S2)
+        fixed = repair_spacing(snap_to_subarea_presets(bad, geom), w, geom, P, S2)
         # the farthest preset of subarea 2 from the fixed element
         dists = [math.dist(bad[0], c) for c in preset_grid(geom, 2)]
         assert np.isclose(math.dist(bad[0], preset_points(geom, fixed[1])), max(dists))
 
     def test_crowded_corner_moves_elements_in_turn(self):
-        geom, real = quad_instance(40)
+        geom, w = quad_instance(40)
         crowded = np.array([[0.95, 0.95], [1.05, 0.95], [0.95, 1.05], [1.05, 1.05]])
         presets = snap_to_subarea_presets(crowded, geom)
-        fixed = repair_spacing(presets, amplitude_weights(real), geom, P, S2)
+        fixed = repair_spacing(presets, w, geom, P, S2)
         # each later element moves away from the ones fixed before it
         expect = [
             [0.9090909090909092, 0.9090909090909092],
@@ -305,7 +312,7 @@ class TestRepair:
         ]
         assert fixed[0] == presets[0]
         assert preset_points(geom, fixed).tolist() == expect
-        assert spacing_violations(Placement(preset_points(geom, fixed)), geom.d_min) == 0
+        assert close_pairs(preset_points(geom, fixed), geom) == 0
 
 
 def quad_instance(seed, d_min=0.5, n=6):
@@ -313,19 +320,19 @@ def quad_instance(seed, d_min=0.5, n=6):
     geom = partition_surface(2.0, 2.0, 4, WL, n_h=n, n_v=n, d_min=d_min)
     corr = correlation_matrix(geom)
     real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(seed), corr=corr)
-    return geom, real
+    return geom, amplitude_weights(real)
 
 
-def assert_no_single_move_improves(presets, real, geom, cfg):
+def assert_no_single_move_improves(presets, w, geom, cfg):
     positions = preset_points(geom, presets)
-    final = fitness(Placement(positions), real, geom, P, S2, cfg)
+    final = fitness(Placement(positions), w, geom, P, S2, cfg)
     for i in range(geom.n_subareas):
         for cand in preset_grid(geom, i + 1):
             moved = positions.copy()
             moved[i] = cand
-            if spacing_violations(Placement(moved), geom.d_min):
+            if close_pairs(moved, geom):
                 continue
-            assert fitness(Placement(moved), real, geom, P, S2, cfg) <= final
+            assert fitness(Placement(moved), w, geom, P, S2, cfg) <= final
 
 
 class TestBestResponse:
@@ -338,43 +345,43 @@ class TestBestResponse:
         while True:
             pos = np.array([rng.uniform(lo[m], hi[m]) for m in range(geom.n_subareas)])
             presets = snap_to_subarea_presets(pos, geom)
-            if spacing_violations(Placement(preset_points(geom, presets)), geom.d_min) == 0:
+            if close_pairs(preset_points(geom, presets), geom) == 0:
                 return presets
 
-    def polish(self, presets, real, geom):
-        return best_response(presets, amplitude_weights(real), geom, P, S2, self.CFG)
+    def polish(self, presets, w, geom):
+        return best_response(presets, w, geom, P, S2, self.CFG)
 
     def test_feasible_and_no_single_move_improves(self):
         for seed in range(3):
-            geom, real = quad_instance(seed)
-            polished = self.polish(self.start(geom, seed), real, geom)
-            assert spacing_violations(Placement(preset_points(geom, polished)), geom.d_min) == 0
-            assert_no_single_move_improves(polished, real, geom, self.CFG)
+            geom, w = quad_instance(seed)
+            polished = self.polish(self.start(geom, seed), w, geom)
+            assert close_pairs(preset_points(geom, polished), geom) == 0
+            assert_no_single_move_improves(polished, w, geom, self.CFG)
 
     def test_never_below_the_start(self):
         for seed in range(3):
-            geom, real = quad_instance(seed + 10)
+            geom, w = quad_instance(seed + 10)
             start = self.start(geom, seed)
-            polished = self.polish(start, real, geom)
-            before = fitness(Placement(preset_points(geom, start)), real, geom, P, S2, self.CFG)
-            after = fitness(Placement(preset_points(geom, polished)), real, geom, P, S2, self.CFG)
+            polished = self.polish(start, w, geom)
+            before = fitness(Placement(preset_points(geom, start)), w, geom, P, S2, self.CFG)
+            after = fitness(Placement(preset_points(geom, polished)), w, geom, P, S2, self.CFG)
             assert after >= before
 
     def test_deterministic(self):
-        geom, real = quad_instance(20)
+        geom, w = quad_instance(20)
         start = self.start(geom, 20)
-        a = self.polish(start, real, geom)
-        b = self.polish(start, real, geom)
+        a = self.polish(start, w, geom)
+        b = self.polish(start, w, geom)
         assert np.array_equal(a, b)
 
     def test_optimize_keeps_the_swarm_history(self, monkeypatch):
-        geom, real = quad_instance(30)
+        geom, w = quad_instance(30)
         cfg = PsoConfig(n_particles=10, n_iterations=15, seed=7)
-        placement, report, history = optimize(real, geom, cfg, P, S2)
+        placement, report, history = optimize(w, geom, cfg, P, S2)
         monkeypatch.setattr(pso, "best_response", lambda presets, *args: presets)
-        _, raw_report, raw_history = optimize(real, geom, cfg, P, S2)
+        _, raw_report, raw_history = optimize(w, geom, cfg, P, S2)
         assert len(history) == cfg.n_iterations + 1
         assert np.array_equal(history, raw_history)
         assert report.effective > raw_report.effective  # the swarm alone stalls here
         assert_spaced(placement, geom)
-        assert_no_single_move_improves(placement.presets, real, geom, cfg)
+        assert_no_single_move_improves(placement.presets, w, geom, cfg)

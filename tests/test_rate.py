@@ -7,9 +7,11 @@ import pytest
 from fires import harness, rate
 from fires.channel import ChannelRealization, correlation_matrix, synthesize_channel
 from fires.geometry import Placement, partition_surface, snap_to_subarea_presets
+from fires.baseline import evaluate_baseline
 from fires.harness import ExperimentConfig, run_sweep
+from fires.pso import PsoConfig, optimize
 from fires.rate import amplitude_weights, evaluate, lattice_rates
-from helpers import WL, channel_rates, default_links, optimal_phases, optimal_split, snr
+from helpers import WL, channel_rates, complex_rows, default_links, optimal_phases, optimal_split, snr
 
 
 def random_channels(rng, m):
@@ -151,13 +153,13 @@ class TestEvaluate:
 
     def test_rates_equalized(self, setup):
         geom, real, placement = setup
-        report = evaluate(real, placement, geom, power=10.0, noise_power=1e-12)
+        report = evaluate(amplitude_weights(real), placement, geom, power=10.0, noise_power=1e-12)
         assert abs(report.rate_r - report.rate_t) < 1e-9
         assert report.effective == min(report.rate_r, report.rate_t)
 
     def test_vanishing_power(self, setup):
         geom, real, placement = setup
-        report = evaluate(real, placement, geom, power=1e-30, noise_power=1e-12)
+        report = evaluate(amplitude_weights(real), placement, geom, power=1e-30, noise_power=1e-12)
         assert report.effective < 1e-6
 
     def test_beats_fixed_half_split(self, setup):
@@ -165,7 +167,7 @@ class TestEvaluate:
         idx = snap_to_subarea_presets(placement.positions, geom)
         h_f, h_r, h_t = real.h_f[idx], real.h_r[idx], real.h_t[idx]
         p, s2 = 10.0, 1e-12
-        report = evaluate(real, placement, geom, p, s2)
+        report = evaluate(amplitude_weights(real), placement, geom, p, s2)
         fixed = min(
             np.log2(1.0 + snr(h_f, h_u, optimal_phases(h_f, h_u), 0.5, p, s2)) for h_u in (h_r, h_t)
         )
@@ -176,7 +178,7 @@ class TestEvaluate:
         idx = snap_to_subarea_presets(placement.positions, geom)
         h_f, h_r, h_t = real.h_f[idx], real.h_r[idx], real.h_t[idx]
         p, s2 = 10.0, 1e-12
-        report = evaluate(real, placement, geom, p, s2)
+        report = evaluate(amplitude_weights(real), placement, geom, p, s2)
         ph_r, ph_t = optimal_phases(h_f, h_r), optimal_phases(h_f, h_t)
         beta_r = optimal_split(snr(h_f, h_r, ph_r, 1.0, p, s2), snr(h_f, h_t, ph_t, 1.0, p, s2))
         assert 0.0 <= beta_r <= 1.0
@@ -227,6 +229,23 @@ class TestLatticeRates:
             for name in ("effective", "rate_r", "rate_t", "snr_r", "snr_t"):
                 assert np.array_equal(getattr(got, name), getattr(expect, name)), name
         assert np.all(got.effective[-15:] == 0.0)
+
+
+@pytest.mark.parametrize("scorer", ["optimize", "evaluate", "evaluate_baseline"])
+def test_every_scorer_rejects_weights_of_another_geometry(scorer):
+    # more weights than presets index without error, so only the check sees them
+    geom = partition_surface(2.0, 2.0, 4, WL, n_h=3, n_v=3)
+    coarse = partition_surface(2.0, 2.0, 4, WL, n_h=2, n_v=2)
+    real = ChannelRealization(*complex_rows(np.random.default_rng(8), (3, geom.n_presets)))
+    w = amplitude_weights(real)
+    centers = Placement(np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]))
+    score = {
+        "optimize": lambda: optimize(w, coarse, PsoConfig(n_particles=2, n_iterations=1), 1.0, 1.0),
+        "evaluate": lambda: evaluate(w, centers, coarse, 1.0, 1.0),
+        "evaluate_baseline": lambda: evaluate_baseline(w, coarse, 1.0, 1.0),
+    }[scorer]
+    with pytest.raises(ValueError, match="^weights cover 36 presets, geometry has 16$"):
+        score()
 
 
 # The benchmark's tracer (perfbench/tracer.py) spans `rate.split_and_rates`
