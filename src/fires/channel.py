@@ -16,9 +16,15 @@ built once per geometry and shared by all links:
   block roots, about L^2 / 4 values (2 L^2 bytes), and never forms an L x L
   array: its build folds the offset table into one block at a time, one
   block row at a time, and roots and frees each block before the next,
-  so it needs the roots plus one block's eigendecomposition, in time
-  growing with L^3 / 16. A draw is two per-axis fold products and four
-  block products, the latter in one batched call.
+  so it needs the roots plus one block's eigendecomposition. A square
+  lattice of equal pitches, as every lattice the harness builds, is also
+  unchanged by swapping its axes; then one block is another with the axes
+  swapped, and two split again into halves of about L / 8 (Fässler and
+  Stiefel 1992), so the build takes one eigendecomposition of about L / 4
+  and four of about L / 8, against four of about L / 4 on other lattices:
+  at L = 2,500 on one core, 0.16-0.22 s against 0.30-0.42 s. A draw is two
+  per-axis fold products and four block products, the latter in one
+  batched call.
 - `plane_wave_field`: a finite sum of plane waves on a wavenumber grid inside
   the visible disk |k| <= 2 pi / wavelength (the Fourier plane-wave model of
   Pizzo, Marzetta and Sanguinetti, IEEE JSAC 2020). Its memory and time grow
@@ -41,9 +47,11 @@ import numpy as np
 from .geometry import SurfaceGeometry, lattice_points
 
 # above this lattice size the dense model's build passes a quarter of a GB: its
-# four block roots hold about 8 L^2 / 4 bytes, and its build adds one block's
-# eigendecomposition, a few arrays of 8 (L / 4)^2 bytes; its
-# eigendecompositions take time in L^3 / 16
+# four block roots hold about 8 L^2 / 4 bytes, and its traced build peak is
+# about 0.334 x 8 L^2 bytes on a square lattice of equal pitches and
+# 0.439 x 8 L^2 on others (measured at L = 2,500), the roots and a few
+# arrays of 8 (L / 4)^2 bytes; its eigendecompositions take time in L^3 / 16,
+# or in 3 L^3 / 128 on a square lattice of equal pitches
 DENSE_MAX_PRESETS = 8000
 # wavenumber grid spacing of the plane-wave model is 2 pi / (q * side) per
 # axis, so the field repeats every q aperture sides. q = 8 keeps the implied
@@ -87,8 +95,13 @@ class CorrelationModel:
     Together they are the symmetric square root of the whole matrix, which
     maps i.i.d. unit-variance draws to draws with the sinc covariance, and
     unlike V sqrt(Λ) it does not depend on which eigenvectors the
-    decomposition picked among (near-)degenerate ones, so draws agree across
-    LAPACK builds.
+    decomposition picked among (near-)degenerate ones. On lattices finer
+    than half a wavelength the blocks have eigenvalues near zero, clamped
+    where rounding makes them negative, so a root is defined only to about
+    sqrt(eps): two LAPACK builds, or two exact splits of the same block
+    (`_mirror_roots` on a square lattice against the four-block path), give
+    roots up to about 4e-9 apart. On coarser lattices they agree to about
+    1e-15.
     """
 
     roots: np.ndarray  # (4, k, k) padded block roots, k = ceil(rows/2) ceil(cols/2)
@@ -167,37 +180,124 @@ def _fold_matrix(n: int) -> np.ndarray:
     return fold
 
 
+# (odd_y, odd_x) of the mirror blocks, in the order of `CorrelationModel.roots`
+_PARITIES = tuple(product((False, True), repeat=2))
+
+
+def _fold_block(r4: np.ndarray, odd_y: bool, odd_x: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """Mirror block (odd_y, odd_x) of the L x L matrix whose
+    (rows, cols, rows, cols) view is `r4`, shape (k_y, k_x, k_y, k_x),
+    written into `out` when it is given (it may be a strided view).
+
+    `r4` is only read, so it may be a strided view. The block is folded one
+    block row at a time: block row i pairs lattice rows i and rows - 1 - i
+    along axis 0, or is the center row alone in the even half of an odd
+    axis, and every entry takes the additions and products of `_mirror_fold`
+    along axes 0, 2, 1 and 3, in that order.
+    """
+    rows, cols = r4.shape[:2]
+    m = rows // 2
+    k_y = m if odd_y else rows - m
+    k_x = cols // 2 if odd_x else cols - cols // 2
+    block = np.empty((k_y, k_x, k_y, k_x)) if out is None else out
+    pair = np.subtract if odd_y else np.add
+    for i in range(k_y):
+        row = r4[m] if i == m else pair(r4[i], r4[rows - 1 - i]) * _SQRT_HALF
+        block[i] = _mirror_fold(_mirror_fold(_mirror_fold(row, 1, odd_y), 0, odd_x), 2, odd_x)
+    return block
+
+
+def _block_root(r4: np.ndarray, odd_y: bool, odd_x: bool) -> np.ndarray:
+    """Symmetric square root of mirror block (odd_y, odd_x) (`_fold_block`)
+    from its clamped eigendecomposition, shape (k_y, k_x, k_y, k_x)."""
+    block = _fold_block(r4, odd_y, odd_x)
+    shape = block.shape
+    eig = np.linalg.eigh(block.reshape(shape[0] * shape[1], -1))
+    del block  # only the eigendecomposition stays alive while it is rooted
+    return _symmetric_sqrt(*eig).reshape(shape)
+
+
+def _swap_butterfly(a: np.ndarray) -> None:
+    """In place over the first two axes of `a`, which index an h x h grid:
+    for every i < j, a[i, j] and a[j, i] become (a[i, j] + a[j, i]) / sqrt(2)
+    and (a[i, j] - a[j, i]) / sqrt(2), the coordinates of the pair in the
+    symmetric and the antisymmetric half of the swap basis. The map is
+    orthogonal and symmetric, so it is its own inverse; `a` may be a strided
+    view."""
+    for i in range(len(a) - 1):
+        upper, lower = a[i, i + 1 :], a[i + 1 :, i]
+        total = upper + lower
+        np.subtract(upper, lower, out=lower)
+        np.multiply(total, _SQRT_HALF, out=upper)
+        lower *= _SQRT_HALF
+
+
+def _swap_block_root(r4: np.ndarray, odd: bool, dest: np.ndarray) -> None:
+    """Writes into `dest`, shape (h, h, h, h), the symmetric square root of
+    mirror block (odd, odd) of a lattice that is unchanged by swapping its
+    axes; `dest` may be a strided view.
+
+    Such a block commutes with the swap, so in the swap basis
+    (`_swap_butterfly`) it splits into its symmetric and antisymmetric
+    halves, of h (h + 1) / 2 and h (h - 1) / 2 rows (Fässler and Stiefel,
+    Group Theoretical Methods and Their Applications, 1992). The block is
+    folded into `dest` and turned into that basis in place; each half gets
+    its own clamped eigendecomposition and square root, written back in
+    place of the half, and the butterfly turns the roots back.
+    """
+    by_columns = np.moveaxis(dest, (2, 3), (0, 1))
+    _fold_block(r4, odd, odd, out=dest)
+    _swap_butterfly(dest)
+    _swap_butterfly(by_columns)
+    # after the butterflies the symmetric half sits on the grid's diagonal and
+    # upper triangle, and the antisymmetric half on its lower triangle
+    h = len(dest)
+    halves = [(i[:, None], j[:, None], i, j) for i, j in (np.triu_indices(h), np.tril_indices(h, -1))]
+    blocks = [dest[half] for half in halves]
+    dest[...] = 0.0  # the halves' couplings, rounding noise
+    for half, block in zip(halves, blocks):
+        dest[half] = _symmetric_sqrt(*np.linalg.eigh(block))
+    _swap_butterfly(dest)
+    _swap_butterfly(by_columns)
+
+
 def _mirror_roots(r4: np.ndarray) -> np.ndarray:
     """Padded mirror-block square roots (as in `CorrelationModel.roots`) of a
     lattice correlation that is unchanged by mirroring either lattice axis.
 
     `r4` is the (rows, cols, rows, cols) view of the L x L matrix; it is only
     read, so it may be a strided view. Each of the four blocks is folded one
-    block row at a time, gets its own clamped eigendecomposition and square
-    root, for about a sixteenth of the work of the whole, and is freed before
-    the next one is folded. A block row i pairs lattice rows i and
-    rows - 1 - i along axis 0, or is the center row alone in the even half of
-    an odd axis; every entry takes the additions and products of
-    `_mirror_fold` along axes 0, 2, 1 and 3, in that order.
+    block row at a time (`_fold_block`), gets its own clamped
+    eigendecomposition and square root, for about a sixteenth of the work of
+    the whole, and is freed before the next one is folded.
+
+    When the offset table equals its transpose (a square lattice of equal
+    pitches), the lattice is also unchanged by swapping its axes. The
+    (odd, even) block is then the (even, odd) one with the lattice axes
+    swapped, so its root is a copy, and the (even, even) and (odd, odd)
+    blocks split into swap halves (`_swap_block_root`): one full-size
+    eigendecomposition and four of about half the size, against four
+    full-size ones. The roots are allocated after the first block's
+    eigendecomposition, the build's largest.
     """
     rows, cols = r4.shape[:2]
-    m = rows // 2
-    half_y, half_x = rows - m, cols - cols // 2
-    padded = np.zeros((4, half_y, half_x, half_y, half_x))
-    for dest, (odd_y, odd_x) in zip(padded, product((False, True), repeat=2)):
-        k_y = m if odd_y else half_y
+    half_y, half_x = rows - rows // 2, cols - cols // 2
+    swap = rows == cols and np.array_equal(r4[0, 0], r4[0, 0].T)
+    padded = None
+    for i in (1, 0, 3) if swap else range(4):
+        odd_y, odd_x = _PARITIES[i]
+        k_y = rows // 2 if odd_y else half_y
         k_x = cols // 2 if odd_x else half_x
-        block = np.empty((k_y, k_x, k_y, k_x))
-        pair = np.subtract if odd_y else np.add
-        for i in range(k_y):
-            row = r4[m] if i == m else pair(r4[i], r4[rows - 1 - i]) * _SQRT_HALF
-            block[i] = _mirror_fold(_mirror_fold(_mirror_fold(row, 1, odd_y), 0, odd_x), 2, odd_x)
-        del row  # only the block stays alive while it is decomposed
-        k = k_y * k_x
-        eig = np.linalg.eigh(block.reshape(k, k))
-        del block
-        dest[:k_y, :k_x, :k_y, :k_x] = _symmetric_sqrt(*eig).reshape(k_y, k_x, k_y, k_x)
-        del eig  # the next block's eigendecomposition peaks the build
+        if swap and odd_y == odd_x:
+            _swap_block_root(r4, odd_y, padded[i, :k_y, :k_x, :k_y, :k_x])
+            continue
+        root = _block_root(r4, odd_y, odd_x)
+        if padded is None:
+            padded = np.zeros((4, half_y, half_x, half_y, half_x))
+        padded[i, :k_y, :k_x, :k_y, :k_x] = root
+        del root  # the next block's eigendecomposition peaks the build
+    if swap:
+        padded[2] = padded[1].transpose(1, 0, 3, 2)
     return padded.reshape(4, half_y * half_x, -1)
 
 
@@ -248,9 +348,9 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
     if n > DENSE_MAX_PRESETS:
         warnings.warn(
             f"dense correlation model for L={n} presets holds about {2 * n**2 / 1e9:.1f} GB "
-            f"of block roots, and its build adds one block's eigendecomposition, a few arrays "
-            f"of about {n**2 / 2e9:.1f} GB each; above {DENSE_MAX_PRESETS} presets use "
-            f"plane_wave_field, as the experiment harness does",
+            f"of block roots, and its build peaks near {2.7 * n**2 / 1e9:.1f} GB on a square "
+            f"lattice of equal pitches and {3.5 * n**2 / 1e9:.1f} GB on others; above "
+            f"{DENSE_MAX_PRESETS} presets use plane_wave_field, as the experiment harness does",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -146,22 +146,30 @@ def dense_coloring(corr: CorrelationModel) -> np.ndarray:
     return root.reshape(rows * cols, rows * cols)
 
 
-def whole_window_mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`channel._mirror_roots` by whole-window folds: each row parity folds all
-    of `r4` along axes 0 and 2, then each column parity along axes 1 and 3,
-    with temporaries near 8 L^2 bytes; the reference the block-at-a-time
-    build is checked against bit for bit. Also returns the four blocks'
-    eigenvalues, sorted ascending and not clamped."""
-    rows, cols = r4.shape[:2]
-    vals, roots = [], []
+def whole_window_blocks(r4: np.ndarray):
+    """The four mirror blocks of `channel._mirror_roots`, in its order, by
+    whole-window folds: each row parity folds all of `r4` along axes 0 and 2,
+    then each column parity along axes 1 and 3, with temporaries near
+    8 L^2 bytes; the reference the block-at-a-time fold is checked against
+    bit for bit. Yields (k_y, k_x, k_y, k_x) arrays."""
     for odd_y in (False, True):
         r_y = _mirror_fold(_mirror_fold(r4, 0, odd_y), 2, odd_y)
         for odd_x in (False, True):
-            block = _mirror_fold(_mirror_fold(r_y, 1, odd_x), 3, odd_x)
-            k = block.shape[0] * block.shape[1]
-            eig = np.linalg.eigh(block.reshape(k, k))
-            vals.append(eig.eigenvalues)
-            roots.append(_symmetric_sqrt(*eig).reshape(block.shape))
+            yield _mirror_fold(_mirror_fold(r_y, 1, odd_x), 3, odd_x)
+
+
+def whole_window_mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`channel._mirror_roots` by the four-block path on whole-window folds
+    (`whole_window_blocks`), each block rooted by its own eigendecomposition.
+    Also returns the four blocks' eigenvalues, sorted ascending and not
+    clamped."""
+    rows, cols = r4.shape[:2]
+    vals, roots = [], []
+    for block in whole_window_blocks(r4):
+        k = block.shape[0] * block.shape[1]
+        eig = np.linalg.eigh(block.reshape(k, k))
+        vals.append(eig.eigenvalues)
+        roots.append(_symmetric_sqrt(*eig).reshape(block.shape))
     half_y, half_x = rows - rows // 2, cols - cols // 2
     padded = np.zeros((4, half_y, half_x, half_y, half_x))
     for dest, root in zip(padded, roots):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fires.channel import (
+    _PARITIES,
     LinkParams,
     PlaneWaveField,
+    _fold_block,
     _sinc_window,
     _symmetric_sqrt,
     correlation_matrix,
@@ -29,6 +31,7 @@ from helpers import (
     preset_flat_indices,
     preset_grid,
     sinc_matrix,
+    whole_window_blocks,
     whole_window_mirror_roots,
 )
 
@@ -150,18 +153,73 @@ BUILD_LATTICES = [
     partition_surface(2.0, 2.0, 1, WL, n_h=49, n_v=49),
     partition_surface(2.0, 2.0, 4, WL, n_h=25, n_v=25),
     *LATTICES[2:],
+    partition_surface(1.5, 1.0, 4, WL, n_h=5, n_v=5, grid=(2, 2)),  # 10 x 10, unequal pitches
 ]
-BUILD_LATTICE_IDS = ["2x2", "6x6", "7x7", "30x30", "49x49", "50x50", *LATTICE_IDS[2:]]
+BUILD_LATTICE_IDS = ["2x2", "6x6", "7x7", "30x30", "49x49", "50x50", *LATTICE_IDS[2:], "10x10-1.5x1"]
+
+
+def pitches(geom):
+    """(row pitch, column pitch) of the lattice, m."""
+    return geom.a_v / (geom.lattice_rows - 1), geom.a_h / (geom.lattice_cols - 1)
+
+
+def swaps_axes(geom):
+    """Whether the lattice is unchanged by swapping its axes: square, with
+    equal pitches."""
+    row_pitch, col_pitch = pitches(geom)
+    return geom.lattice_rows == geom.lattice_cols and row_pitch == col_pitch
+
+
+SWAP_LATTICES = [g for g in BUILD_LATTICES if swaps_axes(g)]
+SWAP_LATTICE_IDS = [i for g, i in zip(BUILD_LATTICES, BUILD_LATTICE_IDS) if swaps_axes(g)]
+
+
+def padded_roots(geom):
+    """`correlation_matrix(geom).roots` as (4, k_y, k_x, k_y, k_x) padded
+    blocks."""
+    rows, cols = geom.lattice_rows, geom.lattice_cols
+    half_y, half_x = rows - rows // 2, cols - cols // 2
+    return correlation_matrix(geom).roots.reshape(4, half_y, half_x, half_y, half_x)
 
 
 class TestBlockAtATimeBuild:
     """Folding each block one block row at a time gives the bits of folding
-    the whole window."""
+    the whole window. Where the lattice is unchanged by swapping its axes,
+    the build roots two of the blocks through their swap halves and copies a
+    third, so it keeps the bits of the folds but not of the roots."""
 
     @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
     def test_same_bits_as_the_whole_window_fold(self, geom):
+        r4 = _sinc_window(geom)
+        for (odd_y, odd_x), block in zip(_PARITIES, whole_window_blocks(r4), strict=True):
+            assert np.array_equal(_fold_block(r4, odd_y, odd_x), block)
+        if not swaps_axes(geom):
+            _, roots = whole_window_mirror_roots(r4)
+            assert np.array_equal(correlation_matrix(geom).roots, roots)
+
+    @pytest.mark.parametrize("geom", SWAP_LATTICES, ids=SWAP_LATTICE_IDS)
+    def test_odd_even_root_is_the_even_odd_root_with_axes_swapped(self, geom):
+        roots = padded_roots(geom)
+        assert np.array_equal(roots[2], roots[1].transpose(1, 0, 3, 2))
+
+    @pytest.mark.parametrize("geom", SWAP_LATTICES, ids=SWAP_LATTICE_IDS)
+    def test_each_root_squared_is_its_folded_block(self, geom):
+        r4, roots = _sinc_window(geom), padded_roots(geom)
+        for (odd_y, odd_x), padded in zip(_PARITIES, roots):
+            block = _fold_block(r4, odd_y, odd_x)
+            k_y, k_x = block.shape[:2]
+            k = k_y * k_x
+            root = padded[:k_y, :k_x, :k_y, :k_x].reshape(k, k)
+            block = block.reshape(k, k)
+            assert np.linalg.norm(root @ root - block) <= 1e-12 * np.linalg.norm(block)
+
+    @pytest.mark.parametrize("geom", SWAP_LATTICES, ids=SWAP_LATTICE_IDS)
+    def test_roots_match_the_four_block_roots(self, geom):
+        # finer than half a wavelength, the blocks' near-zero eigenvalues are
+        # clamped and a root is defined only to about sqrt(eps)
         _, roots = whole_window_mirror_roots(_sinc_window(geom))
-        assert np.array_equal(correlation_matrix(geom).roots, roots)
+        tol = 1e-8 if pitches(geom)[0] < WL / 2 else 1e-13
+        assert np.max(np.abs(correlation_matrix(geom).roots - roots)) <= tol
 
 
 class TestNlosField:
@@ -242,6 +300,12 @@ class TestDenseModelFootprint:
         # eigendecomposition a few sixteenths
         peak, n = self.build_peak(m, n_side)
         assert peak <= 0.65 * 8 * n**2
+
+    def test_dense_lattice_build_peak_below_the_four_block_build(self):
+        # the swap-symmetric build's traced peak is 0.334 x 8 L^2 bytes at
+        # L = 2,500, with 10% headroom; the four-block build's was 0.438
+        peak, n = self.build_peak(4, 25)
+        assert peak <= 0.367 * 8 * n**2
 
 
 def sinc_offset_error(geom, field: PlaneWaveField) -> float:
