@@ -23,7 +23,7 @@ from .harness import (
     wavelength,
 )
 from .pso import PsoConfig, best_response, optimize
-from .rate import RateReport, amplitude_weights, evaluate
+from .rate import RateReport, amplitude_weights
 
 __all__ = [
     "ChannelRealization",
@@ -42,7 +42,6 @@ __all__ = [
     "correlation_matrix",
     "dbm_to_watts",
     "emit_results",
-    "evaluate",
     "evaluate_baseline",
     "optimize",
     "partition_surface",

@@ -12,19 +12,22 @@ built once per geometry and shared by all links:
   symmetric square root. It is exact and is the reference. The lattice is
   mirror-symmetric along both axes, so in the per-axis even/odd basis the
   matrix and its square root split into four blocks of about L / 4 (Cantoni
-  and Butler, Linear Algebra Appl. 1976). The model keeps only the four
-  block roots, about L^2 / 4 values (2 L^2 bytes), and never forms an L x L
-  array: its build folds the offset table into one block at a time, one
-  block row at a time, and roots and frees each block before the next,
-  so it needs the roots plus one block's eigendecomposition. A square
-  lattice of equal pitches, as every lattice the harness builds, is also
-  unchanged by swapping its axes; then one block is another with the axes
-  swapped, and two split again into halves of about L / 8 (Fässler and
-  Stiefel 1992), so the build takes one eigendecomposition of about L / 4
-  and four of about L / 8, against four of about L / 4 on other lattices:
-  at L = 2,500 on one core, 0.16-0.22 s against 0.30-0.42 s. A draw is two
-  per-axis fold products and four block products, the latter in one
-  batched call.
+  and Butler, Linear Algebra Appl. 1976). A square lattice of equal
+  pitches, as every lattice the harness builds, is also unchanged by
+  swapping its axes; then the (odd, even) block is the (even, odd) one with
+  the axes swapped, and the (even, even) and (odd, odd) blocks split again
+  into halves of about L / 8 (Fässler and Stiefel 1992). The model keeps
+  only the roots of these irreducible blocks and never forms an L x L
+  array: one root of about L / 4 rows and four of about L / 8 on a square
+  lattice of equal pitches, about L^2 / 8 values (L^2 bytes), and four of
+  about L / 4 on others, about L^2 / 4 values (2 L^2 bytes). Its build
+  folds the offset table into one block at a time, one block row at a
+  time, and roots and frees each block before the next, so it needs the
+  roots so far plus one block's eigendecomposition: at L = 2,500 on one
+  core, 0.16-0.22 s on the square lattice against 0.30-0.42 s through four
+  blocks. A draw is two per-axis fold products, a gather of every block's
+  coordinates, one product per root, and the transposed gather and fold
+  products back.
 - `plane_wave_field`: a finite sum of plane waves on a wavenumber grid inside
   the visible disk |k| <= 2 pi / wavelength (the Fourier plane-wave model of
   Pizzo, Marzetta and Sanguinetti, IEEE JSAC 2020). Its memory and time grow
@@ -46,12 +49,12 @@ import numpy as np
 
 from .geometry import SurfaceGeometry, lattice_points
 
-# above this lattice size the dense model's build passes a quarter of a GB: its
-# four block roots hold about 8 L^2 / 4 bytes, and its traced build peak is
-# about 0.334 x 8 L^2 bytes on a square lattice of equal pitches and
-# 0.439 x 8 L^2 on others (measured at L = 2,500), the roots and a few
-# arrays of 8 (L / 4)^2 bytes; its eigendecompositions take time in L^3 / 16,
-# or in 3 L^3 / 128 on a square lattice of equal pitches
+# at this lattice size the dense model's roots hold about 64 MB on a square
+# lattice of equal pitches (L^2 bytes) and 128 MB on others (2 L^2 bytes);
+# its traced build peak is about 0.205 x 8 L^2 and 0.380 x 8 L^2 bytes
+# (measured at L = 2,500), the roots so far and one block's
+# eigendecomposition, a few arrays of 8 (L / 4)^2 bytes; its
+# eigendecompositions take time in 3 L^3 / 128 and L^3 / 16
 DENSE_MAX_PRESETS = 8000
 # wavenumber grid spacing of the plane-wave model is 2 pi / (q * side) per
 # axis, so the field repeats every q aperture sides. q = 8 keeps the implied
@@ -83,15 +86,32 @@ class LinkParams:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationModel:
-    """Dense sinc correlation of a lattice, kept as its four mirror-block
-    square roots.
+    """Dense sinc correlation of a lattice, kept as the square roots of its
+    irreducible symmetry blocks.
 
     In the per-axis even/odd mirror basis (`_fold_matrix`) the L x L matrix
-    splits into four blocks, one per pair of row and column parities, in the
-    order (even, even), (even, odd), (odd, even), (odd, odd). `roots[i]` is
-    block i's symmetric square root V sqrt(Λ) V^T from its eigendecomposition
-    V Λ V^T, with negative eigenvalues clamped to zero, padded with zero rows
-    and columns to the size of the (even, even) block where an axis is odd.
+    splits into four blocks, one per pair of row and column parities. On a
+    lattice that is unchanged by swapping its axes (square, of equal
+    pitches) the (odd, even) block is the (even, odd) one with the axes
+    swapped, and the (even, even) and (odd, odd) blocks split further into
+    a swap-symmetric and a swap-antisymmetric half (`_swap_half_roots`).
+
+    The block coordinates of a folded field f, flattened row-major over the
+    (rows, cols) mirror basis, are `_pair_sums(f, *to_blocks)`: each reads
+    two folded positions with two weights. A quadrant coordinate reads its
+    position twice, with weights 1 and 0; an (odd, even) coordinate of a
+    swap-symmetric lattice reads the quadrant with its axes swapped; a
+    swap-half coordinate reads entries (i, j) and (j, i) of a diagonal
+    quadrant, (f[i, j] + f[j, i]) / sqrt(2) or (f[i, j] - f[j, i]) /
+    sqrt(2). The map is orthogonal, and `from_blocks` is its transpose in
+    the same form, since each folded position is read by two coordinates.
+    The coordinates run root by root: `roots[i]` colors `runs[i]`
+    consecutive runs of len(roots[i]) coordinates, two for the (even, odd)
+    root of a swap-symmetric lattice, which also colors the axis-swapped
+    (odd, even) quadrant, and one for every other root.
+
+    Each root is the block's symmetric square root V sqrt(Λ) V^T from its
+    eigendecomposition V Λ V^T, with negative eigenvalues clamped to zero.
     Together they are the symmetric square root of the whole matrix, which
     maps i.i.d. unit-variance draws to draws with the sinc covariance, and
     unlike V sqrt(Λ) it does not depend on which eigenvectors the
@@ -99,12 +119,14 @@ class CorrelationModel:
     than half a wavelength the blocks have eigenvalues near zero, clamped
     where rounding makes them negative, so a root is defined only to about
     sqrt(eps): two LAPACK builds, or two exact splits of the same block
-    (`_mirror_roots` on a square lattice against the four-block path), give
-    roots up to about 4e-9 apart. On coarser lattices they agree to about
-    1e-15.
+    (the swap halves against the whole block), give roots up to about 4e-9
+    apart. On coarser lattices they agree to about 1e-15.
     """
 
-    roots: np.ndarray  # (4, k, k) padded block roots, k = ceil(rows/2) ceil(cols/2)
+    roots: tuple[np.ndarray, ...]  # (k, k) block roots, in coordinate order
+    runs: tuple[int, ...]  # coordinate runs each root colors
+    to_blocks: tuple[np.ndarray, np.ndarray]  # (2, L) folded positions and weights per coordinate
+    from_blocks: tuple[np.ndarray, np.ndarray]  # (2, L) coordinates and weights per folded position
     shape: tuple[int, int]  # (lattice_rows, lattice_cols)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -115,20 +137,32 @@ class CorrelationModel:
         imaginary parts of a circularly symmetric complex white vector with
         unit variance, so `size=n` returns what n draws of `size=1` in a row
         return. Every white field is folded into the mirror basis along both
-        axes, each quadrant is multiplied by its block root, and the result
-        is unfolded back onto the lattice.
+        axes, its block coordinates are read off and multiplied run by run
+        by their roots, and the result is written back and unfolded onto the
+        lattice.
         """
         rows, cols = self.shape
         fold_y, fold_x = _fold_matrix(rows), _fold_matrix(cols)
-        half_y, half_x = len(fold_y) // 2, len(fold_x) // 2
         white = rng.standard_normal((2 * size, rows, cols))
-        folded = fold_y @ (white.reshape(-1, cols) @ fold_x.T).reshape(2 * size, rows, -1)
-        # quadrant (a, b) of the folded fields becomes row block 2 a + b
-        quadrants = folded.reshape(2 * size, 2, half_y, 2, half_x).transpose(1, 3, 0, 2, 4)
-        colored = quadrants.reshape(4, 2 * size, -1) @ self.roots.transpose(0, 2, 1)
-        folded = colored.reshape(2, 2, 2 * size, half_y, half_x).transpose(2, 0, 3, 1, 4)
-        field = (fold_y.T @ folded.reshape(2 * size, 2 * half_y, -1)).reshape(-1, 2 * half_x) @ fold_x
+        folded = fold_y @ (white.reshape(-1, cols) @ fold_x.T).reshape(2 * size, rows, cols)
+        coords = _pair_sums(folded.reshape(2 * size, -1), *self.to_blocks)
+        start = 0
+        for root, runs in zip(self.roots, self.runs):
+            stop = start + runs * len(root)
+            run = coords[:, start:stop].reshape(2 * size * runs, len(root))
+            coords[:, start:stop] = (run @ root.T).reshape(2 * size, -1)
+            start = stop
+        folded = _pair_sums(coords, *self.from_blocks)
+        field = (fold_y.T @ folded.reshape(2 * size, rows, cols)).reshape(-1, cols) @ fold_x
         return _complex_pairs(field.reshape(size, 2, rows * cols))
+
+
+def _pair_sums(x: np.ndarray, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """weights[0] * x[:, positions[0]] + weights[1] * x[:, positions[1]] for
+    an (n, L) array x and (2, L) positions and weights."""
+    both = np.take(x, positions, axis=1)
+    both *= weights
+    return np.add(both[:, 0], both[:, 1])
 
 
 def _complex_pairs(x: np.ndarray) -> np.ndarray:
@@ -170,24 +204,21 @@ def _mirror_fold(a: np.ndarray, axis: int, odd: bool) -> np.ndarray:
 @cache
 def _fold_matrix(n: int) -> np.ndarray:
     """The orthogonal change of basis of `_mirror_fold` along an axis of n:
-    the even half's rows, then the odd half's, which gets one zero row when
-    n is odd so that both halves have ceil(n / 2) rows. Read-only, as the
-    cache shares it."""
+    the even half's rows, then the odd half's. Read-only, as the cache
+    shares it."""
     eye = np.eye(n)
-    even, odd = _mirror_fold(eye, 0, False), _mirror_fold(eye, 0, True)
-    fold = np.concatenate([even, odd, np.zeros((len(even) - len(odd), n))])
+    fold = np.concatenate([_mirror_fold(eye, 0, False), _mirror_fold(eye, 0, True)])
     fold.flags.writeable = False
     return fold
 
 
-# (odd_y, odd_x) of the mirror blocks, in the order of `CorrelationModel.roots`
+# (odd_y, odd_x) of the four mirror blocks, in the order of the four-block build
 _PARITIES = tuple(product((False, True), repeat=2))
 
 
-def _fold_block(r4: np.ndarray, odd_y: bool, odd_x: bool, out: np.ndarray | None = None) -> np.ndarray:
+def _fold_block(r4: np.ndarray, odd_y: bool, odd_x: bool) -> np.ndarray:
     """Mirror block (odd_y, odd_x) of the L x L matrix whose
-    (rows, cols, rows, cols) view is `r4`, shape (k_y, k_x, k_y, k_x),
-    written into `out` when it is given (it may be a strided view).
+    (rows, cols, rows, cols) view is `r4`, shape (k_y, k_x, k_y, k_x).
 
     `r4` is only read, so it may be a strided view. The block is folded one
     block row at a time: block row i pairs lattice rows i and rows - 1 - i
@@ -199,7 +230,7 @@ def _fold_block(r4: np.ndarray, odd_y: bool, odd_x: bool, out: np.ndarray | None
     m = rows // 2
     k_y = m if odd_y else rows - m
     k_x = cols // 2 if odd_x else cols - cols // 2
-    block = np.empty((k_y, k_x, k_y, k_x)) if out is None else out
+    block = np.empty((k_y, k_x, k_y, k_x))
     pair = np.subtract if odd_y else np.add
     for i in range(k_y):
         row = r4[m] if i == m else pair(r4[i], r4[rows - 1 - i]) * _SQRT_HALF
@@ -209,21 +240,20 @@ def _fold_block(r4: np.ndarray, odd_y: bool, odd_x: bool, out: np.ndarray | None
 
 def _block_root(r4: np.ndarray, odd_y: bool, odd_x: bool) -> np.ndarray:
     """Symmetric square root of mirror block (odd_y, odd_x) (`_fold_block`)
-    from its clamped eigendecomposition, shape (k_y, k_x, k_y, k_x)."""
+    from its clamped eigendecomposition, shape (k_y k_x, k_y k_x)."""
     block = _fold_block(r4, odd_y, odd_x)
-    shape = block.shape
-    eig = np.linalg.eigh(block.reshape(shape[0] * shape[1], -1))
+    k = block.shape[0] * block.shape[1]
+    eig = np.linalg.eigh(block.reshape(k, k))
     del block  # only the eigendecomposition stays alive while it is rooted
-    return _symmetric_sqrt(*eig).reshape(shape)
+    return _symmetric_sqrt(*eig)
 
 
 def _swap_butterfly(a: np.ndarray) -> None:
     """In place over the first two axes of `a`, which index an h x h grid:
     for every i < j, a[i, j] and a[j, i] become (a[i, j] + a[j, i]) / sqrt(2)
     and (a[i, j] - a[j, i]) / sqrt(2), the coordinates of the pair in the
-    symmetric and the antisymmetric half of the swap basis. The map is
-    orthogonal and symmetric, so it is its own inverse; `a` may be a strided
-    view."""
+    symmetric and the antisymmetric half of the swap basis. `a` may be a
+    strided view."""
     for i in range(len(a) - 1):
         upper, lower = a[i, i + 1 :], a[i + 1 :, i]
         total = upper + lower
@@ -232,73 +262,82 @@ def _swap_butterfly(a: np.ndarray) -> None:
         lower *= _SQRT_HALF
 
 
-def _swap_block_root(r4: np.ndarray, odd: bool, dest: np.ndarray) -> None:
-    """Writes into `dest`, shape (h, h, h, h), the symmetric square root of
-    mirror block (odd, odd) of a lattice that is unchanged by swapping its
-    axes; `dest` may be a strided view.
+def _swap_half_roots(r4: np.ndarray, odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric square roots of the swap-symmetric and swap-antisymmetric
+    halves of mirror block (odd, odd) of a lattice that is unchanged by
+    swapping its axes, of h (h + 1) / 2 and h (h - 1) / 2 rows for an h x h
+    quadrant.
 
     Such a block commutes with the swap, so in the swap basis
-    (`_swap_butterfly`) it splits into its symmetric and antisymmetric
-    halves, of h (h + 1) / 2 and h (h - 1) / 2 rows (Fässler and Stiefel,
-    Group Theoretical Methods and Their Applications, 1992). The block is
-    folded into `dest` and turned into that basis in place; each half gets
-    its own clamped eigendecomposition and square root, written back in
-    place of the half, and the butterfly turns the roots back.
+    (`_swap_butterfly`) it splits into the two halves (Fässler and Stiefel,
+    Group Theoretical Methods and Their Applications, 1992); their
+    couplings are rounding noise and are dropped. The symmetric half's
+    coordinates are the grid's diagonal and upper triangle, row-major, and
+    the antisymmetric half's its lower triangle, row-major; each half gets
+    its own clamped eigendecomposition.
     """
-    by_columns = np.moveaxis(dest, (2, 3), (0, 1))
-    _fold_block(r4, odd, odd, out=dest)
-    _swap_butterfly(dest)
-    _swap_butterfly(by_columns)
-    # after the butterflies the symmetric half sits on the grid's diagonal and
-    # upper triangle, and the antisymmetric half on its lower triangle
-    h = len(dest)
-    halves = [(i[:, None], j[:, None], i, j) for i, j in (np.triu_indices(h), np.tril_indices(h, -1))]
-    blocks = [dest[half] for half in halves]
-    dest[...] = 0.0  # the halves' couplings, rounding noise
-    for half, block in zip(halves, blocks):
-        dest[half] = _symmetric_sqrt(*np.linalg.eigh(block))
-    _swap_butterfly(dest)
-    _swap_butterfly(by_columns)
+    block = _fold_block(r4, odd, odd)
+    _swap_butterfly(block)
+    _swap_butterfly(np.moveaxis(block, (2, 3), (0, 1)))
+    h = len(block)
+    halves = [block[i[:, None], j[:, None], i, j] for i, j in (np.triu_indices(h), np.tril_indices(h, -1))]
+    del block
+    return tuple(_symmetric_sqrt(*np.linalg.eigh(half)) for half in halves)
 
 
-def _mirror_roots(r4: np.ndarray) -> np.ndarray:
-    """Padded mirror-block square roots (as in `CorrelationModel.roots`) of a
-    lattice correlation that is unchanged by mirroring either lattice axis.
+def _mirror_roots(r4: np.ndarray, swap: bool) -> tuple[np.ndarray, ...]:
+    """`CorrelationModel.roots` of a lattice correlation that is unchanged
+    by mirroring either lattice axis, and also by swapping them when `swap`.
 
     `r4` is the (rows, cols, rows, cols) view of the L x L matrix; it is only
-    read, so it may be a strided view. Each of the four blocks is folded one
-    block row at a time (`_fold_block`), gets its own clamped
-    eigendecomposition and square root, for about a sixteenth of the work of
-    the whole, and is freed before the next one is folded.
-
-    When the offset table equals its transpose (a square lattice of equal
-    pitches), the lattice is also unchanged by swapping its axes. The
-    (odd, even) block is then the (even, odd) one with the lattice axes
-    swapped, so its root is a copy, and the (even, even) and (odd, odd)
-    blocks split into swap halves (`_swap_block_root`): one full-size
-    eigendecomposition and four of about half the size, against four
-    full-size ones. The roots are allocated after the first block's
-    eigendecomposition, the build's largest.
+    read, so it may be a strided view. Each block is folded one block row at
+    a time (`_fold_block`), gets its own clamped eigendecomposition and
+    square root, and is freed before the next one is folded, so the build
+    holds the roots so far plus one block's eigendecomposition. Without
+    `swap` the four mirror blocks are rooted in the order of `_PARITIES`,
+    for about a sixteenth of the work of the whole each. With it the
+    (even, odd) block is rooted first, the build's largest
+    eigendecomposition, and then the swap halves of the (even, even) and
+    (odd, odd) blocks (`_swap_half_roots`).
     """
-    rows, cols = r4.shape[:2]
-    half_y, half_x = rows - rows // 2, cols - cols // 2
-    swap = rows == cols and np.array_equal(r4[0, 0], r4[0, 0].T)
-    padded = None
-    for i in (1, 0, 3) if swap else range(4):
-        odd_y, odd_x = _PARITIES[i]
-        k_y = rows // 2 if odd_y else half_y
-        k_x = cols // 2 if odd_x else half_x
-        if swap and odd_y == odd_x:
-            _swap_block_root(r4, odd_y, padded[i, :k_y, :k_x, :k_y, :k_x])
-            continue
-        root = _block_root(r4, odd_y, odd_x)
-        if padded is None:
-            padded = np.zeros((4, half_y, half_x, half_y, half_x))
-        padded[i, :k_y, :k_x, :k_y, :k_x] = root
-        del root  # the next block's eigendecomposition peaks the build
     if swap:
-        padded[2] = padded[1].transpose(1, 0, 3, 2)
-    return padded.reshape(4, half_y * half_x, -1)
+        return (_block_root(r4, False, True), *_swap_half_roots(r4, False), *_swap_half_roots(r4, True))
+    return tuple(_block_root(r4, odd_y, odd_x) for odd_y, odd_x in _PARITIES)
+
+
+def _block_maps(rows: int, cols: int, swap: bool) -> tuple[tuple[int, ...], tuple, tuple]:
+    """`CorrelationModel.runs`, `to_blocks` and `from_blocks` of the roots
+    that `_mirror_roots` builds for a rows x cols lattice.
+
+    A quadrant coordinate, and a swap half's coordinate on the grid's
+    diagonal, reads its position twice, with weights 1 and 0. Any other
+    swap-half coordinate, of grid entry (i, j), reads (i, j) and (j, i) with
+    weights 1 / sqrt(2) and +-1 / sqrt(2), the sign being that of the second
+    position's flat offset from the first: plus on the upper triangle,
+    minus on the lower, where it is the butterfly's coordinate with its
+    sign flipped; flipping the sign of a whole half leaves its root
+    unchanged.
+    """
+    half_y, half_x = rows - rows // 2, cols - cols // 2
+    grid = np.arange(rows * cols).reshape(rows, cols)
+    ys, xs = (slice(half_y), slice(half_y, None)), (slice(half_x), slice(half_x, None))
+    quadrants = [grid[ys[odd_y], xs[odd_x]] for odd_y, odd_x in _PARITIES]
+    if swap:
+        even, even_odd, odd_even, odd = quadrants
+        runs = (2, 1, 1, 1, 1)
+        pairs = [(even_odd, even_odd), (odd_even.T, odd_even.T)]
+        for q in (even, odd):
+            pairs += [(q[i, j], q[j, i]) for i, j in (np.triu_indices(len(q)), np.tril_indices(len(q), -1))]
+    else:
+        runs = (1, 1, 1, 1)
+        pairs = [(q, q) for q in quadrants]
+    reads = np.array([np.concatenate([pair[k].ravel() for pair in pairs]) for k in (0, 1)])
+    sign = np.sign(reads[1] - reads[0])
+    weights = np.array([np.where(sign == 0, 1.0, _SQRT_HALF), sign * _SQRT_HALF])
+    # each row of `reads` is a permutation; its inverse names the coordinate
+    # that reads each position through that row
+    writes = np.argsort(reads, axis=1)
+    return runs, (reads, weights), (writes, np.take_along_axis(weights, writes, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,14 +386,26 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
     n = geom.n_presets
     if n > DENSE_MAX_PRESETS:
         warnings.warn(
-            f"dense correlation model for L={n} presets holds about {2 * n**2 / 1e9:.1f} GB "
-            f"of block roots, and its build peaks near {2.7 * n**2 / 1e9:.1f} GB on a square "
-            f"lattice of equal pitches and {3.5 * n**2 / 1e9:.1f} GB on others; above "
-            f"{DENSE_MAX_PRESETS} presets use plane_wave_field, as the experiment harness does",
+            f"dense correlation model for L={n} presets holds about {n**2 / 1e9:.1f} GB of "
+            f"block roots on a square lattice of equal pitches and {2 * n**2 / 1e9:.1f} GB on "
+            f"others, and its build peaks near {1.6 * n**2 / 1e9:.1f} and {3.0 * n**2 / 1e9:.1f} "
+            f"GB; above {DENSE_MAX_PRESETS} presets use plane_wave_field, as the experiment "
+            "harness does",
             RuntimeWarning,
             stacklevel=2,
         )
-    return CorrelationModel(roots=_mirror_roots(_sinc_window(geom)), shape=(l_v, l_h))
+    r4 = _sinc_window(geom)
+    # the offset table is even in both offsets; a square one that equals its
+    # transpose is also unchanged by swapping the lattice axes
+    swap = l_h == l_v and np.array_equal(r4[0, 0], r4[0, 0].T)
+    runs, to_blocks, from_blocks = _block_maps(l_v, l_h, swap)
+    return CorrelationModel(
+        roots=_mirror_roots(r4, swap),
+        runs=runs,
+        to_blocks=to_blocks,
+        from_blocks=from_blocks,
+        shape=(l_v, l_h),
+    )
 
 
 def _sinc_window(geom: SurfaceGeometry) -> np.ndarray:

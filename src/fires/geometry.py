@@ -18,9 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-# how far (m) outside its subarea an element may sit and still count as inside
-_SUBAREA_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SurfaceGeometry:
@@ -256,16 +253,6 @@ def clamp_to_subareas(positions: np.ndarray, geom: SurfaceGeometry) -> np.ndarra
             f"expected {geom.n_subareas} element positions, got {positions.shape[-2]}"
         )
     return np.minimum(np.maximum(positions, lo), hi)
-
-
-def placement_in_subareas(placement: Placement, geom: SurfaceGeometry) -> bool:
-    """True when every element lies inside its own subarea, up to
-    `_SUBAREA_TOL` meters."""
-    if len(placement.positions) != geom.n_subareas:
-        return False
-    lo, hi = subarea_corners(geom)
-    pos = placement.positions
-    return bool(np.all(pos >= lo - _SUBAREA_TOL) and np.all(pos <= hi + _SUBAREA_TOL))
 
 
 def pair_violation_counts(positions: np.ndarray, d_min: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .geometry import Placement, SurfaceGeometry, placement_in_subareas, snap_to_subarea_presets
+from .geometry import SurfaceGeometry
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,21 +99,3 @@ def _check_weights(weights, geom: SurfaceGeometry) -> None:
     """Reject `amplitude_weights` drawn on a lattice of another preset count."""
     if len(weights[0]) != geom.n_presets:
         raise ValueError(f"weights cover {len(weights[0])} presets, geometry has {geom.n_presets}")
-
-
-def evaluate(
-    weights,
-    placement: Placement,
-    geom: SurfaceGeometry,
-    power: float,
-    noise_power: float,
-) -> RateReport:
-    """Max-min rate report of a placement from a realization's
-    `amplitude_weights`: each element snaps to the nearest preset of its own
-    subarea (ties toward the smaller flat index), and the presets are scored
-    by `lattice_rates`."""
-    _check_weights(weights, geom)
-    if not placement_in_subareas(placement, geom):
-        raise ValueError("placement does not match geometry: element outside its subarea")
-    idx = snap_to_subarea_presets(placement.positions, geom)
-    return lattice_rates(weights, idx, power, noise_power)

@@ -7,17 +7,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from fires.channel import (
+    _PARITIES,
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
     _complex_pairs,
+    _fold_matrix,
     _mirror_fold,
     _symmetric_sqrt,
     synthesize_channel,
 )
-from fires.geometry import Placement, SurfaceGeometry, pair_violation_counts, subarea_presets
+from fires.geometry import (
+    Placement,
+    SurfaceGeometry,
+    pair_violation_counts,
+    snap_to_subarea_presets,
+    subarea_corners,
+    subarea_presets,
+)
 from fires.pso import PsoConfig, _batch_scores
-from fires.rate import RateReport, _equalizing_split, lattice_rates, split_and_rates
+from fires.rate import (
+    RateReport,
+    _check_weights,
+    _equalizing_split,
+    lattice_rates,
+    split_and_rates,
+)
 
 WL = 0.0856  # ~3.5 GHz carrier
 
@@ -106,48 +121,57 @@ def sinc_matrix(geom: SurfaceGeometry) -> np.ndarray:
     return np.sinc(2.0 / geom.wavelength * np.hypot(dx, dy))
 
 
-def _mirror_unfold(
-    half: np.ndarray, axis: int, odd: bool, n: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Transpose of `_mirror_fold`: the n lattice coordinates along `axis` of
-    one half of the mirror basis, added into `out` when it is given."""
-    if out is None:
-        out = np.zeros(half.shape[:axis] + (n,) + half.shape[axis + 1 :])
-    half = np.moveaxis(half, axis, 0)
-    dest = np.moveaxis(out, axis, 0)
-    m = n // 2
-    spread = half[:m] * np.sqrt(0.5)
-    dest[:m] += spread
-    if odd:
-        dest[::-1][:m] -= spread
-    else:
-        dest[::-1][:m] += spread
-        if n % 2:
-            dest[m] += half[m]
+def dense_coloring(corr: CorrelationModel) -> np.ndarray:
+    """The L x L symmetric square root that a mirror-block model's roots make
+    up: the block diagonal of its roots, one per coordinate run, carried from
+    the block coordinates (`to_blocks`) back onto the lattice."""
+    rows, cols = corr.shape
+    fold = np.kron(_fold_matrix(rows), _fold_matrix(cols))  # lattice -> folded positions
+    (read, pair), (weight, pair_weight) = corr.to_blocks
+    basis = weight[:, None] * fold[read] + pair_weight[:, None] * fold[pair]  # -> block coordinates
+    colored = np.empty_like(basis)
+    start = 0
+    for root, runs in zip(corr.roots, corr.runs, strict=True):
+        for _ in range(runs):
+            stop = start + len(root)
+            colored[start:stop] = root @ basis[start:stop]
+            start = stop
+    return basis.T @ colored
+
+
+def folded_matrix(shape: tuple[int, int], blocks) -> np.ndarray:
+    """The L x L matrix over the folded lattice positions that
+    `CorrelationModel.to_blocks` reads whose four mirror blocks, in the order
+    of `channel._PARITIES`, are `blocks`, and which is zero between them."""
+    rows, cols = shape
+    half_y, half_x = rows - rows // 2, cols - cols // 2
+    grid = np.arange(rows * cols).reshape(rows, cols)
+    out = np.zeros((rows * cols, rows * cols))
+    for (odd_y, odd_x), block in zip(_PARITIES, blocks, strict=True):
+        idx = grid[half_y:] if odd_y else grid[:half_y]
+        idx = (idx[:, half_x:] if odd_x else idx[:, :half_x]).ravel()
+        out[np.ix_(idx, idx)] = block.reshape(len(idx), len(idx))
     return out
 
 
-def dense_coloring(corr: CorrelationModel) -> np.ndarray:
-    """The L x L symmetric square root that a mirror-block model's four block
-    roots make up, unfolded block by block onto the lattice."""
-    rows, cols = corr.shape
-    half_y, half_x = rows - rows // 2, cols - cols // 2
-    padded = iter(corr.roots.reshape(4, half_y, half_x, half_y, half_x))
-    root = np.zeros((rows, cols, rows, cols))
-    for odd_y in (False, True):
-        k_y = rows // 2 if odd_y else half_y
-        root_y = np.zeros((k_y, cols, k_y, cols))
-        for odd_x in (False, True):
-            k_x = cols // 2 if odd_x else half_x
-            block_root = next(padded)[:k_y, :k_x, :k_y, :k_x]
-            spread = _mirror_unfold(block_root, 3, odd_x, cols)
-            _mirror_unfold(spread, 1, odd_x, cols, out=root_y)
-        _mirror_unfold(_mirror_unfold(root_y, 2, odd_y, rows), 0, odd_y, rows, out=root)
-    return root.reshape(rows * cols, rows * cols)
+def coordinate_runs(corr: CorrelationModel, folded: np.ndarray):
+    """Each coordinate run of a mirror-block model with the diagonal block of
+    `folded`, an L x L matrix over the folded lattice positions, in that
+    run's block coordinates (`to_blocks`). Yields (root, block) pairs, one
+    per run, in coordinate order."""
+    positions, weights = corr.to_blocks
+    start = 0
+    for root, runs in zip(corr.roots, corr.runs, strict=True):
+        for _ in range(runs):
+            run = slice(start, start + len(root))
+            reads = list(zip(positions[:, run], weights[:, run]))
+            block = sum(w[:, None] * folded[np.ix_(i, j)] * v for i, w in reads for j, v in reads)
+            yield root, block
+            start = run.stop
 
 
 def whole_window_blocks(r4: np.ndarray):
-    """The four mirror blocks of `channel._mirror_roots`, in its order, by
+    """The four mirror blocks, in the order of `channel._PARITIES`, by
     whole-window folds: each row parity folds all of `r4` along axes 0 and 2,
     then each column parity along axes 1 and 3, with temporaries near
     8 L^2 bytes; the reference the block-at-a-time fold is checked against
@@ -158,24 +182,18 @@ def whole_window_blocks(r4: np.ndarray):
             yield _mirror_fold(_mirror_fold(r_y, 1, odd_x), 3, odd_x)
 
 
-def whole_window_mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`channel._mirror_roots` by the four-block path on whole-window folds
-    (`whole_window_blocks`), each block rooted by its own eigendecomposition.
-    Also returns the four blocks' eigenvalues, sorted ascending and not
-    clamped."""
-    rows, cols = r4.shape[:2]
+def whole_window_mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The roots of the four-block build (`channel._mirror_roots` without the
+    swap split) on whole-window folds (`whole_window_blocks`), each block
+    rooted by its own eigendecomposition, (k, k) each. Also returns the four
+    blocks' eigenvalues, sorted ascending and not clamped."""
     vals, roots = [], []
     for block in whole_window_blocks(r4):
         k = block.shape[0] * block.shape[1]
         eig = np.linalg.eigh(block.reshape(k, k))
         vals.append(eig.eigenvalues)
-        roots.append(_symmetric_sqrt(*eig).reshape(block.shape))
-    half_y, half_x = rows - rows // 2, cols - cols // 2
-    padded = np.zeros((4, half_y, half_x, half_y, half_x))
-    for dest, root in zip(padded, roots):
-        k_y, k_x = root.shape[:2]
-        dest[:k_y, :k_x, :k_y, :k_x] = root
-    return np.sort(np.concatenate(vals)), padded.reshape(4, half_y * half_x, -1)
+        roots.append(_symmetric_sqrt(*eig))
+    return np.sort(np.concatenate(vals)), roots
 
 
 def offset_covariance(field: PlaneWaveField) -> np.ndarray:
@@ -197,6 +215,35 @@ def preset_grid(geom: SurfaceGeometry, m: int) -> np.ndarray:
     """(n_h * n_v, 2) preset coordinates of subarea m (1-based), ascending
     flat index."""
     return subarea_presets(geom)[0][m - 1]
+
+
+def placement_in_subareas(placement: Placement, geom: SurfaceGeometry) -> bool:
+    """True when every element lies inside its own subarea, up to 1e-9 m."""
+    if len(placement.positions) != geom.n_subareas:
+        return False
+    lo, hi = subarea_corners(geom)
+    pos = placement.positions
+    return bool(np.all(pos >= lo - 1e-9) and np.all(pos <= hi + 1e-9))
+
+
+def evaluate(
+    weights,
+    placement: Placement,
+    geom: SurfaceGeometry,
+    power: float,
+    noise_power: float,
+) -> RateReport:
+    """Max-min rate report of a float placement from a realization's
+    `amplitude_weights`: each element snaps to the nearest preset of its own
+    subarea (ties toward the smaller flat index), and the presets are scored
+    by `lattice_rates`. Rejects weights of another preset count, as the
+    program's scorers do, and a placement with an element outside its own
+    subarea (`placement_in_subareas`)."""
+    _check_weights(weights, geom)
+    if not placement_in_subareas(placement, geom):
+        raise ValueError("placement does not match geometry: element outside its subarea")
+    idx = snap_to_subarea_presets(placement.positions, geom)
+    return lattice_rates(weights, idx, power, noise_power)
 
 
 def snr(h_f, h_u, phases, beta, power, noise_power):

@@ -5,8 +5,8 @@ from fires.baseline import evaluate_baseline, fixed_surface_presets, star_ris_pl
 from fires.channel import correlation_matrix, synthesize_channel
 from fires.geometry import lattice_points, pair_violation_counts, partition_surface
 from fires.harness import ExperimentConfig, geometry_from_config
-from fires.rate import amplitude_weights, evaluate, lattice_rates
-from helpers import WL, brute_force_oracle, default_links
+from fires.rate import amplitude_weights, lattice_rates
+from helpers import WL, brute_force_oracle, default_links, evaluate
 
 P, S2 = 10.0, 1e-12
 

@@ -18,13 +18,16 @@ from fires.channel import (
 )
 from fires.geometry import Placement, partition_surface
 from fires.harness import ExperimentConfig, geometry_from_config
-from fires.rate import amplitude_weights, evaluate, lattice_rates
+from fires.rate import amplitude_weights, lattice_rates
 from helpers import (
     WL,
     DenseModel,
     channel_batches,
+    coordinate_runs,
     default_links,
     dense_coloring,
+    evaluate,
+    folded_matrix,
     mean_link_powers,
     model_from_matrix,
     offset_covariance,
@@ -174,19 +177,19 @@ SWAP_LATTICES = [g for g in BUILD_LATTICES if swaps_axes(g)]
 SWAP_LATTICE_IDS = [i for g, i in zip(BUILD_LATTICES, BUILD_LATTICE_IDS) if swaps_axes(g)]
 
 
-def padded_roots(geom):
-    """`correlation_matrix(geom).roots` as (4, k_y, k_x, k_y, k_x) padded
-    blocks."""
-    rows, cols = geom.lattice_rows, geom.lattice_cols
-    half_y, half_x = rows - rows // 2, cols - cols // 2
-    return correlation_matrix(geom).roots.reshape(4, half_y, half_x, half_y, half_x)
+def axis_swap(geom):
+    """The preset relabelling (r, c) -> (c, r) of a square lattice, as flat
+    indices."""
+    return np.arange(geom.n_presets).reshape(geom.lattice_rows, -1).T.ravel()
 
 
 class TestBlockAtATimeBuild:
     """Folding each block one block row at a time gives the bits of folding
     the whole window. Where the lattice is unchanged by swapping its axes,
-    the build roots two of the blocks through their swap halves and copies a
-    third, so it keeps the bits of the folds but not of the roots."""
+    the build roots one block whole and two through their swap halves, and
+    the (even, odd) root also colors the (odd, even) quadrant read with its
+    axes swapped, so it keeps the bits of the folds but not of the four
+    block roots."""
 
     @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
     def test_same_bits_as_the_whole_window_fold(self, geom):
@@ -195,31 +198,33 @@ class TestBlockAtATimeBuild:
             assert np.array_equal(_fold_block(r4, odd_y, odd_x), block)
         if not swaps_axes(geom):
             _, roots = whole_window_mirror_roots(r4)
-            assert np.array_equal(correlation_matrix(geom).roots, roots)
+            corr = correlation_matrix(geom)
+            assert corr.runs == (1, 1, 1, 1)
+            for got, root in zip(corr.roots, roots, strict=True):
+                assert np.array_equal(got, root)
 
     @pytest.mark.parametrize("geom", SWAP_LATTICES, ids=SWAP_LATTICE_IDS)
-    def test_odd_even_root_is_the_even_odd_root_with_axes_swapped(self, geom):
-        roots = padded_roots(geom)
-        assert np.array_equal(roots[2], roots[1].transpose(1, 0, 3, 2))
+    def test_coloring_is_unchanged_by_swapping_the_axes(self, geom):
+        coloring = dense_coloring(correlation_matrix(geom))
+        swap = axis_swap(geom)
+        assert np.max(np.abs(coloring[np.ix_(swap, swap)] - coloring)) <= 1e-15
 
-    @pytest.mark.parametrize("geom", SWAP_LATTICES, ids=SWAP_LATTICE_IDS)
+    @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
     def test_each_root_squared_is_its_folded_block(self, geom):
-        r4, roots = _sinc_window(geom), padded_roots(geom)
-        for (odd_y, odd_x), padded in zip(_PARITIES, roots):
-            block = _fold_block(r4, odd_y, odd_x)
-            k_y, k_x = block.shape[:2]
-            k = k_y * k_x
-            root = padded[:k_y, :k_x, :k_y, :k_x].reshape(k, k)
-            block = block.reshape(k, k)
+        corr = correlation_matrix(geom)
+        folded = folded_matrix(corr.shape, whole_window_blocks(_sinc_window(geom)))
+        for root, block in coordinate_runs(corr, folded):
             assert np.linalg.norm(root @ root - block) <= 1e-12 * np.linalg.norm(block)
 
     @pytest.mark.parametrize("geom", SWAP_LATTICES, ids=SWAP_LATTICE_IDS)
     def test_roots_match_the_four_block_roots(self, geom):
         # finer than half a wavelength, the blocks' near-zero eigenvalues are
         # clamped and a root is defined only to about sqrt(eps)
+        corr = correlation_matrix(geom)
         _, roots = whole_window_mirror_roots(_sinc_window(geom))
         tol = 1e-8 if pitches(geom)[0] < WL / 2 else 1e-13
-        assert np.max(np.abs(correlation_matrix(geom).roots - roots)) <= tol
+        for root, expect in coordinate_runs(corr, folded_matrix(corr.shape, roots)):
+            assert np.abs(root - expect).max(initial=0.0) <= tol
 
 
 class TestNlosField:
@@ -263,20 +268,23 @@ class TestNlosField:
 
 
 class TestDenseModelFootprint:
-    """The dense model keeps only its block roots and builds without an
-    L x L array."""
+    """The dense model keeps only its irreducible block roots and builds
+    without an L x L array."""
 
-    def test_dense_lattice_holds_no_array_above_a_quarter_of_l_squared(self):
+    def test_dense_lattice_stores_an_eighth_of_l_squared_root_values(self):
         # the dense-lattice benchmark geometry: 25 x 25 presets per subarea
         geom = geometry_from_config(ExperimentConfig(n_h=25, n_v=25))
         n = geom.n_presets
         assert n == 2500
-        assert correlation_matrix(geom).roots.size <= n**2 / 4
+        corr = correlation_matrix(geom)
+        # one root of 625 rows and two pairs of swap halves of 325 and 300
+        assert [len(root) for root in corr.roots] == [625, 325, 300, 325, 300]
+        assert sum(root.size for root in corr.roots) <= n**2 / 8 + n
+        assert all(a.shape == (2, n) for a in (*corr.to_blocks, *corr.from_blocks))
 
     @staticmethod
-    def build_peak(m, n_side):
+    def build_peak(geom):
         """Traced peak bytes of building the model, and L."""
-        geom = partition_surface(2.0, 2.0, m, WL, n_h=n_side, n_v=n_side)
         tracemalloc.start()
         try:
             correlation_matrix(geom)
@@ -285,27 +293,39 @@ class TestDenseModelFootprint:
             tracemalloc.stop()
         return peak, geom.n_presets
 
-    @pytest.mark.parametrize(
-        "m, n_side", [(4, 25), (1, 49)], ids=["50x50-dense-lattice", "49x49-odd-sides"]
-    )
-    def test_build_peak_at_most_one_l_by_l_matrix(self, m, n_side):
-        peak, n = self.build_peak(m, n_side)
+    PEAK_LATTICES = [
+        partition_surface(2.0, 2.0, 4, WL, n_h=25, n_v=25),
+        partition_surface(2.0, 2.0, 1, WL, n_h=49, n_v=49),
+    ]
+    PEAK_LATTICE_IDS = ["50x50-dense-lattice", "49x49-odd-sides"]
+
+    @pytest.mark.parametrize("geom", PEAK_LATTICES, ids=PEAK_LATTICE_IDS)
+    def test_build_peak_at_most_one_l_by_l_matrix(self, geom):
+        peak, n = self.build_peak(geom)
         assert peak <= 8 * n**2
 
-    @pytest.mark.parametrize(
-        "m, n_side", [(4, 25), (1, 49)], ids=["50x50-dense-lattice", "49x49-odd-sides"]
-    )
-    def test_build_peak_is_the_roots_and_one_block(self, m, n_side):
-        # the roots take a quarter of 8 L^2 bytes and one block's
+    @pytest.mark.parametrize("geom", PEAK_LATTICES, ids=PEAK_LATTICE_IDS)
+    def test_build_peak_is_the_roots_and_one_block(self, geom):
+        # the roots take an eighth of 8 L^2 bytes and one block's
         # eigendecomposition a few sixteenths
-        peak, n = self.build_peak(m, n_side)
+        peak, n = self.build_peak(geom)
         assert peak <= 0.65 * 8 * n**2
 
     def test_dense_lattice_build_peak_below_the_four_block_build(self):
-        # the swap-symmetric build's traced peak is 0.334 x 8 L^2 bytes at
-        # L = 2,500, with 10% headroom; the four-block build's was 0.438
-        peak, n = self.build_peak(4, 25)
-        assert peak <= 0.367 * 8 * n**2
+        # the swap-symmetric build's traced peak is 0.205 x 8 L^2 bytes at
+        # L = 2,500, with 10% headroom: its first root's eigendecomposition,
+        # before any root is kept; the four-block build's was 0.438
+        peak, n = self.build_peak(self.PEAK_LATTICES[0])
+        assert peak <= 0.225 * 8 * n**2
+
+    def test_unequal_pitch_build_peak_is_three_roots_and_one_block(self):
+        # a 50 x 50 lattice of unequal pitches takes the four-block path; each
+        # root is allocated when it is rooted, so the last block's
+        # eigendecomposition runs beside three roots, not four: the traced
+        # peak is 0.380 x 8 L^2 bytes, with 10% headroom (0.439 when all
+        # four padded roots were allocated up front)
+        peak, n = self.build_peak(partition_surface(2.0, 1.9, 4, WL, n_h=25, n_v=25, grid=(2, 2)))
+        assert peak <= 0.418 * 8 * n**2
 
 
 def sinc_offset_error(geom, field: PlaneWaveField) -> float:
@@ -474,7 +494,7 @@ class TestSynthesis:
 
 class TestChannelLookup:
     """A placement's channels are read at the nearest preset of each
-    element's own subarea; `evaluate` scores that lookup."""
+    element's own subarea; `helpers.evaluate` scores that lookup."""
 
     def test_exact_on_lattice_and_stable_nearby(self):
         geom = partition_surface(2.0, 2.0, 4, WL, n_h=3, n_v=3)

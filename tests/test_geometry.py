@@ -10,7 +10,6 @@ from fires.geometry import (
     lattice_points,
     pair_violation_counts,
     partition_surface,
-    placement_in_subareas,
     preset_points,
     preset_violations,
     snap_to_subarea_presets,
@@ -18,7 +17,7 @@ from fires.geometry import (
     subarea_presets,
 )
 from fires.harness import ExperimentConfig, geometry_from_config
-from helpers import preset_flat_indices, preset_grid
+from helpers import placement_in_subareas, preset_flat_indices, preset_grid
 
 WL = 0.0856  # ~3.5 GHz carrier
 

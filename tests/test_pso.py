@@ -11,7 +11,6 @@ from fires.geometry import (
     clamp_to_subareas,
     pair_violation_counts,
     partition_surface,
-    placement_in_subareas,
     preset_points,
     snap_to_subarea_presets,
     subarea_corners,
@@ -24,8 +23,17 @@ from fires.pso import (
     repair_spacing,
     update_velocity,
 )
-from fires.rate import amplitude_weights, evaluate
-from helpers import WL, brute_force_oracle, complex_rows, default_links, fitness, preset_grid
+from fires.rate import amplitude_weights
+from helpers import (
+    WL,
+    brute_force_oracle,
+    complex_rows,
+    default_links,
+    evaluate,
+    fitness,
+    placement_in_subareas,
+    preset_grid,
+)
 
 P, S2 = 10.0, 1e-12
 

@@ -10,8 +10,17 @@ from fires.geometry import Placement, partition_surface, snap_to_subarea_presets
 from fires.baseline import evaluate_baseline
 from fires.harness import ExperimentConfig, run_sweep
 from fires.pso import PsoConfig, optimize
-from fires.rate import amplitude_weights, evaluate, lattice_rates
-from helpers import WL, channel_rates, complex_rows, default_links, optimal_phases, optimal_split, snr
+from fires.rate import amplitude_weights, lattice_rates
+from helpers import (
+    WL,
+    channel_rates,
+    complex_rows,
+    default_links,
+    evaluate,
+    optimal_phases,
+    optimal_split,
+    snr,
+)
 
 
 def random_channels(rng, m):
@@ -231,17 +240,15 @@ class TestLatticeRates:
         assert np.all(got.effective[-15:] == 0.0)
 
 
-@pytest.mark.parametrize("scorer", ["optimize", "evaluate", "evaluate_baseline"])
+@pytest.mark.parametrize("scorer", ["optimize", "evaluate_baseline"])
 def test_every_scorer_rejects_weights_of_another_geometry(scorer):
     # more weights than presets index without error, so only the check sees them
     geom = partition_surface(2.0, 2.0, 4, WL, n_h=3, n_v=3)
     coarse = partition_surface(2.0, 2.0, 4, WL, n_h=2, n_v=2)
     real = ChannelRealization(*complex_rows(np.random.default_rng(8), (3, geom.n_presets)))
     w = amplitude_weights(real)
-    centers = Placement(np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]))
     score = {
         "optimize": lambda: optimize(w, coarse, PsoConfig(n_particles=2, n_iterations=1), 1.0, 1.0),
-        "evaluate": lambda: evaluate(w, centers, coarse, 1.0, 1.0),
         "evaluate_baseline": lambda: evaluate_baseline(w, coarse, 1.0, 1.0),
     }[scorer]
     with pytest.raises(ValueError, match="^weights cover 36 presets, geometry has 16$"):
