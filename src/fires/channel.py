@@ -25,9 +25,9 @@ built once per geometry and shared by all links:
   time, and roots and frees each block before the next, so it needs the
   roots so far plus one block's eigendecomposition: at L = 2,500 on one
   core, 0.16-0.22 s on the square lattice against 0.30-0.42 s through four
-  blocks. A draw is two per-axis fold products, a gather of every block's
-  coordinates, one product per root, and the transposed gather and fold
-  products back.
+  blocks. A draw is two per-axis fold products, a butterfly over swap
+  pairs, a gather through a permutation, one product per root, and the
+  inverse gather, the same butterfly and fold products back.
 - `plane_wave_field`: a finite sum of plane waves on a wavenumber grid inside
   the visible disk |k| <= 2 pi / wavelength (the Fourier plane-wave model of
   Pizzo, Marzetta and Sanguinetti, IEEE JSAC 2020). Its memory and time grow
@@ -97,18 +97,18 @@ class CorrelationModel:
     a swap-symmetric and a swap-antisymmetric half (`_swap_half_roots`).
 
     The block coordinates of a folded field f, flattened row-major over the
-    (rows, cols) mirror basis, are `_pair_sums(f, *to_blocks)`: each reads
-    two folded positions with two weights. A quadrant coordinate reads its
-    position twice, with weights 1 and 0; an (odd, even) coordinate of a
-    swap-symmetric lattice reads the quadrant with its axes swapped; a
-    swap-half coordinate reads entries (i, j) and (j, i) of a diagonal
-    quadrant, (f[i, j] + f[j, i]) / sqrt(2) or (f[i, j] - f[j, i]) /
-    sqrt(2). The map is orthogonal, and `from_blocks` is its transpose in
-    the same form, since each folded position is read by two coordinates.
-    The coordinates run root by root: `roots[i]` colors `runs[i]`
-    consecutive runs of len(roots[i]) coordinates, two for the (even, odd)
-    root of a swap-symmetric lattice, which also colors the axis-swapped
-    (odd, even) quadrant, and one for every other root.
+    (rows, cols) mirror basis, are read through the permutation `to_blocks`
+    after an in-place butterfly (`_pair_butterfly`) over `pairs`, the
+    entries (i, j) and (j, i), i < j, of the diagonal quadrants of a
+    swap-symmetric lattice, which it turns into their swap-half coordinates;
+    there the (odd, even) quadrant is read with its axes swapped, and
+    elsewhere `pairs` is empty. The butterfly is symmetric and orthogonal,
+    so the way back is `from_blocks`, the inverse permutation, and the same
+    butterfly; the maps hold 2 L + 2 P integers. The coordinates run root by
+    root: `roots[i]` colors `runs[i]` consecutive runs of len(roots[i])
+    coordinates, two for the (even, odd) root of a swap-symmetric lattice,
+    which also colors the axis-swapped (odd, even) quadrant, and one for
+    every other root.
 
     Each root is the block's symmetric square root V sqrt(Λ) V^T from its
     eigendecomposition V Λ V^T, with negative eigenvalues clamped to zero.
@@ -125,8 +125,9 @@ class CorrelationModel:
 
     roots: tuple[np.ndarray, ...]  # (k, k) block roots, in coordinate order
     runs: tuple[int, ...]  # coordinate runs each root colors
-    to_blocks: tuple[np.ndarray, np.ndarray]  # (2, L) folded positions and weights per coordinate
-    from_blocks: tuple[np.ndarray, np.ndarray]  # (2, L) coordinates and weights per folded position
+    to_blocks: np.ndarray  # (L,) folded position each block coordinate reads
+    from_blocks: np.ndarray  # (L,) block coordinate of each folded position, the inverse
+    pairs: np.ndarray  # (2, P) folded positions (i, j) and (j, i), i < j, of the swap butterfly
     shape: tuple[int, int]  # (lattice_rows, lattice_cols)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -137,32 +138,34 @@ class CorrelationModel:
         imaginary parts of a circularly symmetric complex white vector with
         unit variance, so `size=n` returns what n draws of `size=1` in a row
         return. Every white field is folded into the mirror basis along both
-        axes, its block coordinates are read off and multiplied run by run
-        by their roots, and the result is written back and unfolded onto the
-        lattice.
+        axes, its swap pairs are butterflied, its block coordinates are
+        gathered and multiplied run by run by their roots, and the result is
+        gathered back, butterflied and unfolded onto the lattice.
         """
         rows, cols = self.shape
         fold_y, fold_x = _fold_matrix(rows), _fold_matrix(cols)
         white = rng.standard_normal((2 * size, rows, cols))
-        folded = fold_y @ (white.reshape(-1, cols) @ fold_x.T).reshape(2 * size, rows, cols)
-        coords = _pair_sums(folded.reshape(2 * size, -1), *self.to_blocks)
+        folded = (fold_y @ (white.reshape(-1, cols) @ fold_x.T).reshape(-1, rows, cols)).reshape(2 * size, -1)
+        _pair_butterfly(folded, self.pairs)
+        coords = np.take(folded, self.to_blocks, axis=1)  # C-ordered, as the root products' bits need
         start = 0
         for root, runs in zip(self.roots, self.runs):
             stop = start + runs * len(root)
             run = coords[:, start:stop].reshape(2 * size * runs, len(root))
             coords[:, start:stop] = (run @ root.T).reshape(2 * size, -1)
             start = stop
-        folded = _pair_sums(coords, *self.from_blocks)
+        folded = np.take(coords, self.from_blocks, axis=1)
+        _pair_butterfly(folded, self.pairs)
         field = (fold_y.T @ folded.reshape(2 * size, rows, cols)).reshape(-1, cols) @ fold_x
         return _complex_pairs(field.reshape(size, 2, rows * cols))
 
 
-def _pair_sums(x: np.ndarray, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """weights[0] * x[:, positions[0]] + weights[1] * x[:, positions[1]] for
-    an (n, L) array x and (2, L) positions and weights."""
-    both = np.take(x, positions, axis=1)
-    both *= weights
-    return np.add(both[:, 0], both[:, 1])
+def _pair_butterfly(x: np.ndarray, pairs: np.ndarray) -> None:
+    """In place over the columns of an (n, L) array x: each pair (p, q) of
+    `pairs` becomes (x[:, p] + x[:, q]) / sqrt(2), (x[:, p] - x[:, q]) / sqrt(2)."""
+    upper, lower = np.take(x, pairs, axis=1).transpose(1, 0, 2) * _SQRT_HALF
+    x[:, pairs[0]] = upper + lower
+    x[:, pairs[1]] = upper - lower
 
 
 def _complex_pairs(x: np.ndarray) -> np.ndarray:
@@ -305,39 +308,34 @@ def _mirror_roots(r4: np.ndarray, swap: bool) -> tuple[np.ndarray, ...]:
     return tuple(_block_root(r4, odd_y, odd_x) for odd_y, odd_x in _PARITIES)
 
 
-def _block_maps(rows: int, cols: int, swap: bool) -> tuple[tuple[int, ...], tuple, tuple]:
-    """`CorrelationModel.runs`, `to_blocks` and `from_blocks` of the roots
-    that `_mirror_roots` builds for a rows x cols lattice.
+def _block_maps(rows: int, cols: int, swap: bool) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """`CorrelationModel.runs`, `to_blocks`, `from_blocks` and `pairs` of
+    the roots that `_mirror_roots` builds for a rows x cols lattice.
 
-    A quadrant coordinate, and a swap half's coordinate on the grid's
-    diagonal, reads its position twice, with weights 1 and 0. Any other
-    swap-half coordinate, of grid entry (i, j), reads (i, j) and (j, i) with
-    weights 1 / sqrt(2) and +-1 / sqrt(2), the sign being that of the second
-    position's flat offset from the first: plus on the upper triangle,
-    minus on the lower, where it is the butterfly's coordinate with its
-    sign flipped; flipping the sign of a whole half leaves its root
-    unchanged.
+    After the butterfly, a diagonal quadrant holds its swap-symmetric
+    coordinates on and above the diagonal and the antisymmetric ones below,
+    where `_swap_butterfly` leaves them in the block their roots come from.
     """
     half_y, half_x = rows - rows // 2, cols - cols // 2
     grid = np.arange(rows * cols).reshape(rows, cols)
     ys, xs = (slice(half_y), slice(half_y, None)), (slice(half_x), slice(half_x, None))
     quadrants = [grid[ys[odd_y], xs[odd_x]] for odd_y, odd_x in _PARITIES]
+    pairs = np.empty((2, 0), dtype=int)
     if swap:
         even, even_odd, odd_even, odd = quadrants
         runs = (2, 1, 1, 1, 1)
-        pairs = [(even_odd, even_odd), (odd_even.T, odd_even.T)]
+        reads = [even_odd, odd_even.T]
         for q in (even, odd):
-            pairs += [(q[i, j], q[j, i]) for i, j in (np.triu_indices(len(q)), np.tril_indices(len(q), -1))]
+            i, j = np.triu_indices(len(q), 1)
+            reads += [q[np.triu_indices(len(q))], q[np.tril_indices(len(q), -1)]]
+            pairs = np.hstack([pairs, (q[i, j], q[j, i])])
     else:
         runs = (1, 1, 1, 1)
-        pairs = [(q, q) for q in quadrants]
-    reads = np.array([np.concatenate([pair[k].ravel() for pair in pairs]) for k in (0, 1)])
-    sign = np.sign(reads[1] - reads[0])
-    weights = np.array([np.where(sign == 0, 1.0, _SQRT_HALF), sign * _SQRT_HALF])
-    # each row of `reads` is a permutation; its inverse names the coordinate
-    # that reads each position through that row
-    writes = np.argsort(reads, axis=1)
-    return runs, (reads, weights), (writes, np.take_along_axis(weights, writes, axis=1))
+        reads = quadrants
+    to_blocks = np.concatenate([q.ravel() for q in reads])
+    from_blocks = np.empty_like(to_blocks)
+    from_blocks[to_blocks] = np.arange(rows * cols)
+    return runs, to_blocks, from_blocks, pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,12 +396,13 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
     # the offset table is even in both offsets; a square one that equals its
     # transpose is also unchanged by swapping the lattice axes
     swap = l_h == l_v and np.array_equal(r4[0, 0], r4[0, 0].T)
-    runs, to_blocks, from_blocks = _block_maps(l_v, l_h, swap)
+    runs, to_blocks, from_blocks, pairs = _block_maps(l_v, l_h, swap)
     return CorrelationModel(
         roots=_mirror_roots(r4, swap),
         runs=runs,
         to_blocks=to_blocks,
         from_blocks=from_blocks,
+        pairs=pairs,
         shape=(l_v, l_h),
     )
 

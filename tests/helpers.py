@@ -121,14 +121,23 @@ def sinc_matrix(geom: SurfaceGeometry) -> np.ndarray:
     return np.sinc(2.0 / geom.wavelength * np.hypot(dx, dy))
 
 
+def block_basis(corr: CorrelationModel, folded: np.ndarray) -> np.ndarray:
+    """The rows of `folded`, indexed by folded lattice positions, carried
+    into a mirror-block model's block coordinates: the butterfly over the
+    swap pairs (`pairs`), then the permutation `to_blocks`."""
+    basis = np.array(folded, dtype=float)
+    upper, lower = basis[corr.pairs[0]], basis[corr.pairs[1]]
+    basis[corr.pairs[0]] = (upper + lower) * np.sqrt(0.5)
+    basis[corr.pairs[1]] = (upper - lower) * np.sqrt(0.5)
+    return basis[corr.to_blocks]
+
+
 def dense_coloring(corr: CorrelationModel) -> np.ndarray:
     """The L x L symmetric square root that a mirror-block model's roots make
     up: the block diagonal of its roots, one per coordinate run, carried from
-    the block coordinates (`to_blocks`) back onto the lattice."""
+    the block coordinates (`block_basis`) back onto the lattice."""
     rows, cols = corr.shape
-    fold = np.kron(_fold_matrix(rows), _fold_matrix(cols))  # lattice -> folded positions
-    (read, pair), (weight, pair_weight) = corr.to_blocks
-    basis = weight[:, None] * fold[read] + pair_weight[:, None] * fold[pair]  # -> block coordinates
+    basis = block_basis(corr, np.kron(_fold_matrix(rows), _fold_matrix(cols)))
     colored = np.empty_like(basis)
     start = 0
     for root, runs in zip(corr.roots, corr.runs, strict=True):
@@ -157,17 +166,15 @@ def folded_matrix(shape: tuple[int, int], blocks) -> np.ndarray:
 def coordinate_runs(corr: CorrelationModel, folded: np.ndarray):
     """Each coordinate run of a mirror-block model with the diagonal block of
     `folded`, an L x L matrix over the folded lattice positions, in that
-    run's block coordinates (`to_blocks`). Yields (root, block) pairs, one
+    run's block coordinates (`block_basis`). Yields (root, block) pairs, one
     per run, in coordinate order."""
-    positions, weights = corr.to_blocks
+    basis = block_basis(corr, np.eye(len(folded)))
     start = 0
     for root, runs in zip(corr.roots, corr.runs, strict=True):
         for _ in range(runs):
-            run = slice(start, start + len(root))
-            reads = list(zip(positions[:, run], weights[:, run]))
-            block = sum(w[:, None] * folded[np.ix_(i, j)] * v for i, w in reads for j, v in reads)
-            yield root, block
-            start = run.stop
+            run = basis[start : start + len(root)]
+            yield root, run @ folded @ run.T
+            start += len(root)
 
 
 def whole_window_blocks(r4: np.ndarray):

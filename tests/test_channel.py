@@ -227,6 +227,38 @@ class TestBlockAtATimeBuild:
             assert np.abs(root - expect).max(initial=0.0) <= tol
 
 
+class TestBlockMaps:
+    """A draw reads the block coordinates through one permutation after a
+    butterfly over the swap pairs of the two diagonal quadrants."""
+
+    @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
+    def test_to_blocks_is_a_permutation_and_from_blocks_its_inverse(self, geom):
+        corr = correlation_matrix(geom)
+        every = np.arange(geom.n_presets)
+        assert np.array_equal(np.sort(corr.to_blocks), every)
+        assert np.array_equal(corr.from_blocks[corr.to_blocks], every)
+        assert np.array_equal(corr.to_blocks[corr.from_blocks], every)
+
+    @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
+    def test_pairs_mirror_each_other_in_the_diagonal_quadrants(self, geom):
+        corr = correlation_matrix(geom)
+        rows, cols = corr.shape
+        if not swaps_axes(geom):
+            assert corr.pairs.size == 0
+            return
+        assert len(np.unique(corr.pairs)) == corr.pairs.size
+        half = rows - rows // 2
+        (i, j), (i_t, j_t) = (np.divmod(p, cols) for p in corr.pairs)
+        odd = i >= half
+        # both positions in one quadrant, (even, even) or (odd, odd)
+        assert np.array_equal(j >= half, odd) and np.array_equal(i_t >= half, odd)
+        i, j = i - half * odd, j - half * odd
+        assert np.all(i < j)
+        assert np.array_equal(i_t - half * odd, j) and np.array_equal(j_t - half * odd, i)
+        # every entry above the diagonal of both quadrants
+        assert corr.pairs.shape[1] == half * (half - 1) // 2 + (rows // 2) * (rows // 2 - 1) // 2
+
+
 class TestNlosField:
     def test_identity_covariance(self):
         rng = np.random.default_rng(21)
@@ -280,7 +312,6 @@ class TestDenseModelFootprint:
         # one root of 625 rows and two pairs of swap halves of 325 and 300
         assert [len(root) for root in corr.roots] == [625, 325, 300, 325, 300]
         assert sum(root.size for root in corr.roots) <= n**2 / 8 + n
-        assert all(a.shape == (2, n) for a in (*corr.to_blocks, *corr.from_blocks))
 
     @staticmethod
     def build_peak(geom):

@@ -343,6 +343,27 @@ class TestPinnedRecords:
             -0.04478223407043865 + 0.1585571997306168j, rel=1e-9, abs=0
         )
 
+    # a 10 x 10 lattice of unequal pitches, four roots and no swap pairs,
+    # and an odd-sided 7 x 7 one that splits through the axis swap
+    OTHER_DENSE_DRAWS = [
+        (
+            partition_surface(1.5, 1.0, 4, 0.0856, n_h=5, n_v=5, grid=(2, 2)),
+            263.61670201741197,
+            0.08236139613417444 - 0.19083617114310836j,
+        ),
+        (
+            partition_surface(1.0, 1.0, 1, 0.0856, n_h=7, n_v=7),
+            131.2893300618848,
+            0.03439119757547581 + 1.3708824702296958j,
+        ),
+    ]
+
+    @pytest.mark.parametrize("geom, power, first", OTHER_DENSE_DRAWS, ids=["10x10-1.5x1", "7x7"])
+    def test_dense_model_draw_on_other_lattices(self, geom, power, first):
+        h = correlation_matrix(geom).draw(np.random.default_rng(7), size=3)
+        assert float(np.sum(np.abs(h) ** 2)) == pytest.approx(power, rel=1e-9, abs=0)
+        assert complex(h[0, 0]) == pytest.approx(first, rel=1e-9, abs=0)
+
 
 class TestSweeps:
     def test_power_sweep_shares_trial_seeds(self):
