@@ -1,7 +1,7 @@
 """Fluid reflecting-and-emitting surface: channel simulation, closed-form
 phase/split optimization, swarm placement search, and Monte Carlo sweeps."""
 
-from .baseline import evaluate_baseline, star_ris_placement
+from .baseline import evaluate_baseline
 from .channel import (
     ChannelRealization,
     CorrelationModel,
@@ -11,7 +11,7 @@ from .channel import (
     plane_wave_field,
     synthesize_channel,
 )
-from .geometry import Placement, SurfaceGeometry, partition_surface
+from .geometry import SurfaceGeometry, partition_surface
 from .harness import (
     ExperimentConfig,
     ResultRecord,
@@ -30,7 +30,6 @@ __all__ = [
     "CorrelationModel",
     "ExperimentConfig",
     "LinkParams",
-    "Placement",
     "PlaneWaveField",
     "PsoConfig",
     "RateReport",
@@ -48,7 +47,6 @@ __all__ = [
     "plane_wave_field",
     "run_sweep",
     "run_trial",
-    "star_ris_placement",
     "synthesize_channel",
     "wavelength",
 ]

@@ -1,8 +1,9 @@
 """Fixed-element STAR-RIS benchmark.
 
-Elements sit at the subarea centers of the shared aperture and never move;
-phases and the energy split are optimized exactly as for the fluid surface,
-so any rate gap isolates position reconfigurability.
+Elements sit on the presets nearest the subarea centers of the shared
+aperture and never move; phases and the energy split are optimized exactly
+as for the fluid surface, so any rate gap isolates position
+reconfigurability.
 """
 
 from __future__ import annotations
@@ -11,14 +12,8 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import Placement, SurfaceGeometry, subarea_corners, subarea_grid_shape
+from .geometry import SurfaceGeometry, subarea_grid_shape
 from .rate import RateReport, _check_weights, lattice_rates
-
-
-def star_ris_placement(geom: SurfaceGeometry) -> Placement:
-    """Deterministic placement at the subarea centers."""
-    lo, hi = subarea_corners(geom)
-    return Placement((lo + hi) / 2.0)
 
 
 def _nearest_lines(k: int, count: int) -> np.ndarray:
@@ -30,12 +25,15 @@ def _nearest_lines(k: int, count: int) -> np.ndarray:
 
 @cache
 def fixed_surface_presets(geom: SurfaceGeometry, m_hat: int | None = None) -> np.ndarray:
-    """0-based flat indices of the presets the fixed surface of m_hat elements
-    sits on: the subarea centers of `geom`, or with another m_hat those of a
-    re-tiling of its aperture in square cells, each on the nearest global
-    preset (`_nearest_lines`). They depend on the lattice and the tiling,
-    not on the aperture's scale; read-only, computed once per (geometry,
-    m_hat). Raises ValueError where two elements would sit on one preset.
+    """0-based flat indices, shape (m_hat,), of the presets the fixed surface
+    of m_hat elements sits on, row-major over its cells: the subarea centers
+    of `geom`, or with another m_hat those of a re-tiling of its aperture in
+    square cells, each on the nearest global preset (`_nearest_lines`).
+    Without m_hat, or with m_hat = n_subareas, element i sits on a preset of
+    subarea i + 1, so the result is also a placement of the fluid surface.
+    They depend on the lattice and the tiling, not on the aperture's scale;
+    read-only, computed once per (geometry, m_hat). Raises ValueError where
+    two elements would sit on one preset.
     """
     if m_hat is None or m_hat == geom.n_subareas:
         cols, rows = geom.grid_cols, geom.grid_rows

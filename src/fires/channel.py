@@ -13,10 +13,12 @@ built once per geometry and shared by all links:
   mirror-symmetric along both axes, so in the per-axis even/odd basis the
   matrix and its square root split into four blocks of about L / 4 (Cantoni
   and Butler, Linear Algebra Appl. 1976). A square lattice of equal
-  pitches, as every lattice the harness builds, is also unchanged by
-  swapping its axes; then the (odd, even) block is the (even, odd) one with
-  the axes swapped, and the (even, even) and (odd, odd) blocks split again
-  into halves of about L / 8 (Fässler and Stiefel 1992). The model keeps
+  pitches, as the harness's default 20 x 20 one, is also unchanged by
+  swapping its axes (the 20 x 10 lattice of a 2 x 1 m aperture, or
+  n_h != n_v on the default aperture, is not); then the (odd, even) block
+  is the (even, odd) one with the axes swapped, and the (even, even) and
+  (odd, odd) blocks split again into halves of about L / 8 (Fässler and
+  Stiefel 1992). The model keeps
   only the roots of these irreducible blocks and never forms an L x L
   array: one root of about L / 4 rows and four of about L / 8 on a square
   lattice of equal pitches, about L^2 / 8 values (L^2 bytes), and four of

@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output format (default: from --out extension, else csv)")
         cmd.add_argument("--threads", type=int, help="worker processes (fallback: FIRES_THREADS)")
         cmd.add_argument("--inject-baseline", action="store_true",
-                         help="seed each swarm with the centers of its subareas "
-                         "(the fixed-surface placement when m_hat equals n_subareas)")
+                         help="seed each swarm with the presets of the fixed surface of "
+                         "n_subareas elements (the baseline's own when m_hat equals n_subareas)")
     return parser
 
 

@@ -103,15 +103,13 @@ class SurfaceGeometry:
         return tables
 
     @cached_property
-    def _presets(self) -> tuple[np.ndarray, np.ndarray]:
+    def _presets(self) -> np.ndarray:
         """See `subarea_presets`."""
         _, _, lo, _, _ = self._subarea_tables
         rows, cols = np.divmod(np.arange(self.n_h * self.n_v), self.n_h)  # in-block offsets
         flats = (lo[:, 1, None] + rows) * self.lattice_cols + lo[:, 0, None] + cols
-        coords = preset_points(self, flats)
-        for table in (coords, flats):
-            table.flags.writeable = False
-        return coords, flats
+        flats.flags.writeable = False
+        return flats
 
     @cached_property
     def blocked_offsets(self) -> np.ndarray:
@@ -139,27 +137,6 @@ class SurfaceGeometry:
         if self.lattice_rows == 1:
             return np.array([self.a_v / 2.0])
         return np.arange(self.lattice_rows) * (self.a_v / (self.lattice_rows - 1))
-
-
-@dataclass(frozen=True, eq=False)
-class Placement:
-    """Candidate element positions, one (x, y) pair per subarea (meters).
-
-    positions[i] belongs to subarea i + 1 (row-major numbering). A placement
-    is allowed to violate the minimum-spacing constraint; feasibility is a
-    queryable property so that optimizers can explore and penalize.
-    """
-
-    positions: np.ndarray  # (M, 2) float
-    presets: np.ndarray | None = None  # (M,) flat indices, when the positions are presets
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 2:
-            raise ValueError(f"positions must be (M, 2), got {pos.shape}")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        object.__setattr__(self, "positions", pos)
 
 
 def subarea_grid_shape(a_h: float, a_v: float, m: int) -> tuple[int, int]:
@@ -225,11 +202,10 @@ def subarea_corners(geom: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
     return geom._subarea_tables[:2]
 
 
-def subarea_presets(geom: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Every subarea's presets, row-major by subarea and ascending flat index
-    within one: coordinates (M, n_h * n_v, 2) and 0-based global flat
-    indices (M, n_h * n_v). Read-only arrays shared by every caller with this
-    geometry."""
+def subarea_presets(geom: SurfaceGeometry) -> np.ndarray:
+    """0-based global flat indices of every subarea's presets, (M, n_h * n_v):
+    row i holds element i's presets in ascending order. Read-only, and shared
+    by every caller with this geometry; `preset_points` gives coordinates."""
     return geom._presets
 
 

@@ -27,7 +27,7 @@ from operator import ge, gt
 
 import numpy as np
 
-from .baseline import evaluate_baseline, fixed_surface_presets, star_ris_placement
+from .baseline import evaluate_baseline, fixed_surface_presets
 from .channel import (
     DENSE_MAX_PRESETS,
     CorrelationModel,
@@ -294,11 +294,12 @@ def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -
     # every swarm parameter but the seed is the config's field of the same name
     swarm_fields = {f.name: getattr(cfg, f.name) for f in fields(PsoConfig) if f.name != "seed"}
     pso_cfg = PsoConfig(**swarm_fields, seed=pso_seed)
-    injected = [star_ris_placement(geom)] if cfg.inject_baseline else None
-    placement, _, history = optimize(
-        weights, geom, pso_cfg, power, dbm_to_watts(cfg.noise_dbm), initial_placements=injected
+    # the fixed surface of n_subareas elements, one on a preset of each subarea
+    injected = fixed_surface_presets(geom)[None] if cfg.inject_baseline else None
+    presets, _, history = optimize(
+        weights, geom, pso_cfg, power, dbm_to_watts(cfg.noise_dbm), initial_presets=injected
     )
-    return _TrialSwarm(geom, weights, placement.presets, _float_tuple(history))
+    return _TrialSwarm(geom, weights, presets, _float_tuple(history))
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = None) -> TrialRecord:

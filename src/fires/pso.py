@@ -6,11 +6,13 @@ the minimum-spacing constraint is handled by a large additive penalty plus
 a final repair pass. The equalizing energy split meets the power budget
 exactly, so the budget needs no penalty.
 
-After the swarm, a placement is its presets: the swarm's best is snapped
-once, and the repair and the best-response polish work on flat preset
-indices and check the spacing between presets. The swarm, the repair and
-the polish score lattice indices with `rate.lattice_rates`, from the
-per-preset amplitude weights of their realization.
+Outside the swarm's own loop, a placement is its (M,) flat presets:
+`optimize` takes injected placements as presets and returns presets. The
+swarm's best is snapped once, and the repair and the best-response polish
+work on flat preset indices and check the spacing between presets. The
+swarm, the repair and the polish score lattice indices with
+`rate.lattice_rates`, from the per-preset amplitude weights of their
+realization.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Placement,
     SurfaceGeometry,
     clamp_to_subareas,
     clear_presets,
@@ -99,7 +100,7 @@ def repair_spacing(
     index. `weights` are the realization's `amplitude_weights`.
     """
     idx = np.array(presets)
-    blocks, flats = subarea_presets(geom)
+    flats = subarea_presets(geom)
     for i in range(1, geom.n_subareas):
         clear = clear_presets(geom, i, idx[:i])
         if clear[np.searchsorted(flats[i], idx[i])]:
@@ -110,7 +111,8 @@ def repair_spacing(
             rates = lattice_rates(weights, trials, power, noise_power).effective
             idx[i] = trials[int(np.argmax(rates)), i]
         else:
-            dd = ((blocks[i][:, None, :] - preset_points(geom, idx[:i])) ** 2).sum(axis=-1)
+            own = preset_points(geom, flats[i])
+            dd = ((own[:, None, :] - preset_points(geom, idx[:i])) ** 2).sum(axis=-1)
             idx[i] = flats[i][int(np.argmax(dd.min(axis=1)))]
     return idx
 
@@ -133,7 +135,7 @@ def best_response(
     stays feasible. `weights` are the realization's `amplitude_weights`.
     """
     idx, m = np.array(presets), geom.n_subareas
-    flats = subarea_presets(geom)[1]  # ascending flat index
+    flats = subarea_presets(geom)  # ascending flat index
     violations = preset_violations(idx, geom)
     current = float(lattice_rates(weights, idx, power, noise_power).effective) - cfg.tau * violations
     # elements known to be best responses to the others as they stand; the
@@ -160,35 +162,53 @@ def best_response(
     return idx
 
 
+def _checked_seeds(initial_presets, geom: SurfaceGeometry, cfg: PsoConfig) -> np.ndarray:
+    """`initial_presets` as a (k, M) integer array, 1 <= k <= n_particles,
+    whose every entry is a preset of its own element's subarea; raises
+    ValueError otherwise (a negative or out-of-range index included)."""
+    seeds, m = np.asarray(initial_presets), geom.n_subareas
+    if seeds.ndim != 2 or seeds.shape[1] != m or len(seeds) == 0:
+        raise ValueError(f"initial_presets must be a (k, {m}) array, k >= 1, got shape {seeds.shape}")
+    if len(seeds) > cfg.n_particles:
+        raise ValueError(f"{len(seeds)} injected placements for {cfg.n_particles} particles")
+    if not np.issubdtype(seeds.dtype, np.integer):
+        raise ValueError(f"initial_presets must hold integer preset indices, got {seeds.dtype}")
+    own = (seeds[:, :, None] == subarea_presets(geom)).any(axis=-1)
+    if not own.all():
+        j, i = np.argwhere(~own)[0].tolist()
+        raise ValueError(f"initial_presets[{j}, {i}] = {seeds[j, i]} is not a preset of subarea {i + 1}")
+    return seeds
+
+
 def optimize(
     weights,
     geom: SurfaceGeometry,
     cfg: PsoConfig,
     power: float,
     noise_power: float,
-    initial_placements: list[Placement] | None = None,
-) -> tuple[Placement, RateReport, np.ndarray]:
-    """Run the swarm on a realization's `amplitude_weights` and return (best
-    placement, its rate report, history).
+    initial_presets: np.ndarray | None = None,
+) -> tuple[np.ndarray, RateReport, np.ndarray]:
+    """Run the swarm on a realization's `amplitude_weights` and return (the
+    (M,) flat presets of the best placement, their rate report, history).
 
     history[k] is the best fitness seen after k iterations (entry 0 covers
     the initial swarm) and is nondecreasing. The run is fully determined by
-    cfg.seed. `initial_placements` overwrite the leading particles, which
-    lower-bounds the result by any injected candidate. The swarm's best
+    cfg.seed. `initial_presets` is a (k, M) integer array, 1 <= k <=
+    n_particles: row j puts particle j on the `preset_points` of its
+    presets, one of each element's own subarea, which lower-bounds the
+    result by the fitness of every injected placement. The swarm's best
     placement is snapped to its presets once; if two of them lie closer
-    than d_min, a repair pass rebuilds it, and best-response sweeps
-    (`best_response`) then polish the presets. The returned placement holds
-    the final presets (coordinates and flat indices), and the report is
-    theirs. The history is the swarm's own and does not include the polish.
+    than d_min, a repair pass rebuilds them, and best-response sweeps
+    (`best_response`) then polish them. The report is the final presets'.
+    The history is the swarm's own and does not include the polish.
     """
     _check_weights(weights, geom)
     rng = np.random.default_rng(cfg.seed)
     positions, velocities = init_swarm(geom, cfg, rng)
-    if initial_placements:
-        if len(initial_placements) > cfg.n_particles:
-            raise ValueError("more injected placements than particles")
-        for k, pl in enumerate(initial_placements):
-            positions[k] = clamp_to_subareas(pl.positions, geom)
+    if initial_presets is not None:
+        seeds = _checked_seeds(initial_presets, geom, cfg)
+        # a preset on a subarea edge can round to just outside it
+        positions[: len(seeds)] = clamp_to_subareas(preset_points(geom, seeds), geom)
     # per element rather than per axis, so the clamp runs in long loops
     v_max = np.tile([geom.subarea_w, geom.subarea_h], (geom.n_subareas, 1))
     v_min = -v_max
@@ -214,5 +234,4 @@ def optimize(
     if preset_violations(presets, geom):
         presets = repair_spacing(presets, weights, geom, power, noise_power)
     presets = best_response(presets, weights, geom, power, noise_power, cfg)
-    placement = Placement(preset_points(geom, presets), presets)
-    return placement, lattice_rates(weights, presets, power, noise_power), np.asarray(history)
+    return presets, lattice_rates(weights, presets, power, noise_power), np.asarray(history)

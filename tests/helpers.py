@@ -18,9 +18,9 @@ from fires.channel import (
     synthesize_channel,
 )
 from fires.geometry import (
-    Placement,
     SurfaceGeometry,
     pair_violation_counts,
+    preset_points,
     snap_to_subarea_presets,
     subarea_corners,
     subarea_presets,
@@ -215,41 +215,41 @@ def offset_covariance(field: PlaneWaveField) -> np.ndarray:
 
 def preset_flat_indices(geom: SurfaceGeometry, m: int) -> np.ndarray:
     """1-based global flat indices of subarea m's presets, ascending."""
-    return subarea_presets(geom)[1][m - 1] + 1
+    return subarea_presets(geom)[m - 1] + 1
 
 
 def preset_grid(geom: SurfaceGeometry, m: int) -> np.ndarray:
     """(n_h * n_v, 2) preset coordinates of subarea m (1-based), ascending
     flat index."""
-    return subarea_presets(geom)[0][m - 1]
+    return preset_points(geom, subarea_presets(geom)[m - 1])
 
 
-def placement_in_subareas(placement: Placement, geom: SurfaceGeometry) -> bool:
-    """True when every element lies inside its own subarea, up to 1e-9 m."""
-    if len(placement.positions) != geom.n_subareas:
+def placement_in_subareas(positions: np.ndarray, geom: SurfaceGeometry) -> bool:
+    """True when every element of (M, 2) positions lies inside its own
+    subarea, up to 1e-9 m."""
+    if len(positions) != geom.n_subareas:
         return False
     lo, hi = subarea_corners(geom)
-    pos = placement.positions
-    return bool(np.all(pos >= lo - 1e-9) and np.all(pos <= hi + 1e-9))
+    return bool(np.all(positions >= lo - 1e-9) and np.all(positions <= hi + 1e-9))
 
 
 def evaluate(
     weights,
-    placement: Placement,
+    positions: np.ndarray,
     geom: SurfaceGeometry,
     power: float,
     noise_power: float,
 ) -> RateReport:
-    """Max-min rate report of a float placement from a realization's
-    `amplitude_weights`: each element snaps to the nearest preset of its own
+    """Max-min rate report of a float placement, (M, 2) positions, from a
+    realization's `amplitude_weights`: each element snaps to the nearest preset of its own
     subarea (ties toward the smaller flat index), and the presets are scored
     by `lattice_rates`. Rejects weights of another preset count, as the
     program's scorers do, and a placement with an element outside its own
     subarea (`placement_in_subareas`)."""
     _check_weights(weights, geom)
-    if not placement_in_subareas(placement, geom):
+    if not placement_in_subareas(positions, geom):
         raise ValueError("placement does not match geometry: element outside its subarea")
-    idx = snap_to_subarea_presets(placement.positions, geom)
+    idx = snap_to_subarea_presets(positions, geom)
     return lattice_rates(weights, idx, power, noise_power)
 
 
@@ -303,16 +303,17 @@ def channel_rates(h_f, h_r, h_t, power, noise_power) -> RateReport:
 
 
 def fitness(
-    placement: Placement,
+    positions: np.ndarray,
     weights,
     geom: SurfaceGeometry,
     power: float,
     noise_power: float,
     cfg: PsoConfig,
 ) -> float:
-    """The swarm's penalized objective of one placement, from a realization's
-    `amplitude_weights`: max-min rate minus tau * spacing violations."""
-    fit = _batch_scores(placement.positions[None, :, :], weights, geom, power, noise_power, cfg.tau)
+    """The swarm's penalized objective of one placement, (M, 2) positions,
+    from a realization's `amplitude_weights`: max-min rate minus tau *
+    spacing violations."""
+    fit = _batch_scores(positions[None, :, :], weights, geom, power, noise_power, cfg.tau)
     return float(fit[0])
 
 
@@ -323,9 +324,9 @@ def brute_force_oracle(
     noise_power: float,
     cap: int = 1_000_000,
     chunk: int = 8192,
-) -> tuple[Placement, float]:
+) -> tuple[np.ndarray, float]:
     """Exhaustive max-min rate over one preset per subarea, from a
-    realization's `amplitude_weights`.
+    realization's `amplitude_weights`, and the (M, 2) positions reaching it.
 
     Spacing-infeasible combinations are skipped. Ties resolve to the
     lexicographically smallest tuple of flat preset indices. Refuses
@@ -336,7 +337,8 @@ def brute_force_oracle(
     total = k**m
     if total > cap:
         raise ValueError(f"{total} lattice combinations exceed the cap of {cap}")
-    blocks, flats = subarea_presets(geom)  # (M, K, 2), (M, K)
+    flats = subarea_presets(geom)  # (M, K)
+    blocks = preset_points(geom, flats)  # (M, K, 2)
     digits = k ** np.arange(m - 1, -1, -1)  # combo id -> per-subarea digits
 
     best_rate = -np.inf
@@ -356,4 +358,4 @@ def brute_force_oracle(
             best_positions = pos[feasible][top].copy()
     if best_positions is None:
         raise ValueError("no spacing-feasible lattice placement exists")
-    return Placement(best_positions), best_rate
+    return best_positions, best_rate

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from fires.baseline import evaluate_baseline, fixed_surface_presets, star_ris_placement
+from fires.baseline import evaluate_baseline, fixed_surface_presets
 from fires.channel import correlation_matrix, synthesize_channel
-from fires.geometry import lattice_points, pair_violation_counts, partition_surface
+from fires.geometry import (
+    lattice_points,
+    pair_violation_counts,
+    partition_surface,
+    preset_points,
+    snap_to_subarea_presets,
+    subarea_corners,
+)
 from fires.harness import ExperimentConfig, geometry_from_config
 from fires.rate import amplitude_weights, lattice_rates
 from helpers import WL, brute_force_oracle, default_links, evaluate
@@ -21,28 +28,35 @@ def instance():
 
 def test_centers_of_two_by_two_tiling(instance):
     geom, _ = instance
-    pl = star_ris_placement(geom)
-    expect = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]])
-    assert np.allclose(pl.positions, expect)
-    assert pair_violation_counts(pl.positions[None], geom.d_min)[0] == 0
+    presets = fixed_surface_presets(geom)
+    # lattice lines at 0, 0.4, ..., 2: the centers 0.5 and 1.5 are nearest 0.4 and 1.6
+    expect = np.array([[0.4, 0.4], [1.6, 0.4], [0.4, 1.6], [1.6, 1.6]])
+    points = preset_points(geom, presets)
+    assert np.allclose(points, expect)
+    # element i sits on a preset of subarea i + 1, so this is a fluid placement too
+    assert np.array_equal(snap_to_subarea_presets(points, geom), presets)
+    assert pair_violation_counts(points[None], geom.d_min)[0] == 0
 
 
 def test_single_element_at_aperture_center():
     geom = partition_surface(2.0, 2.0, 1, WL, n_h=3, n_v=3)
-    assert np.allclose(star_ris_placement(geom).positions, [[1.0, 1.0]])
+    assert np.allclose(preset_points(geom, fixed_surface_presets(geom)), [[1.0, 1.0]])
 
 
 def test_placement_is_deterministic(instance):
     geom, _ = instance
-    a = star_ris_placement(geom)
-    b = star_ris_placement(geom)
-    assert np.array_equal(a.positions, b.positions)
+    a = fixed_surface_presets.__wrapped__(geom)  # past the cache
+    b = fixed_surface_presets.__wrapped__(geom)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, fixed_surface_presets(geom))
 
 
 def test_matches_direct_evaluate(instance):
+    # on this lattice the subarea centers snap to the fixed surface's presets
     geom, w = instance
     got = evaluate_baseline(w, geom, P, S2)
-    direct = evaluate(w, star_ris_placement(geom), geom, P, S2)
+    lo, hi = subarea_corners(geom)
+    direct = evaluate(w, (lo + hi) / 2.0, geom, P, S2)
     assert got.effective == direct.effective
 
 

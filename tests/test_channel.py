@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fires import channel
 from fires.channel import (
     _PARITIES,
     LinkParams,
@@ -16,7 +17,7 @@ from fires.channel import (
     surface_steering,
     synthesize_channel,
 )
-from fires.geometry import Placement, partition_surface
+from fires.geometry import partition_surface
 from fires.harness import ExperimentConfig, geometry_from_config
 from fires.rate import amplitude_weights, lattice_rates
 from helpers import (
@@ -57,11 +58,37 @@ class TestSteering:
         v = surface_steering(0.0, np.pi / 2, np.array([[0.0, WL]]), WL)
         assert np.allclose(v, [1.0 + 0j], atol=1e-12)
 
+    def test_nonpositive_wavelength_rejected(self):
+        with pytest.raises(ValueError, match="wavelength must be positive"):
+            surface_steering(0.7, 0.3, np.zeros((1, 2)), 0.0)
+
     def test_unit_modulus(self):
         rng = np.random.default_rng(11)
         pos = rng.uniform(-3, 3, size=(200, 2))
         v = surface_steering(rng.uniform(0, np.pi), rng.uniform(0, np.pi), pos, WL)
         assert np.allclose(np.abs(v), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("k_factor", -1.0, "Rician factor"),
+        ("distance", 0.0, "distance"),
+        ("alpha", 0.0, "path-loss exponent"),
+    ],
+)
+def test_bad_link_rejected(field, value, match):
+    params = dict(k_factor=5.0, distance=100.0, alpha=2.5, azimuth=0.3, elevation=0.2)
+    with pytest.raises(ValueError, match=match):
+        LinkParams(**{**params, field: value})
+
+
+def test_dense_model_above_its_cap_warns(monkeypatch):
+    # the cap lowered to 15 presets, so that a 4 x 4 lattice is above it
+    monkeypatch.setattr(channel, "DENSE_MAX_PRESETS", 15)
+    with pytest.warns(RuntimeWarning, match="above 15 presets use plane_wave_field"):
+        model = correlation_matrix(tiny_geom(n=4))
+    assert model.shape == (4, 4)
 
 
 class TestPathLoss:
@@ -537,7 +564,7 @@ class TestChannelLookup:
         expect = lattice_rates(w, idx, 10.0, 1e-12)
         pitch = 2.0 / (geom.lattice_cols - 1)
         for shift in (0.0, 0.3 * pitch, -0.3 * pitch):
-            got = evaluate(w, Placement(pos + shift), geom, 10.0, 1e-12)
+            got = evaluate(w, pos + shift, geom, 10.0, 1e-12)
             for name in ("effective", "rate_r", "rate_t", "snr_r", "snr_t"):
                 assert getattr(got, name) == getattr(expect, name), (shift, name)
 
@@ -546,13 +573,13 @@ class TestChannelLookup:
         corr = correlation_matrix(geom)
         real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(3), corr=corr)
         w = amplitude_weights(real)
-        bad = Placement(np.array([[1.7, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]))
+        bad = np.array([[1.7, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]])
         with pytest.raises(ValueError, match="outside its subarea"):
             evaluate(w, bad, geom, 1.0, 1.0)
-        small = Placement(np.array([[0.5, 0.5]]))
+        small = np.array([[0.5, 0.5]])
         with pytest.raises(ValueError):
             evaluate(w, small, geom, 1.0, 1.0)
         coarse = partition_surface(2.0, 2.0, 4, WL, n_h=2, n_v=2)
-        centers = Placement(np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]))
+        centers = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]])
         with pytest.raises(ValueError, match="presets"):
             evaluate(w, centers, coarse, 1.0, 1.0)

@@ -1,10 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fires.geometry import (
-    Placement,
     clamp_to_subareas,
     clear_presets,
     lattice_points,
@@ -66,6 +66,24 @@ class TestPartition:
             partition_surface(2.0, 2.0, 4, -WL)
         with pytest.raises(ValueError):
             square_geom(4, grid=(3, 1))
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("a_h", 0.0, "aperture extents"),
+            ("a_v", -1.0, "aperture extents"),
+            ("n_subareas", 0, "at least one subarea"),
+            ("grid_cols", 3, "does not hold 4 subareas"),
+            ("n_h", 0, "preset counts"),
+            ("n_v", 0, "preset counts"),
+            ("d_min", 0.0, "minimum spacing"),
+            ("wavelength", -WL, "wavelength"),
+        ],
+    )
+    def test_bad_geometry_fields_rejected(self, field, value, match):
+        # partition_surface checks some of these before the geometry does
+        with pytest.raises(ValueError, match=match):
+            replace(square_geom(4), **{field: value})
 
     def test_areas_tile_exactly(self):
         for m in (1, 4, 9, 16):
@@ -301,7 +319,8 @@ class TestPresetSpacing:
     @pytest.mark.parametrize("d_min", [WL / 2, 0.5, 0.9, 10.0])
     def test_clear_presets_and_violations_match_float_distances(self, d_min):
         geom = square_geom(9, n=5, a=3.0, d_min=d_min)
-        coords, flats = subarea_presets(geom)
+        flats = subarea_presets(geom)
+        coords = preset_points(geom, flats)
         rng = np.random.default_rng(9)
         for _ in range(20):
             idx = flats[np.arange(9), rng.integers(0, 25, size=9)]
@@ -368,10 +387,15 @@ class TestSnapping:
                 best = block[np.argmin(dists)]
                 assert got[m - 1] == best
 
+    @pytest.mark.parametrize("lookup", [clamp_to_subareas, snap_to_subarea_presets])
+    def test_element_count_must_match_the_subareas(self, lookup):
+        with pytest.raises(ValueError, match="expected 4 element positions, got 3"):
+            lookup(np.full((2, 3, 2), 0.5), square_geom(4))
+
     def test_placement_validation(self):
         geom = square_geom(4)
         centers = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]])
-        assert placement_in_subareas(Placement(centers), geom)
+        assert placement_in_subareas(centers, geom)
         bad = centers.copy()
         bad[0] = [1.7, 0.5]  # inside subarea 2, not 1
-        assert not placement_in_subareas(Placement(bad), geom)
+        assert not placement_in_subareas(bad, geom)

@@ -226,6 +226,21 @@ class TestTrials:
             rec = run_trial(cfg, trial)
             assert rec.fires_rate >= rec.baseline_rate - 1e-9
 
+    @pytest.mark.parametrize(
+        "overrides, roots, swap",
+        [
+            pytest.param({}, 5, True, id="20x20"),
+            pytest.param({"a_h": 2.0, "a_v": 1.0, "n_subareas": 2, "m_hat": 2}, 4, False, id="20x10"),
+            pytest.param({"n_h": 10, "n_v": 8}, 4, False, id="20x16"),
+        ],
+    )
+    def test_only_square_lattices_split_by_the_axis_swap(self, overrides, roots, swap):
+        # a lattice the harness builds need not be square: those that are
+        # not keep the four mirror blocks and no swap pairs
+        model = _field_model(geometry_from_config(ExperimentConfig(**overrides)))
+        assert len(model.roots) == roots
+        assert (model.pairs.size > 0) == swap
+
     def test_dense_field_model_only_where_it_fits(self):
         coarse = ExperimentConfig(**FAST)
         assert isinstance(_field_model(geometry_from_config(coarse)), CorrelationModel)
@@ -250,14 +265,12 @@ class TestTrials:
         cfg = ExperimentConfig(n_subareas=9, m_hat=9, sweep="area")
         run_trial(cfg, 30, 1.0)
         geom = geometry_from_config(cfg, 1.0)
-        placement = results[0][0]
-        presets = snap_to_subarea_presets(placement.positions, geom)  # where the rates are read
+        presets = results[0][0]  # where the rates are read
         points = preset_points(geom, presets)
         gaps = np.linalg.norm(points[:, None] - points, axis=-1)
         assert np.min(gaps[np.triu_indices(9, 1)]) >= geom.d_min
-        # the placement is those presets
-        assert np.array_equal(placement.positions, points)
-        assert np.array_equal(placement.presets, presets)
+        # each element on a preset of its own subarea
+        assert np.array_equal(snap_to_subarea_presets(points, geom), presets)
 
     def test_ulp_perturbed_channels_keep_placements(self, monkeypatch):
         # placements must not hinge on rounding: every channel entry times
@@ -270,7 +283,7 @@ class TestTrials:
 
         def keeping(*args, **kwargs):
             result = plain_optimize(*args, **kwargs)
-            presets.append(result[0].presets)
+            presets.append(result[0])
             return result
 
         def jitter(h):
@@ -605,6 +618,11 @@ class TestEmission:
         with pytest.raises(ValueError):
             emit_results([], tmp_path / "x.bin", "parquet")
 
+    def test_unwritable_path_named(self, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        with pytest.raises(OSError, match=f"cannot write results to {path}"):
+            emit_results([], path, "csv")
+
 
 class TestCli:
     def write_cfg(self, tmp_path):
@@ -653,6 +671,11 @@ class TestCli:
         assert cli_main(["single", "--config", str(cfg), "--seed", "7", "--out", str(out_b), "--trials", "2"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         capsys.readouterr()
+
+    def test_zero_threads_rejected(self, tmp_path, capsys):
+        code = cli_main(["single", "--threads", "0", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: thread count must be positive, got 0\n"
 
     @pytest.mark.parametrize("var, value", [("FIRES_SEED", "abc"), ("FIRES_THREADS", "two")])
     def test_bad_env_fallback_named(self, var, value, tmp_path, monkeypatch, capsys):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from fires import pso
+from fires.baseline import evaluate_baseline, fixed_surface_presets
 from fires.channel import ChannelRealization, correlation_matrix, synthesize_channel
 from fires.geometry import (
-    Placement,
     clamp_to_subareas,
     pair_violation_counts,
     partition_surface,
@@ -15,6 +15,7 @@ from fires.geometry import (
     snap_to_subarea_presets,
     subarea_corners,
 )
+from fires.harness import ExperimentConfig, _field_model, geometry_from_config, trial_links
 from fires.pso import (
     PsoConfig,
     best_response,
@@ -43,12 +44,12 @@ def close_pairs(positions, geom):
     return int(pair_violation_counts(positions[None], geom.d_min)[0])
 
 
-def assert_spaced(placement, geom):
-    """The placement sits on presets, and they are pairwise at least d_min
-    apart."""
-    assert np.array_equal(placement.presets, snap_to_subarea_presets(placement.positions, geom))
-    assert np.array_equal(placement.positions, preset_points(geom, placement.presets))
-    assert close_pairs(placement.positions, geom) == 0
+def assert_spaced(presets, geom):
+    """The (M,) flat presets are each one of its own subarea's, and they are
+    pairwise at least d_min apart."""
+    points = preset_points(geom, presets)
+    assert np.array_equal(presets, snap_to_subarea_presets(points, geom))
+    assert close_pairs(points, geom) == 0
 
 
 class OnesRng:
@@ -63,6 +64,22 @@ def tiny_instance(seed=0, d_min=None):
     corr = correlation_matrix(geom)
     real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(seed), corr=corr)
     return geom, amplitude_weights(real)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("n_particles", 0, "at least one particle"),
+        ("n_iterations", 0, "at least one particle and one iteration"),
+        ("w", -0.1, "nonnegative"),
+        ("c1", -0.5, "nonnegative"),
+        ("c2", -0.5, "nonnegative"),
+        ("tau", 0.0, "penalty coefficient"),
+    ],
+)
+def test_bad_swarm_config_rejected(field, value, match):
+    with pytest.raises(ValueError, match=match):
+        PsoConfig(**{field: value})
 
 
 class TestUpdates:
@@ -141,7 +158,7 @@ class TestInit:
 class TestFitness:
     def test_feasible_placement_fitness_is_effective_rate(self):
         geom, w = tiny_instance()
-        pl = Placement(np.array([[0.5, 1.0], [1.5, 1.0]]))
+        pl = np.array([[0.5, 1.0], [1.5, 1.0]])
         cfg = PsoConfig()
         assert fitness(pl, w, geom, P, S2, cfg) == pytest.approx(
             evaluate(w, pl, geom, P, S2).effective, abs=0
@@ -149,7 +166,7 @@ class TestFitness:
 
     def test_violation_dominates(self):
         geom, w = tiny_instance(d_min=0.5)
-        pl = Placement(np.array([[0.9, 1.0], [1.1, 1.0]]))  # 0.2 m apart
+        pl = np.array([[0.9, 1.0], [1.1, 1.0]])  # 0.2 m apart
         cfg = PsoConfig(tau=1e6)
         eff = evaluate(w, pl, geom, P, S2).effective
         assert fitness(pl, w, geom, P, S2, cfg) <= eff - 1e6
@@ -163,7 +180,7 @@ class TestOracle:
         w = amplitude_weights(real)
         pl, rate = brute_force_oracle(w, geom, P, S2)
         rates = [
-            evaluate(w, Placement(preset_grid(geom, 1)[k : k + 1]), geom, P, S2).effective
+            evaluate(w, preset_grid(geom, 1)[k : k + 1], geom, P, S2).effective
             for k in range(9)
         ]
         assert np.isclose(rate, max(rates), rtol=1e-12)
@@ -176,7 +193,7 @@ class TestOracle:
         for a, b in itertools.product(preset_grid(geom, 1), preset_grid(geom, 2)):
             if math.dist(a, b) < geom.d_min:
                 continue
-            cand = evaluate(w, Placement(np.stack([a, b])), geom, P, S2).effective
+            cand = evaluate(w, np.stack([a, b]), geom, P, S2).effective
             best = max(best, cand)
         assert np.isclose(rate, best, rtol=1e-12)
         assert placement_in_subareas(pl, geom)
@@ -193,7 +210,7 @@ class TestOptimize:
         cfg = PsoConfig(n_particles=20, n_iterations=30, seed=4)
         pl_a, rep_a, hist_a = optimize(w, geom, cfg, P, S2)
         pl_b, rep_b, hist_b = optimize(w, geom, cfg, P, S2)
-        assert np.array_equal(pl_a.positions, pl_b.positions)
+        assert np.array_equal(pl_a, pl_b)
         assert np.array_equal(hist_a, hist_b)
         assert rep_a.effective == rep_b.effective
         assert len(hist_a) == cfg.n_iterations + 1
@@ -204,7 +221,7 @@ class TestOptimize:
         geom, w = tiny_instance(seed=12)
         cfg = PsoConfig(n_particles=15, n_iterations=25, seed=1)
         pl, _, _ = optimize(w, geom, cfg, P, S2)
-        assert placement_in_subareas(pl, geom)
+        assert placement_in_subareas(preset_points(geom, pl), geom)
         assert_spaced(pl, geom)
 
     def test_oracle_dominates_pso(self):
@@ -219,21 +236,69 @@ class TestOptimize:
 
     def test_injection_lower_bounds_result(self):
         geom, w = tiny_instance(seed=14)
-        anchor = Placement(np.array([[0.5, 1.0], [1.5, 1.0]]))
+        anchor = np.array([[0.5, 1.0], [1.5, 1.0]])
         anchor_rate = evaluate(w, anchor, geom, P, S2).effective
         pl, report, _ = optimize(
             w, geom, PsoConfig(n_particles=10, n_iterations=5, seed=2), P, S2,
-            initial_placements=[anchor],
+            initial_presets=snap_to_subarea_presets(anchor[None], geom),
         )
         assert report.effective >= anchor_rate - 1e-9
         assert_spaced(pl, geom)
 
     def test_too_many_injections_rejected(self):
         geom, w = tiny_instance()
-        anchors = [Placement(np.array([[0.5, 1.0], [1.5, 1.0]]))] * 3
-        with pytest.raises(ValueError):
+        anchors = np.repeat(fixed_surface_presets(geom)[None], 3, axis=0)
+        with pytest.raises(ValueError, match="3 injected placements for 2 particles"):
             optimize(w, geom, PsoConfig(n_particles=2, n_iterations=1), P, S2,
-                     initial_placements=anchors)
+                     initial_presets=anchors)
+
+    @pytest.mark.parametrize(
+        "seeds, match",
+        [
+            pytest.param(lambda fixed: fixed, r"\(k, 2\) array", id="one-dimensional"),
+            pytest.param(lambda fixed: fixed[None, :1], r"\(k, 2\) array", id="too-few-elements"),
+            pytest.param(lambda fixed: fixed[None][:0], r"\(k, 2\) array", id="no-rows"),
+            pytest.param(lambda fixed: fixed[None] + 0.0, "integer preset indices", id="float"),
+            # each element's preset, but in the other element's place
+            pytest.param(
+                lambda fixed: fixed[None, ::-1], r"\[0, 0\] = \d+ is not a preset of subarea 1", id="other-subarea"
+            ),
+            # numpy would wrap these onto presets of subarea 1
+            pytest.param(lambda fixed: fixed[None] - [18, 0], r"\[0, 0\] = -\d+ is not", id="negative"),
+            pytest.param(lambda fixed: fixed[None] + [18, 0], r"\[0, 0\] = \d+ is not", id="out-of-range"),
+        ],
+    )
+    def test_bad_initial_presets_rejected(self, seeds, match):
+        geom, w = tiny_instance()  # 6 x 3 lattice, 18 presets
+        with pytest.raises(ValueError, match=match):
+            optimize(w, geom, PsoConfig(n_particles=2, n_iterations=1), P, S2,
+                     initial_presets=seeds(fixed_surface_presets(geom)))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({}, id="default"),
+            # geometries where the subarea centers snap elsewhere than the
+            # fixed surface's presets: 9 of 25 and 5 of 9 elements
+            pytest.param({"n_subareas": 25, "m_hat": 25}, id="2m-M25-10x10"),
+            pytest.param(
+                {"a_h": 3.0, "a_v": 3.0, "n_subareas": 9, "m_hat": 9, "n_h": 16, "n_v": 16}, id="3m-M9-16x16"
+            ),
+        ],
+    )
+    def test_injected_fixed_surface_scores_the_baseline(self, overrides):
+        # one particle on the fixed surface's presets: the swarm's first
+        # fitness is the baseline's rate, on every draw
+        cfg = ExperimentConfig(**overrides)
+        geom = geometry_from_config(cfg)
+        seeds = fixed_surface_presets(geom)[None]
+        for draw in range(10):
+            rng = np.random.default_rng(draw)
+            real = synthesize_channel(geom, *trial_links(cfg, rng), rng=rng, corr=_field_model(geom))
+            w = amplitude_weights(real)
+            cfg_1 = PsoConfig(n_particles=1, n_iterations=1, seed=draw)
+            _, _, history = optimize(w, geom, cfg_1, P, S2, initial_presets=seeds)
+            assert history[0] == evaluate_baseline(w, geom, P, S2).effective, draw
 
     @pytest.mark.parametrize(
         "d_min, seed, positions, history",
@@ -261,7 +326,7 @@ class TestOptimize:
         real = ChannelRealization(*complex_rows(np.random.default_rng(seed), (3, geom.n_presets)))
         w = amplitude_weights(real)
         pl, _, hist = optimize(w, geom, PsoConfig(n_particles=8, n_iterations=5, seed=seed), P, S2)
-        assert pl.positions.tolist() == positions
+        assert preset_points(geom, pl).tolist() == positions
         assert hist.tolist() == history
         assert_spaced(pl, geom)
 
@@ -289,13 +354,13 @@ class TestRepair:
         geom, w = tiny_instance(seed=17, d_min=0.9)
         bad = np.array([[0.8, 1.0], [1.2, 1.0]])
         fixed = repair_spacing(snap_to_subarea_presets(bad, geom), w, geom, P, S2)
-        got = evaluate(w, Placement(preset_points(geom, fixed)), geom, P, S2).effective
+        got = evaluate(w, preset_points(geom, fixed), geom, P, S2).effective
         best = -1.0
         for cand in preset_grid(geom, 2):
             if math.dist(bad[0], cand) < geom.d_min:
                 continue
             trial = np.stack([bad[0], cand])
-            best = max(best, evaluate(w, Placement(trial), geom, P, S2).effective)
+            best = max(best, evaluate(w, trial, geom, P, S2).effective)
         assert np.isclose(got, best, rtol=1e-12)
 
     def test_impossible_spacing_falls_back_to_max_min_distance(self):
@@ -333,14 +398,14 @@ def quad_instance(seed, d_min=0.5, n=6):
 
 def assert_no_single_move_improves(presets, w, geom, cfg):
     positions = preset_points(geom, presets)
-    final = fitness(Placement(positions), w, geom, P, S2, cfg)
+    final = fitness(positions, w, geom, P, S2, cfg)
     for i in range(geom.n_subareas):
         for cand in preset_grid(geom, i + 1):
             moved = positions.copy()
             moved[i] = cand
             if close_pairs(moved, geom):
                 continue
-            assert fitness(Placement(moved), w, geom, P, S2, cfg) <= final
+            assert fitness(moved, w, geom, P, S2, cfg) <= final
 
 
 class TestBestResponse:
@@ -371,8 +436,8 @@ class TestBestResponse:
             geom, w = quad_instance(seed + 10)
             start = self.start(geom, seed)
             polished = self.polish(start, w, geom)
-            before = fitness(Placement(preset_points(geom, start)), w, geom, P, S2, self.CFG)
-            after = fitness(Placement(preset_points(geom, polished)), w, geom, P, S2, self.CFG)
+            before = fitness(preset_points(geom, start), w, geom, P, S2, self.CFG)
+            after = fitness(preset_points(geom, polished), w, geom, P, S2, self.CFG)
             assert after >= before
 
     def test_deterministic(self):
@@ -385,11 +450,11 @@ class TestBestResponse:
     def test_optimize_keeps_the_swarm_history(self, monkeypatch):
         geom, w = quad_instance(30)
         cfg = PsoConfig(n_particles=10, n_iterations=15, seed=7)
-        placement, report, history = optimize(w, geom, cfg, P, S2)
+        presets, report, history = optimize(w, geom, cfg, P, S2)
         monkeypatch.setattr(pso, "best_response", lambda presets, *args: presets)
         _, raw_report, raw_history = optimize(w, geom, cfg, P, S2)
         assert len(history) == cfg.n_iterations + 1
         assert np.array_equal(history, raw_history)
         assert report.effective > raw_report.effective  # the swarm alone stalls here
-        assert_spaced(placement, geom)
-        assert_no_single_move_improves(placement.presets, w, geom, cfg)
+        assert_spaced(presets, geom)
+        assert_no_single_move_improves(presets, w, geom, cfg)

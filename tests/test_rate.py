@@ -6,7 +6,7 @@ import pytest
 
 from fires import harness, rate
 from fires.channel import ChannelRealization, correlation_matrix, synthesize_channel
-from fires.geometry import Placement, partition_surface, snap_to_subarea_presets
+from fires.geometry import partition_surface, snap_to_subarea_presets
 from fires.baseline import evaluate_baseline
 from fires.harness import ExperimentConfig, run_sweep
 from fires.pso import PsoConfig, optimize
@@ -157,7 +157,7 @@ class TestEvaluate:
         geom = partition_surface(2.0, 2.0, 4, WL, n_h=3, n_v=3)
         corr = correlation_matrix(geom)
         real = synthesize_channel(geom, *default_links(), rng=np.random.default_rng(13), corr=corr)
-        centers = Placement(np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]))
+        centers = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]])
         return geom, real, centers
 
     def test_rates_equalized(self, setup):
@@ -173,7 +173,7 @@ class TestEvaluate:
 
     def test_beats_fixed_half_split(self, setup):
         geom, real, placement = setup
-        idx = snap_to_subarea_presets(placement.positions, geom)
+        idx = snap_to_subarea_presets(placement, geom)
         h_f, h_r, h_t = real.h_f[idx], real.h_r[idx], real.h_t[idx]
         p, s2 = 10.0, 1e-12
         report = evaluate(amplitude_weights(real), placement, geom, p, s2)
@@ -184,7 +184,7 @@ class TestEvaluate:
 
     def test_split_config_carries_wrapped_phases(self, setup):
         geom, real, placement = setup
-        idx = snap_to_subarea_presets(placement.positions, geom)
+        idx = snap_to_subarea_presets(placement, geom)
         h_f, h_r, h_t = real.h_f[idx], real.h_r[idx], real.h_t[idx]
         p, s2 = 10.0, 1e-12
         report = evaluate(amplitude_weights(real), placement, geom, p, s2)
