@@ -11,22 +11,21 @@ built once per geometry and shared by all links:
 - `correlation_matrix`: the dense L x L sinc matrix, colored by its
   symmetric square root. It is exact and is the reference. The lattice is
   mirror-symmetric along both axes, so in the per-axis even/odd basis the
-  matrix and its square root split into four blocks of about L / 4 (Cantoni
-  and Butler, Linear Algebra Appl. 1976). A square lattice of equal
-  pitches, as the harness's default 20 x 20 one, is also unchanged by
-  swapping its axes (the 20 x 10 lattice of a 2 x 1 m aperture, or
-  n_h != n_v on the default aperture, is not); then the (odd, even) block
-  is the (even, odd) one with the axes swapped, and the (even, even) and
-  (odd, odd) blocks split again into halves of about L / 8 (Fässler and
-  Stiefel 1992). The model keeps
-  only the roots of these irreducible blocks and never forms an L x L
-  array: one root of about L / 4 rows and four of about L / 8 on a square
-  lattice of equal pitches, about L^2 / 8 values (L^2 bytes), and four of
-  about L / 4 on others, about L^2 / 4 values (2 L^2 bytes). Its build
-  folds the offset table into one block at a time, one block row at a
-  time, and roots and frees each block before the next, so it needs the
-  roots so far plus one block's eigendecomposition: at L = 2,500 on one
-  core, 0.16-0.22 s on the square lattice against 0.30-0.42 s through four
+  matrix and its square root split into four blocks of about L / 4, each
+  a Toeplitz-plus-Hankel sum read straight off the table of lattice
+  offsets (Cantoni and Butler, Linear Algebra Appl. 1976). A square
+  lattice of equal pitches, as the harness's default 20 x 20 one, is also
+  unchanged by swapping its axes (the 20 x 10 lattice of a 2 x 1 m
+  aperture, or n_h != n_v on the default aperture, is not); then the
+  (odd, even) block is the (even, odd) one with the axes swapped, and the
+  (even, even) and (odd, odd) blocks split again into halves of about
+  L / 8, each the block plus or minus its column-swapped self (Fässler and
+  Stiefel 1992). The model keeps only the roots of these irreducible
+  blocks, about L^2 / 8 values (L^2 bytes) on a square lattice of equal
+  pitches and L^2 / 4 (2 L^2 bytes) on others, and never forms an L x L
+  array. Its build reads, roots and frees one block at a time, so it needs
+  the roots so far plus one block's eigendecomposition: at L = 2,500 on
+  one core, 0.11-0.12 s on the square lattice against 0.24 s through four
   blocks. A draw is two per-axis fold products, a butterfly over swap
   pairs, a gather through a permutation, one product per root, and the
   inverse gather, the same butterfly and fold products back.
@@ -53,9 +52,9 @@ from .geometry import SurfaceGeometry, lattice_points
 
 # at this lattice size the dense model's roots hold about 64 MB on a square
 # lattice of equal pitches (L^2 bytes) and 128 MB on others (2 L^2 bytes);
-# its traced build peak is about 0.205 x 8 L^2 and 0.380 x 8 L^2 bytes
-# (measured at L = 2,500), the roots so far and one block's
-# eigendecomposition, a few arrays of 8 (L / 4)^2 bytes; its
+# its traced build peak is about 0.209 x 8 L^2 and 0.376 x 8 L^2 bytes
+# (measured at L = 2,500), the roots so far and one block with its reads or
+# its eigendecomposition, a few arrays of 8 (L / 4)^2 bytes; its
 # eigendecompositions take time in 3 L^3 / 128 and L^3 / 16
 DENSE_MAX_PRESETS = 8000
 # wavenumber grid spacing of the plane-wave model is 2 pi / (q * side) per
@@ -92,11 +91,12 @@ class CorrelationModel:
     irreducible symmetry blocks.
 
     In the per-axis even/odd mirror basis (`_fold_matrix`) the L x L matrix
-    splits into four blocks, one per pair of row and column parities. On a
-    lattice that is unchanged by swapping its axes (square, of equal
-    pitches) the (odd, even) block is the (even, odd) one with the axes
-    swapped, and the (even, even) and (odd, odd) blocks split further into
-    a swap-symmetric and a swap-antisymmetric half (`_swap_half_roots`).
+    splits into four blocks, one per pair of row and column parities, each
+    read off the offset table in closed form (`_fold_block`). On a lattice
+    that is unchanged by swapping its axes (square, of equal pitches) the
+    (odd, even) block is the (even, odd) one with the axes swapped, and the
+    (even, even) and (odd, odd) blocks split further into a swap-symmetric
+    and a swap-antisymmetric half (`_swap_halves`).
 
     The block coordinates of a folded field f, flattened row-major over the
     (rows, cols) mirror basis, are read through the permutation `to_blocks`
@@ -120,9 +120,10 @@ class CorrelationModel:
     decomposition picked among (near-)degenerate ones. On lattices finer
     than half a wavelength the blocks have eigenvalues near zero, clamped
     where rounding makes them negative, so a root is defined only to about
-    sqrt(eps): two LAPACK builds, or two exact splits of the same block
-    (the swap halves against the whole block), give roots up to about 4e-9
-    apart. On coarser lattices they agree to about 1e-15.
+    sqrt(eps): two LAPACK builds, or two exact ways to the same block (the
+    swap halves against the whole block, the closed forms against a dense
+    fold), give roots up to about 4e-9 apart. On coarser lattices they agree
+    to about 1e-15.
     """
 
     roots: tuple[np.ndarray, ...]  # (k, k) block roots, in coordinate order
@@ -186,33 +187,20 @@ def _symmetric_sqrt(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 _SQRT_HALF = np.sqrt(0.5)
 
 
-def _mirror_fold(a: np.ndarray, axis: int, odd: bool) -> np.ndarray:
-    """Coordinates of `a` along `axis` in one half of the mirror basis.
-
-    For an axis of length n with m = n // 2, the odd half holds
-    (a[i] - a[n-1-i]) / sqrt(2) for i < m, and the even half holds
-    (a[i] + a[n-1-i]) / sqrt(2) for i < m followed, when n is odd, by the
-    center a[m]. Together the halves are an orthogonal change of basis.
-    """
-    a = np.moveaxis(a, axis, 0)
-    n = a.shape[0]
-    m = n // 2
-    center = n % 2 and not odd
-    half = np.empty((m + center, *a.shape[1:]))
-    (np.subtract if odd else np.add)(a[:m], a[::-1][:m], out=half[:m])
-    half[:m] *= _SQRT_HALF
-    if center:
-        half[m] = a[m]
-    return np.moveaxis(half, 0, axis)
-
-
 @cache
 def _fold_matrix(n: int) -> np.ndarray:
-    """The orthogonal change of basis of `_mirror_fold` along an axis of n:
-    the even half's rows, then the odd half's. Read-only, as the cache
+    """The orthogonal change of basis into the mirror basis of an axis of n,
+    with m = n // 2: the even half's rows (e_i + e_(n-1-i)) / sqrt(2) for
+    i < m followed, when n is odd, by the center e_m, then the odd half's
+    rows (e_i - e_(n-1-i)) / sqrt(2) for i < m. Read-only, as the cache
     shares it."""
-    eye = np.eye(n)
-    fold = np.concatenate([_mirror_fold(eye, 0, False), _mirror_fold(eye, 0, True)])
+    m, k = n // 2, n - n // 2
+    i = np.arange(m)
+    fold = np.zeros((n, n))
+    fold[i, i] = fold[i, n - 1 - i] = fold[k + i, i] = _SQRT_HALF
+    fold[k + i, n - 1 - i] = -_SQRT_HALF
+    if n % 2:
+        fold[m, m] = 1.0
     fold.flags.writeable = False
     return fold
 
@@ -221,93 +209,88 @@ def _fold_matrix(n: int) -> np.ndarray:
 _PARITIES = tuple(product((False, True), repeat=2))
 
 
-def _fold_block(r4: np.ndarray, odd_y: bool, odd_x: bool) -> np.ndarray:
-    """Mirror block (odd_y, odd_x) of the L x L matrix whose
-    (rows, cols, rows, cols) view is `r4`, shape (k_y, k_x, k_y, k_x).
+def _fold_block(table: np.ndarray, odd_y: bool, odd_x: bool) -> np.ndarray:
+    """Mirror block (odd_y, odd_x), shape (k_y, k_x, k_y, k_x), of the
+    lattice correlation that is table[|dr|, |dc|] between presets dr rows
+    and dc columns apart (`_sinc_table`).
 
-    `r4` is only read, so it may be a strided view. The block is folded one
-    block row at a time: block row i pairs lattice rows i and rows - 1 - i
-    along axis 0, or is the center row alone in the even half of an odd
-    axis, and every entry takes the additions and products of `_mirror_fold`
-    along axes 0, 2, 1 and 3, in that order.
+    Along each axis the correlation is Toeplitz and even in its offset, so
+    its mirror blocks are Toeplitz-plus-Hankel (Cantoni and Butler, Linear
+    Algebra Appl. 1976): along an axis of n, entry (i, i') of a half is
+    w_i w_i' [t(i' - i) +- t(n - 1 - i - i')], minus on the odd half, with
+    w = 1 / sqrt(2) at the center of an odd axis's even half and 1
+    elsewhere. The table is read this way along its columns once per row
+    offset, then along its rows one block row at a time, into the block.
     """
-    rows, cols = r4.shape[:2]
-    m = rows // 2
-    k_y = m if odd_y else rows - m
-    k_x = cols // 2 if odd_x else cols - cols // 2
-    block = np.empty((k_y, k_x, k_y, k_x))
+    reads = []  # Toeplitz offsets, Hankel offsets and weights of each axis's half
+    for n, odd in ((len(table), odd_y), (table.shape[1], odd_x)):
+        i = np.arange(n // 2 if odd else n - n // 2)
+        reads.append((np.abs(i[:, None] - i), n - 1 - i[:, None] - i, np.where(i < n // 2, 1.0, _SQRT_HALF)))
+    (toe_y, hank_y, w_y), (toe_x, hank_x, w_x) = reads
+    # (rows, k_x, k_x): one column half per row offset
+    across = (np.subtract if odd_x else np.add)(table[:, toe_x], table[:, hank_x]) * np.outer(w_x, w_x)
     pair = np.subtract if odd_y else np.add
-    for i in range(k_y):
-        row = r4[m] if i == m else pair(r4[i], r4[rows - 1 - i]) * _SQRT_HALF
-        block[i] = _mirror_fold(_mirror_fold(_mirror_fold(row, 1, odd_y), 0, odd_x), 2, odd_x)
+    block = np.empty((len(w_y), len(w_x), len(w_y), len(w_x)))
+    for i, row in enumerate(block):
+        pair(across[toe_y[i]], across[hank_y[i]], out=row.transpose(1, 0, 2))
+    block *= np.outer(w_y, w_y)[:, None, :, None]
     return block
 
 
-def _block_root(r4: np.ndarray, odd_y: bool, odd_x: bool) -> np.ndarray:
+def _block_root(table: np.ndarray, odd_y: bool, odd_x: bool) -> np.ndarray:
     """Symmetric square root of mirror block (odd_y, odd_x) (`_fold_block`)
     from its clamped eigendecomposition, shape (k_y k_x, k_y k_x)."""
-    block = _fold_block(r4, odd_y, odd_x)
+    block = _fold_block(table, odd_y, odd_x)
     k = block.shape[0] * block.shape[1]
     eig = np.linalg.eigh(block.reshape(k, k))
     del block  # only the eigendecomposition stays alive while it is rooted
     return _symmetric_sqrt(*eig)
 
 
-def _swap_butterfly(a: np.ndarray) -> None:
-    """In place over the first two axes of `a`, which index an h x h grid:
-    for every i < j, a[i, j] and a[j, i] become (a[i, j] + a[j, i]) / sqrt(2)
-    and (a[i, j] - a[j, i]) / sqrt(2), the coordinates of the pair in the
-    symmetric and the antisymmetric half of the swap basis. `a` may be a
-    strided view."""
-    for i in range(len(a) - 1):
-        upper, lower = a[i, i + 1 :], a[i + 1 :, i]
-        total = upper + lower
-        np.subtract(upper, lower, out=lower)
-        np.multiply(total, _SQRT_HALF, out=upper)
-        lower *= _SQRT_HALF
+def _swap_halves(table: np.ndarray, odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The swap-symmetric and swap-antisymmetric halves of mirror block
+    (odd, odd) of a lattice that is unchanged by swapping its axes, of
+    h (h + 1) / 2 and h (h - 1) / 2 rows for an h x h quadrant.
 
-
-def _swap_half_roots(r4: np.ndarray, odd: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square roots of the swap-symmetric and swap-antisymmetric
-    halves of mirror block (odd, odd) of a lattice that is unchanged by
-    swapping its axes, of h (h + 1) / 2 and h (h - 1) / 2 rows for an h x h
-    quadrant.
-
-    Such a block commutes with the swap, so in the swap basis
-    (`_swap_butterfly`) it splits into the two halves (Fässler and Stiefel,
-    Group Theoretical Methods and Their Applications, 1992); their
-    couplings are rounding noise and are dropped. The symmetric half's
-    coordinates are the grid's diagonal and upper triangle, row-major, and
-    the antisymmetric half's its lower triangle, row-major; each half gets
-    its own clamped eigendecomposition.
+    Such a block B commutes with the swap p -> p^T of quadrant coordinates,
+    so in the swap basis, e_p on the diagonal and (e_p +- e_(p^T)) / sqrt(2)
+    off it, it splits into two halves (Fässler and Stiefel, Group
+    Theoretical Methods and Their Applications, 1992), whose couplings are
+    rounding noise and are dropped: v_p v_q [B(p, q) + B(p, q^T)] over the
+    grid's diagonal and upper triangle, row-major, with v = 1 / sqrt(2) on
+    the diagonal and 1 elsewhere, and B(p, q) - B(p, q^T) over its lower
+    triangle, row-major.
     """
-    block = _fold_block(r4, odd, odd)
-    _swap_butterfly(block)
-    _swap_butterfly(np.moveaxis(block, (2, 3), (0, 1)))
-    h = len(block)
-    halves = [block[i[:, None], j[:, None], i, j] for i, j in (np.triu_indices(h), np.tril_indices(h, -1))]
+    block = _fold_block(table, odd, odd)
+    upper, lower = np.triu_indices(len(block)), np.tril_indices(len(block), -1)
+    halves = []
+    for (i, j), pair in ((upper, np.add), (lower, np.subtract)):
+        half = block[i[:, None], j[:, None], i, j]
+        pair(half, block[i[:, None], j[:, None], j, i], out=half)
+        halves.append(half)
     del block
-    return tuple(_symmetric_sqrt(*np.linalg.eigh(half)) for half in halves)
+    weight = np.where(upper[0] == upper[1], _SQRT_HALF, 1.0)
+    return halves[0] * np.outer(weight, weight), halves[1]
 
 
-def _mirror_roots(r4: np.ndarray, swap: bool) -> tuple[np.ndarray, ...]:
-    """`CorrelationModel.roots` of a lattice correlation that is unchanged
-    by mirroring either lattice axis, and also by swapping them when `swap`.
+def _mirror_roots(table: np.ndarray, swap: bool) -> tuple[np.ndarray, ...]:
+    """`CorrelationModel.roots` of the lattice correlation of `table`
+    (`_fold_block`), unchanged by swapping the lattice axes when `swap`.
 
-    `r4` is the (rows, cols, rows, cols) view of the L x L matrix; it is only
-    read, so it may be a strided view. Each block is folded one block row at
-    a time (`_fold_block`), gets its own clamped eigendecomposition and
-    square root, and is freed before the next one is folded, so the build
-    holds the roots so far plus one block's eigendecomposition. Without
-    `swap` the four mirror blocks are rooted in the order of `_PARITIES`,
-    for about a sixteenth of the work of the whole each. With it the
-    (even, odd) block is rooted first, the build's largest
-    eigendecomposition, and then the swap halves of the (even, even) and
-    (odd, odd) blocks (`_swap_half_roots`).
+    Each block, or swap half, is read off the table and rooted by its own
+    clamped eigendecomposition before the next one is read, so the build
+    holds the roots so far plus one block. Without `swap` the four mirror
+    blocks are rooted in the order of `_PARITIES`, for about a sixteenth of
+    the work of the whole each. With it the (even, odd) block goes first,
+    the build's largest eigendecomposition, and then the swap halves of the
+    (even, even) and (odd, odd) blocks (`_swap_halves`).
     """
     if swap:
-        return (_block_root(r4, False, True), *_swap_half_roots(r4, False), *_swap_half_roots(r4, True))
-    return tuple(_block_root(r4, odd_y, odd_x) for odd_y, odd_x in _PARITIES)
+        roots = [_block_root(table, False, True)]
+        for odd in (False, True):
+            roots += [_symmetric_sqrt(*np.linalg.eigh(half)) for half in _swap_halves(table, odd)]
+        return tuple(roots)
+    return tuple(_block_root(table, odd_y, odd_x) for odd_y, odd_x in _PARITIES)
 
 
 def _block_maps(rows: int, cols: int, swap: bool) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
@@ -316,7 +299,7 @@ def _block_maps(rows: int, cols: int, swap: bool) -> tuple[tuple, np.ndarray, np
 
     After the butterfly, a diagonal quadrant holds its swap-symmetric
     coordinates on and above the diagonal and the antisymmetric ones below,
-    where `_swap_butterfly` leaves them in the block their roots come from.
+    in the order of the halves their roots come from (`_swap_halves`).
     """
     half_y, half_x = rows - rows // 2, cols - cols // 2
     grid = np.arange(rows * cols).reshape(rows, cols)
@@ -376,9 +359,10 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
 
     Entry for lattice points with index offsets (dc, dr) is
     sinc(2/wavelength * hypot(dc * a_h / (L_h - 1), dr * a_v / (L_v - 1))),
-    i.e. sinc of twice the physical separation in wavelengths. The matrix is
-    read off a table of the (2 L_v - 1) x (2 L_h - 1) lattice offsets and
-    folded straight into its four mirror blocks, so no L x L array is formed.
+    i.e. sinc of twice the physical separation in wavelengths. Its mirror
+    blocks, and on a square lattice of equal pitches their swap halves, are
+    read in closed form off a table of the L_v x L_h nonnegative lattice
+    offsets (`_sinc_table`), so no L x L array is formed.
     """
     l_h, l_v = geom.lattice_cols, geom.lattice_rows
     if l_h < 2 or l_v < 2:
@@ -388,19 +372,19 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
         warnings.warn(
             f"dense correlation model for L={n} presets holds about {n**2 / 1e9:.1f} GB of "
             f"block roots on a square lattice of equal pitches and {2 * n**2 / 1e9:.1f} GB on "
-            f"others, and its build peaks near {1.6 * n**2 / 1e9:.1f} and {3.0 * n**2 / 1e9:.1f} "
+            f"others, and its build peaks near {1.7 * n**2 / 1e9:.1f} and {3.0 * n**2 / 1e9:.1f} "
             f"GB; above {DENSE_MAX_PRESETS} presets use plane_wave_field, as the experiment "
             "harness does",
             RuntimeWarning,
             stacklevel=2,
         )
-    r4 = _sinc_window(geom)
-    # the offset table is even in both offsets; a square one that equals its
-    # transpose is also unchanged by swapping the lattice axes
-    swap = l_h == l_v and np.array_equal(r4[0, 0], r4[0, 0].T)
+    table = _sinc_table(geom)
+    # a square table that equals its transpose is unchanged by swapping the
+    # lattice axes
+    swap = l_h == l_v and np.array_equal(table, table.T)
     runs, to_blocks, from_blocks, pairs = _block_maps(l_v, l_h, swap)
     return CorrelationModel(
-        roots=_mirror_roots(r4, swap),
+        roots=_mirror_roots(table, swap),
         runs=runs,
         to_blocks=to_blocks,
         from_blocks=from_blocks,
@@ -409,19 +393,15 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
     )
 
 
-def _sinc_window(geom: SurfaceGeometry) -> np.ndarray:
-    """The L x L sinc matrix as a (rows, cols, rows, cols) strided view of one
-    sinc value per lattice offset; it holds (2 rows - 1) x (2 cols - 1)
-    values."""
+def _sinc_table(geom: SurfaceGeometry) -> np.ndarray:
+    """Sinc correlation of two presets dr rows and dc columns apart, at
+    [dr, dc] for every dr, dc >= 0, shape (rows, cols). It is even in both
+    offsets, so entry ((r, c), (r', c')) of the L x L matrix is
+    table[|r' - r|, |c' - c|]."""
     l_h, l_v = geom.lattice_cols, geom.lattice_rows
-    # one sinc value per lattice offset (dr, dc), at [dr + l_v - 1, dc + l_h - 1]
-    dx = np.arange(1 - l_h, l_h) * (geom.a_h / (l_h - 1))
-    dy = np.arange(1 - l_v, l_v) * (geom.a_v / (l_v - 1))
-    table = np.sinc(2.0 / geom.wavelength * np.hypot(dx[None, :], dy[:, None]))
-    # entry ((r, c), (r', c')) is table[r' - r + l_v - 1, c' - c + l_h - 1],
-    # the table being even in both offsets; the sliding window with reversed
-    # origins reads exactly that: window[r, c, r', c'] = table[l_v - 1 - r + r', ...]
-    return np.lib.stride_tricks.sliding_window_view(table, (l_v, l_h))[::-1, ::-1]
+    dx = np.arange(l_h) * (geom.a_h / (l_h - 1))
+    dy = np.arange(l_v) * (geom.a_v / (l_v - 1))
+    return np.sinc(2.0 / geom.wavelength * np.hypot(dx[None, :], dy[:, None]))
 
 
 @dataclass(frozen=True, eq=False)

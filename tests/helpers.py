@@ -13,7 +13,6 @@ from fires.channel import (
     PlaneWaveField,
     _complex_pairs,
     _fold_matrix,
-    _mirror_fold,
     _symmetric_sqrt,
     synthesize_channel,
 )
@@ -177,30 +176,52 @@ def coordinate_runs(corr: CorrelationModel, folded: np.ndarray):
             start += len(root)
 
 
-def whole_window_blocks(r4: np.ndarray):
-    """The four mirror blocks, in the order of `channel._PARITIES`, by
-    whole-window folds: each row parity folds all of `r4` along axes 0 and 2,
-    then each column parity along axes 1 and 3, with temporaries near
-    8 L^2 bytes; the reference the block-at-a-time fold is checked against
-    bit for bit. Yields (k_y, k_x, k_y, k_x) arrays."""
-    for odd_y in (False, True):
-        r_y = _mirror_fold(_mirror_fold(r4, 0, odd_y), 2, odd_y)
-        for odd_x in (False, True):
-            yield _mirror_fold(_mirror_fold(r_y, 1, odd_x), 3, odd_x)
+def dense_mirror_blocks(geom: SurfaceGeometry):
+    """The four mirror blocks, in the order of `channel._PARITIES`, of the
+    dense sinc matrix (`sinc_matrix`) carried into the mirror basis by the
+    Kronecker product of the two axes' fold matrices, one quadrant each; the
+    reference the blocks read off the offset table are checked against.
+    Yields (k_y, k_x, k_y, k_x) arrays."""
+    rows, cols = geom.lattice_rows, geom.lattice_cols
+    fold = np.kron(_fold_matrix(rows), _fold_matrix(cols))
+    folded = fold @ sinc_matrix(geom) @ fold.T
+    half_y, half_x = rows - rows // 2, cols - cols // 2
+    grid = np.arange(rows * cols).reshape(rows, cols)
+    for odd_y, odd_x in _PARITIES:
+        quadrant = grid[half_y:] if odd_y else grid[:half_y]
+        quadrant = quadrant[:, half_x:] if odd_x else quadrant[:, :half_x]
+        idx = quadrant.ravel()
+        yield folded[np.ix_(idx, idx)].reshape(quadrant.shape * 2)
 
 
-def whole_window_mirror_roots(r4: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The roots of the four-block build (`channel._mirror_roots` without the
-    swap split) on whole-window folds (`whole_window_blocks`), each block
-    rooted by its own eigendecomposition, (k, k) each. Also returns the four
-    blocks' eigenvalues, sorted ascending and not clamped."""
-    vals, roots = [], []
-    for block in whole_window_blocks(r4):
-        k = block.shape[0] * block.shape[1]
-        eig = np.linalg.eigh(block.reshape(k, k))
-        vals.append(eig.eigenvalues)
-        roots.append(_symmetric_sqrt(*eig))
-    return np.sort(np.concatenate(vals)), roots
+def dense_mirror_roots(geom: SurfaceGeometry) -> list[np.ndarray]:
+    """The roots of the four-block build (`channel._mirror_roots` without
+    the swap split) of the dense reference blocks (`dense_mirror_blocks`),
+    each block rooted by its own eigendecomposition, (k, k) each."""
+    return [block_root(block) for block in dense_mirror_blocks(geom)]
+
+
+def block_root(block: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a (k_y, k_x, k_y, k_x) block or a (k, k)
+    matrix from its clamped eigendecomposition, shape (k, k)."""
+    k = int(np.sqrt(block.size))
+    return _symmetric_sqrt(*np.linalg.eigh(block.reshape(k, k)))
+
+
+def dense_swap_halves(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The swap-symmetric and swap-antisymmetric halves of an (h, h, h, h)
+    mirror block of a diagonal quadrant, carried by dense products into the
+    swap basis: e_p on the quadrant's diagonal and (e_p + e_(p^T)) / sqrt(2)
+    above it, row-major, then (e_p - e_(p^T)) / sqrt(2) below it, row-major."""
+    h = len(block)
+    grid = np.arange(h * h).reshape(h, h)
+    eye = np.eye(h * h)
+    swapped = eye[grid.T.ravel()]
+    symmetric = (eye + swapped)[grid[np.triu_indices(h)]]
+    symmetric /= np.linalg.norm(symmetric, axis=1, keepdims=True)
+    antisymmetric = (eye - swapped)[grid[np.tril_indices(h, -1)]] * np.sqrt(0.5)
+    flat = block.reshape(h * h, h * h)
+    return symmetric @ flat @ symmetric.T, antisymmetric @ flat @ antisymmetric.T
 
 
 def offset_covariance(field: PlaneWaveField) -> np.ndarray:

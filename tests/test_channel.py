@@ -9,7 +9,9 @@ from fires.channel import (
     LinkParams,
     PlaneWaveField,
     _fold_block,
-    _sinc_window,
+    _fold_matrix,
+    _sinc_table,
+    _swap_halves,
     _symmetric_sqrt,
     correlation_matrix,
     path_loss,
@@ -23,10 +25,14 @@ from fires.rate import amplitude_weights, lattice_rates
 from helpers import (
     WL,
     DenseModel,
+    block_root,
     channel_batches,
     coordinate_runs,
     default_links,
     dense_coloring,
+    dense_mirror_blocks,
+    dense_mirror_roots,
+    dense_swap_halves,
     evaluate,
     folded_matrix,
     mean_link_powers,
@@ -35,8 +41,6 @@ from helpers import (
     preset_flat_indices,
     preset_grid,
     sinc_matrix,
-    whole_window_blocks,
-    whole_window_mirror_roots,
 )
 
 
@@ -115,7 +119,8 @@ LATTICE_IDS = ["10x10", "9x9", "8x9-grid3x1", "6x7-grid1x2"]
 
 def window_matrix(geom):
     """The L x L matrix that `correlation_matrix` reads off its offset table."""
-    return _sinc_window(geom).reshape(geom.n_presets, geom.n_presets)
+    rows, cols = np.divmod(np.arange(geom.n_presets), geom.lattice_cols)
+    return _sinc_table(geom)[np.abs(rows[:, None] - rows), np.abs(cols[:, None] - cols)]
 
 
 class TestCorrelation:
@@ -154,7 +159,8 @@ class TestCorrelation:
         full = model_from_matrix(r)
         root = dense_coloring(corr)
         assert np.max(np.abs(root - full.coloring)) <= 1e-9
-        block_vals, _ = whole_window_mirror_roots(_sinc_window(geom))
+        blocks = [_fold_block(_sinc_table(geom), *parity) for parity in _PARITIES]
+        block_vals = np.sort(np.concatenate([np.linalg.eigvalsh(b.reshape(len(b) * b.shape[1], -1)) for b in blocks]))
         assert np.max(np.abs(block_vals - np.linalg.eigvalsh(r))) <= 1e-12
         assert np.max(np.abs(root - root.T)) <= 1e-12
         rel = np.linalg.norm(root @ root.T - r) / np.linalg.norm(r)
@@ -211,24 +217,31 @@ def axis_swap(geom):
 
 
 class TestBlockAtATimeBuild:
-    """Folding each block one block row at a time gives the bits of folding
-    the whole window. Where the lattice is unchanged by swapping its axes,
-    the build roots one block whole and two through their swap halves, and
-    the (even, odd) root also colors the (odd, even) quadrant read with its
-    axes swapped, so it keeps the bits of the folds but not of the four
-    block roots."""
+    """Each mirror block, read off the offset table as a Toeplitz-plus-Hankel
+    sum, is the dense sinc matrix carried into the mirror basis by the fold
+    matrices, up to rounding, and so is each swap half. Where the lattice is
+    unchanged by swapping its axes, the build roots one block whole and two
+    through their swap halves, and the (even, odd) root also colors the
+    (odd, even) quadrant read with its axes swapped."""
 
     @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
-    def test_same_bits_as_the_whole_window_fold(self, geom):
-        r4 = _sinc_window(geom)
-        for (odd_y, odd_x), block in zip(_PARITIES, whole_window_blocks(r4), strict=True):
-            assert np.array_equal(_fold_block(r4, odd_y, odd_x), block)
-        if not swaps_axes(geom):
-            _, roots = whole_window_mirror_roots(r4)
-            corr = correlation_matrix(geom)
-            assert corr.runs == (1, 1, 1, 1)
-            for got, root in zip(corr.roots, roots, strict=True):
-                assert np.array_equal(got, root)
+    def test_blocks_match_the_dense_fold(self, geom):
+        table = _sinc_table(geom)
+        blocks = list(dense_mirror_blocks(geom))
+        reads = [(_fold_block(table, *parity), block) for parity, block in zip(_PARITIES, blocks, strict=True)]
+        if swaps_axes(geom):
+            halves = [*dense_swap_halves(blocks[0]), *dense_swap_halves(blocks[3])]
+            reads += zip([*_swap_halves(table, False), *_swap_halves(table, True)], halves)
+            blocks = [blocks[1], *halves]  # the irreducible ones, in the order of the roots
+        for got, expect in reads:
+            # within a few ulp of the block's largest entry
+            scale = np.abs(expect).max(initial=0.0)
+            assert np.abs(got - expect).max(initial=0.0) <= 8 * np.finfo(float).eps * scale
+        # finer than half a wavelength, the blocks' near-zero eigenvalues are
+        # clamped and a root is defined only to about sqrt(eps)
+        tol = 1e-8 if min(pitches(geom)) < WL / 2 else 1e-13
+        for root, block in zip(correlation_matrix(geom).roots, blocks, strict=True):
+            assert np.abs(root - block_root(block)).max(initial=0.0) <= tol
 
     @pytest.mark.parametrize("geom", SWAP_LATTICES, ids=SWAP_LATTICE_IDS)
     def test_coloring_is_unchanged_by_swapping_the_axes(self, geom):
@@ -239,7 +252,7 @@ class TestBlockAtATimeBuild:
     @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
     def test_each_root_squared_is_its_folded_block(self, geom):
         corr = correlation_matrix(geom)
-        folded = folded_matrix(corr.shape, whole_window_blocks(_sinc_window(geom)))
+        folded = folded_matrix(corr.shape, dense_mirror_blocks(geom))
         for root, block in coordinate_runs(corr, folded):
             assert np.linalg.norm(root @ root - block) <= 1e-12 * np.linalg.norm(block)
 
@@ -248,10 +261,20 @@ class TestBlockAtATimeBuild:
         # finer than half a wavelength, the blocks' near-zero eigenvalues are
         # clamped and a root is defined only to about sqrt(eps)
         corr = correlation_matrix(geom)
-        _, roots = whole_window_mirror_roots(_sinc_window(geom))
+        roots = dense_mirror_roots(geom)
         tol = 1e-8 if pitches(geom)[0] < WL / 2 else 1e-13
         for root, expect in coordinate_runs(corr, folded_matrix(corr.shape, roots)):
             assert np.abs(root - expect).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fold_matrix_holds_the_exact_mirror_rows(n):
+    # a draw folds through these entries, exactly +-sqrt(1/2), 1 and 0, so
+    # the draws of a model move only with its roots
+    eye, m = np.eye(n), n // 2
+    even = [(eye[i] + eye[n - 1 - i]) * np.sqrt(0.5) for i in range(m)] + [eye[m]] * (n % 2)
+    odd = [(eye[i] - eye[n - 1 - i]) * np.sqrt(0.5) for i in range(m)]
+    assert np.array_equal(_fold_matrix(n), np.array(even + odd))
 
 
 class TestBlockMaps:
@@ -328,7 +351,8 @@ class TestNlosField:
 
 class TestDenseModelFootprint:
     """The dense model keeps only its irreducible block roots and builds
-    without an L x L array."""
+    without an L x L array: each block is read off the offset table in place
+    and rooted before the next."""
 
     def test_dense_lattice_stores_an_eighth_of_l_squared_root_values(self):
         # the dense-lattice benchmark geometry: 25 x 25 presets per subarea
@@ -370,9 +394,10 @@ class TestDenseModelFootprint:
         assert peak <= 0.65 * 8 * n**2
 
     def test_dense_lattice_build_peak_below_the_four_block_build(self):
-        # the swap-symmetric build's traced peak is 0.205 x 8 L^2 bytes at
-        # L = 2,500, with 10% headroom: its first root's eigendecomposition,
-        # before any root is kept; the four-block build's was 0.438
+        # the swap-symmetric build's traced peak is 0.209 x 8 L^2 bytes at
+        # L = 2,500, with 7% headroom: the (odd, odd) block and the reads of
+        # its swap halves beside the three roots kept so far; the four-block
+        # build's is 0.375 on this lattice
         peak, n = self.build_peak(self.PEAK_LATTICES[0])
         assert peak <= 0.225 * 8 * n**2
 
@@ -380,7 +405,7 @@ class TestDenseModelFootprint:
         # a 50 x 50 lattice of unequal pitches takes the four-block path; each
         # root is allocated when it is rooted, so the last block's
         # eigendecomposition runs beside three roots, not four: the traced
-        # peak is 0.380 x 8 L^2 bytes, with 10% headroom (0.439 when all
+        # peak is 0.376 x 8 L^2 bytes, with 11% headroom (0.439 when all
         # four padded roots were allocated up front)
         peak, n = self.build_peak(partition_surface(2.0, 1.9, 4, WL, n_h=25, n_v=25, grid=(2, 2)))
         assert peak <= 0.418 * 8 * n**2
