@@ -23,7 +23,7 @@ from .harness import (
     wavelength,
 )
 from .pso import PsoConfig, best_response, optimize
-from .rate import RateReport, amplitude_weights
+from .rate import amplitude_weights
 
 __all__ = [
     "ChannelRealization",
@@ -32,7 +32,6 @@ __all__ = [
     "LinkParams",
     "PlaneWaveField",
     "PsoConfig",
-    "RateReport",
     "ResultRecord",
     "SurfaceGeometry",
     "TrialRecord",

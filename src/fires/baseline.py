@@ -13,7 +13,7 @@ from functools import cache
 import numpy as np
 
 from .geometry import SurfaceGeometry, subarea_grid_shape
-from .rate import RateReport, _check_weights, lattice_rates
+from .rate import _check_weights, lattice_rates
 
 
 def _nearest_lines(k: int, count: int) -> np.ndarray:
@@ -55,8 +55,8 @@ def evaluate_baseline(
     power: float,
     noise_power: float,
     m_hat: int | None = None,
-) -> RateReport:
-    """Rate report of the fixed surface of m_hat elements on the fluid
+):
+    """Max-min rate of the fixed surface of m_hat elements on the fluid
     surface's channel field, from its `amplitude_weights`, at the presets
     `fixed_surface_presets` gives."""
     _check_weights(weights, geom)

@@ -309,9 +309,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
     On the power axis the swarm runs at the highest sweep power: the rates
     are that placement's at cfg.power_dbm, and the history is the swarm's
     own at the highest sweep power. Inside run_sweep the powers of one trial
-    share that swarm; the records are the same either way. Every power
-    scores the swarm's presets and the fixed surface from the trial's
-    weights, without another snap or conversion.
+    share that swarm; the records are the same either way. Every power reads
+    the max-min rates of the swarm's presets and of the fixed surface off
+    the trial's weights, without another snap or conversion.
     """
     share = _power_share.get()
     if share:
@@ -323,12 +323,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
 
     power = dbm_to_watts(float(cfg.power_dbm))
     noise = dbm_to_watts(cfg.noise_dbm)
-    report = lattice_rates(swarm.weights, swarm.presets, power, noise)
-    baseline = evaluate_baseline(swarm.weights, swarm.geom, power, noise, cfg.m_hat)
     return TrialRecord(
         trial_index=trial_index,
-        fires_rate=float(report.effective),
-        baseline_rate=float(baseline.effective),
+        fires_rate=float(lattice_rates(swarm.weights, swarm.presets, power, noise)),
+        baseline_rate=float(evaluate_baseline(swarm.weights, swarm.geom, power, noise, cfg.m_hat)),
         history=swarm.history,
     )
 

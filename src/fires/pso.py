@@ -32,7 +32,7 @@ from .geometry import (
     subarea_corners,
     subarea_presets,
 )
-from .rate import RateReport, _check_weights, lattice_rates
+from .rate import _check_weights, lattice_rates
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def _batch_scores(
     presets minus tau per pair of positions closer than d_min."""
     idx = snap_to_subarea_presets(positions, geom)
     violations = _pair_violation_counts(positions, geom.d_min)
-    return lattice_rates(weights, idx, power, noise_power).effective - tau * violations
+    return lattice_rates(weights, idx, power, noise_power) - tau * violations
 
 
 def repair_spacing(
@@ -108,7 +108,7 @@ def repair_spacing(
         if clear.any():
             trials = np.repeat(idx[None, :], np.count_nonzero(clear), axis=0)
             trials[:, i] = flats[i][clear]
-            rates = lattice_rates(weights, trials, power, noise_power).effective
+            rates = lattice_rates(weights, trials, power, noise_power)
             idx[i] = trials[int(np.argmax(rates)), i]
         else:
             own = preset_points(geom, flats[i])
@@ -137,7 +137,7 @@ def best_response(
     idx, m = np.array(presets), geom.n_subareas
     flats = subarea_presets(geom)  # ascending flat index
     violations = preset_violations(idx, geom)
-    current = float(lattice_rates(weights, idx, power, noise_power).effective) - cfg.tau * violations
+    current = float(lattice_rates(weights, idx, power, noise_power)) - cfg.tau * violations
     # elements known to be best responses to the others as they stand; the
     # search ends when all m are, as after a full sweep without a move
     stable = i = 0
@@ -151,7 +151,7 @@ def best_response(
             # candidates clear every other element, which leaves the
             # violations among the others
             held = violations and preset_violations(others, geom)
-            fit = lattice_rates(weights, trials, power, noise_power).effective - cfg.tau * held
+            fit = lattice_rates(weights, trials, power, noise_power) - cfg.tau * held
             top = int(np.argmax(fit))
             if fit[top] > current:
                 idx[i] = trials[top, i]
@@ -187,9 +187,9 @@ def optimize(
     power: float,
     noise_power: float,
     initial_presets: np.ndarray | None = None,
-) -> tuple[np.ndarray, RateReport, np.ndarray]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Run the swarm on a realization's `amplitude_weights` and return (the
-    (M,) flat presets of the best placement, their rate report, history).
+    (M,) flat presets of the best placement, their max-min rate, history).
 
     history[k] is the best fitness seen after k iterations (entry 0 covers
     the initial swarm) and is nondecreasing. The run is fully determined by
@@ -199,7 +199,7 @@ def optimize(
     result by the fitness of every injected placement. The swarm's best
     placement is snapped to its presets once; if two of them lie closer
     than d_min, a repair pass rebuilds them, and best-response sweeps
-    (`best_response`) then polish them. The report is the final presets'.
+    (`best_response`) then polish them. The rate is the final presets'.
     The history is the swarm's own and does not include the polish.
     """
     _check_weights(weights, geom)
@@ -234,4 +234,4 @@ def optimize(
     if preset_violations(presets, geom):
         presets = repair_spacing(presets, weights, geom, power, noise_power)
     presets = best_response(presets, weights, geom, power, noise_power, cfg)
-    return presets, lattice_rates(weights, presets, power, noise_power), np.asarray(history)
+    return presets, float(lattice_rates(weights, presets, power, noise_power)), np.asarray(history)

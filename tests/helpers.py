@@ -25,13 +25,7 @@ from fires.geometry import (
     subarea_presets,
 )
 from fires.pso import PsoConfig, _batch_scores
-from fires.rate import (
-    RateReport,
-    _check_weights,
-    _equalizing_split,
-    lattice_rates,
-    split_and_rates,
-)
+from fires.rate import _check_weights, lattice_rates
 
 WL = 0.0856  # ~3.5 GHz carrier
 
@@ -254,26 +248,6 @@ def placement_in_subareas(positions: np.ndarray, geom: SurfaceGeometry) -> bool:
     return bool(np.all(positions >= lo - 1e-9) and np.all(positions <= hi + 1e-9))
 
 
-def evaluate(
-    weights,
-    positions: np.ndarray,
-    geom: SurfaceGeometry,
-    power: float,
-    noise_power: float,
-) -> RateReport:
-    """Max-min rate report of a float placement, (M, 2) positions, from a
-    realization's `amplitude_weights`: each element snaps to the nearest preset of its own
-    subarea (ties toward the smaller flat index), and the presets are scored
-    by `lattice_rates`. Rejects weights of another preset count, as the
-    program's scorers do, and a placement with an element outside its own
-    subarea (`placement_in_subareas`)."""
-    _check_weights(weights, geom)
-    if not placement_in_subareas(positions, geom):
-        raise ValueError("placement does not match geometry: element outside its subarea")
-    idx = snap_to_subarea_presets(positions, geom)
-    return lattice_rates(weights, idx, power, noise_power)
-
-
 def snr(h_f, h_u, phases, beta, power, noise_power):
     """Linear SNR of one user for given element phases and energy share.
 
@@ -310,17 +284,71 @@ def optimal_split(g_r, g_t):
     g_t = np.asarray(g_t, dtype=float)
     if np.any(g_r < 0) or np.any(g_t < 0):
         raise ValueError("gains must be nonnegative")
-    beta = _equalizing_split(g_r, g_t)
+    total = g_r + g_t
+    beta = np.where(total > 0, g_t / np.where(total > 0, total, 1.0), 0.5)
+    beta = np.where((g_r > 0) & (g_t == 0), 1.0, beta)
+    beta = np.where((g_t > 0) & (g_r == 0), 0.0, beta)
     if np.ndim(beta) == 0:
         return float(beta)
     return beta
 
 
-def channel_rates(h_f, h_r, h_t, power, noise_power) -> RateReport:
-    """`split_and_rates` of explicit channel vectors: the amplitude products
+@dataclass(frozen=True, eq=False)
+class UserRates:
+    """Each user's achievable rate (bits/s/Hz) and linear SNR under optimal
+    phases and the `optimal_split`; arrays of a batch's leading shape."""
+
+    rate_r: np.ndarray
+    rate_t: np.ndarray
+    snr_r: np.ndarray
+    snr_t: np.ndarray
+
+    @property
+    def effective(self) -> np.ndarray:
+        """The max-min rate, min(rate_r, rate_t)."""
+        return np.minimum(self.rate_r, self.rate_t)
+
+
+def rate_report(a_r, a_t, power, noise_power) -> UserRates:
+    """Per-user rates of placements from each element's amplitude products
+    |h_f| |h_r| and |h_f| |h_t|, shaped (..., M): the reference of
+    `rate.split_and_rates`, which returns only their min. With every phase
+    aligned a user's gain is power * (sum of its products)^2 / noise, and
+    the `optimal_split` shares it between the two users."""
+    g_r = power * a_r.sum(axis=-1) ** 2 / noise_power
+    g_t = power * a_t.sum(axis=-1) ** 2 / noise_power
+    beta_r = optimal_split(g_r, g_t)
+    snr_r = beta_r * g_r
+    snr_t = (1.0 - beta_r) * g_t
+    return UserRates(np.log2(1.0 + snr_r), np.log2(1.0 + snr_t), snr_r, snr_t)
+
+
+def channel_rates(h_f, h_r, h_t, power, noise_power) -> UserRates:
+    """`rate_report` of explicit channel vectors: the amplitude products
     |h_f| |h_r| and |h_f| |h_t|, shaped (..., M)."""
     amp_f = np.abs(h_f)
-    return split_and_rates(amp_f * np.abs(h_r), amp_f * np.abs(h_t), power, noise_power)
+    return rate_report(amp_f * np.abs(h_r), amp_f * np.abs(h_t), power, noise_power)
+
+
+def evaluate(
+    weights,
+    positions: np.ndarray,
+    geom: SurfaceGeometry,
+    power: float,
+    noise_power: float,
+) -> UserRates:
+    """Per-user rates (`rate_report`) of a float placement, (M, 2)
+    positions, from a realization's `amplitude_weights`: each element snaps
+    to the nearest preset of its own subarea (ties toward the smaller flat
+    index), and the weights at those presets are scored. Rejects weights of
+    another preset count, as the program's scorers do, and a placement with
+    an element outside its own subarea (`placement_in_subareas`)."""
+    _check_weights(weights, geom)
+    if not placement_in_subareas(positions, geom):
+        raise ValueError("placement does not match geometry: element outside its subarea")
+    idx = snap_to_subarea_presets(positions, geom)
+    w_r, w_t = weights
+    return rate_report(w_r[idx], w_t[idx], power, noise_power)
 
 
 def fitness(
@@ -372,10 +400,10 @@ def brute_force_oracle(
         if not feasible.any():
             continue
         lattice_idx = flats[np.arange(m)[None, :], local[feasible]]
-        report = lattice_rates(weights, lattice_idx, power, noise_power)
-        top = int(np.argmax(report.effective))  # first max: smallest combo id
-        if report.effective[top] > best_rate:
-            best_rate = float(report.effective[top])
+        rates = lattice_rates(weights, lattice_idx, power, noise_power)
+        top = int(np.argmax(rates))  # first max: smallest combo id
+        if rates[top] > best_rate:
+            best_rate = float(rates[top])
             best_positions = pos[feasible][top].copy()
     if best_positions is None:
         raise ValueError("no spacing-feasible lattice placement exists")

@@ -59,8 +59,8 @@ def test_c1_oracle_equivalence():
     _, oracle_rate = brute_force_oracle(weights, geom, P40, NOISE)
     hits = 0
     for seed in range(20):
-        _, report, _ = optimize(weights, geom, PsoConfig(seed=seed), P40, NOISE)
-        hits += report.effective >= 0.99 * oracle_rate
+        _, rate, _ = optimize(weights, geom, PsoConfig(seed=seed), P40, NOISE)
+        hits += rate >= 0.99 * oracle_rate
     ok = hits >= 19  # 95% of 20 seeds
     assert _verdict(
         "C1 oracle equivalence", ok, f"{hits}/20 seeds reached 99% of the lattice optimum"

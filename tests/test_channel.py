@@ -40,6 +40,7 @@ from helpers import (
     offset_covariance,
     preset_flat_indices,
     preset_grid,
+    rate_report,
     sinc_matrix,
 )
 
@@ -586,12 +587,13 @@ class TestChannelLookup:
         pos = np.stack([preset_grid(geom, m)[4] for m in range(1, 5)])
         idx = np.array([preset_flat_indices(geom, m)[4] - 1 for m in range(1, 5)])
         w = amplitude_weights(real)
-        expect = lattice_rates(w, idx, 10.0, 1e-12)
+        expect = rate_report(w[0][idx], w[1][idx], 10.0, 1e-12)
         pitch = 2.0 / (geom.lattice_cols - 1)
         for shift in (0.0, 0.3 * pitch, -0.3 * pitch):
             got = evaluate(w, pos + shift, geom, 10.0, 1e-12)
-            for name in ("effective", "rate_r", "rate_t", "snr_r", "snr_t"):
+            for name in ("rate_r", "rate_t", "snr_r", "snr_t"):
                 assert getattr(got, name) == getattr(expect, name), (shift, name)
+            assert got.effective == lattice_rates(w, idx, 10.0, 1e-12), shift
 
     def test_mismatch_rejected(self):
         geom = partition_surface(2.0, 2.0, 4, WL, n_h=3, n_v=3)

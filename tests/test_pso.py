@@ -208,11 +208,11 @@ class TestOptimize:
     def test_history_nondecreasing_and_deterministic(self):
         geom, w = tiny_instance(seed=11)
         cfg = PsoConfig(n_particles=20, n_iterations=30, seed=4)
-        pl_a, rep_a, hist_a = optimize(w, geom, cfg, P, S2)
-        pl_b, rep_b, hist_b = optimize(w, geom, cfg, P, S2)
+        pl_a, rate_a, hist_a = optimize(w, geom, cfg, P, S2)
+        pl_b, rate_b, hist_b = optimize(w, geom, cfg, P, S2)
         assert np.array_equal(pl_a, pl_b)
         assert np.array_equal(hist_a, hist_b)
-        assert rep_a.effective == rep_b.effective
+        assert rate_a == rate_b
         assert len(hist_a) == cfg.n_iterations + 1
         assert np.all(np.diff(hist_a) >= 0)
         assert_spaced(pl_a, geom)
@@ -228,21 +228,21 @@ class TestOptimize:
         geom, w = tiny_instance(seed=13)
         _, oracle_rate = brute_force_oracle(w, geom, P, S2)
         for seed in range(5):
-            pl, report, _ = optimize(
+            pl, rate, _ = optimize(
                 w, geom, PsoConfig(n_particles=20, n_iterations=40, seed=seed), P, S2
             )
-            assert report.effective <= oracle_rate + 1e-12
+            assert rate <= oracle_rate + 1e-12
             assert_spaced(pl, geom)
 
     def test_injection_lower_bounds_result(self):
         geom, w = tiny_instance(seed=14)
         anchor = np.array([[0.5, 1.0], [1.5, 1.0]])
         anchor_rate = evaluate(w, anchor, geom, P, S2).effective
-        pl, report, _ = optimize(
+        pl, rate, _ = optimize(
             w, geom, PsoConfig(n_particles=10, n_iterations=5, seed=2), P, S2,
             initial_presets=snap_to_subarea_presets(anchor[None], geom),
         )
-        assert report.effective >= anchor_rate - 1e-9
+        assert rate >= anchor_rate - 1e-9
         assert_spaced(pl, geom)
 
     def test_too_many_injections_rejected(self):
@@ -298,7 +298,7 @@ class TestOptimize:
             w = amplitude_weights(real)
             cfg_1 = PsoConfig(n_particles=1, n_iterations=1, seed=draw)
             _, _, history = optimize(w, geom, cfg_1, P, S2, initial_presets=seeds)
-            assert history[0] == evaluate_baseline(w, geom, P, S2).effective, draw
+            assert history[0] == evaluate_baseline(w, geom, P, S2), draw
 
     @pytest.mark.parametrize(
         "d_min, seed, positions, history",
@@ -450,11 +450,11 @@ class TestBestResponse:
     def test_optimize_keeps_the_swarm_history(self, monkeypatch):
         geom, w = quad_instance(30)
         cfg = PsoConfig(n_particles=10, n_iterations=15, seed=7)
-        presets, report, history = optimize(w, geom, cfg, P, S2)
+        presets, rate, history = optimize(w, geom, cfg, P, S2)
         monkeypatch.setattr(pso, "best_response", lambda presets, *args: presets)
-        _, raw_report, raw_history = optimize(w, geom, cfg, P, S2)
+        _, raw_rate, raw_history = optimize(w, geom, cfg, P, S2)
         assert len(history) == cfg.n_iterations + 1
         assert np.array_equal(history, raw_history)
-        assert report.effective > raw_report.effective  # the swarm alone stalls here
+        assert rate > raw_rate  # the swarm alone stalls here
         assert_spaced(presets, geom)
         assert_no_single_move_improves(presets, w, geom, cfg)

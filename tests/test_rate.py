@@ -10,7 +10,7 @@ from fires.geometry import partition_surface, snap_to_subarea_presets
 from fires.baseline import evaluate_baseline
 from fires.harness import ExperimentConfig, run_sweep
 from fires.pso import PsoConfig, optimize
-from fires.rate import amplitude_weights, lattice_rates
+from fires.rate import amplitude_weights, lattice_rates, split_and_rates
 from helpers import (
     WL,
     channel_rates,
@@ -235,9 +235,32 @@ class TestLatticeRates:
         for power, noise in ((1.0, 1.0), (10.0, 1e-12), (0.1, 1e-12)):
             got = lattice_rates(amplitude_weights(real), idx, power, noise)
             expect = channel_rates(real.h_f[idx], real.h_r[idx], real.h_t[idx], power, noise)
-            for name in ("effective", "rate_r", "rate_t", "snr_r", "snr_t"):
-                assert np.array_equal(getattr(got, name), getattr(expect, name)), name
-        assert np.all(got.effective[-15:] == 0.0)
+            assert np.array_equal(got, np.minimum(expect.rate_r, expect.rate_t))
+        assert np.all(got[-15:] == 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 4, 9])
+def test_split_and_rates_is_the_closed_form_max_min_rate(m):
+    # the equalizing split leaves each user (P/N) Sr^2 St^2 / (Sr^2 + St^2),
+    # with Sr and St the two amplitude sums; pytest makes any RuntimeWarning
+    # (a 0/0 on the zero-gain rows) an error
+    rng = np.random.default_rng(50 + m)
+    h = rng.uniform(0.2, 2.0, size=(3, 300, m))
+    a_r, a_t = h[0] * h[1], h[0] * h[2]
+    a_r[:10] = 0.0  # no reflect gain
+    a_t[10:20] = 0.0  # no transmit gain
+    a_r[20:25] = a_t[20:25] = 0.0  # neither
+    s_r2, s_t2 = a_r.sum(axis=-1) ** 2, a_t.sum(axis=-1) ** 2
+    total = s_r2 + s_t2
+    ulp = 16 * np.finfo(float).eps
+    for power, noise in ((1.0, 1.0), (10.0, 1e-12), (0.1, 1e-12)):
+        got = split_and_rates(a_r, a_t, power, noise)
+        closed = np.log2(1.0 + power / noise * s_r2 * s_t2 / np.where(total > 0, total, 1.0))
+        np.testing.assert_allclose(got, closed, rtol=1e-12, atol=0)
+        rounding = ulp * np.maximum(got, 1.0)
+        assert np.all(np.abs(split_and_rates(a_t, a_r, power, noise) - got) <= rounding)
+        assert np.all(np.abs(split_and_rates(a_r, a_t, 37.0 * power, 37.0 * noise) - got) <= rounding)
+        assert np.all(got[:25] == 0.0) and np.all(got[25:] > 0.0)
 
 
 @pytest.mark.parametrize("scorer", ["optimize", "evaluate_baseline"])
