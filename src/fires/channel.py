@@ -162,6 +162,37 @@ class CorrelationModel:
         field = (fold_y.T @ folded.reshape(2 * size, rows, cols)).reshape(-1, cols) @ fold_x
         return _complex_pairs(field.reshape(size, 2, rows * cols))
 
+    def save(self, file) -> None:
+        """Write the model to `file`, an open binary file, as one
+        uncompressed `.npz`: each root, the runs, the maps and the shape as
+        arrays of their own, so `load` gives back the same bits."""
+        roots = {f"root{i}": root for i, root in enumerate(self.roots)}
+        np.savez(file, runs=np.array(self.runs), to_blocks=self.to_blocks, from_blocks=self.from_blocks,
+                 pairs=self.pairs, shape=np.array(self.shape), **roots)
+
+    @classmethod
+    def load(cls, file, shape: tuple[int, int]) -> CorrelationModel:
+        """The model that `save` wrote to `file`, a path or an open binary
+        file. Raises ValueError where it does not fit a lattice of `shape`:
+        another shape, maps of another length, or roots that are not square
+        or whose runs do not cover the lattice. zipfile checks every array's
+        CRC as it is read, so a damaged file raises too."""
+        with np.load(file, allow_pickle=False) as npz:
+            runs = tuple(int(r) for r in npz["runs"])
+            roots = tuple(npz[f"root{i}"] for i in range(len(runs)))
+            model = cls(roots, runs, npz["to_blocks"], npz["from_blocks"], npz["pairs"],
+                        tuple(int(n) for n in npz["shape"]))
+        n = shape[0] * shape[1]
+        if (
+            model.shape != shape
+            or len(model.to_blocks) != n
+            or len(model.from_blocks) != n
+            or any(root.ndim != 2 or len(root) != root.shape[1] for root in roots)
+            or sum(r * len(root) for r, root in zip(runs, roots)) != n
+        ):
+            raise ValueError(f"stored correlation model does not fit a {shape[0]} x {shape[1]} lattice")
+        return model
+
 
 def _pair_butterfly(x: np.ndarray, pairs: np.ndarray) -> None:
     """In place over the columns of an (n, L) array x: each pair (p, q) of

@@ -1,9 +1,12 @@
 import concurrent.futures
 import json
+import os
+import subprocess
 import sys
 import warnings
 from collections import Counter
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from fires.harness import (
     run_trial,
     wavelength,
 )
+from helpers import WL
 
 FAST = dict(n_h=4, n_v=4, n_particles=10, n_iterations=10, n_trials=4)
 
@@ -572,6 +576,144 @@ class TestSweeps:
         threaded = run_sweep(cfg, threads=threads)
         assert pools == started
         assert [asdict(r) for r in threaded] == [asdict(r) for r in run_sweep(cfg)]
+
+
+# a 25 x 25 lattice of equal pitches, rooted through the axis swap, and one
+# of unequal pitches, rooted through the four mirror blocks
+CACHED_LATTICES = [
+    pytest.param(partition_surface(2.0, 2.0, 1, WL, n_h=25, n_v=25), 5, id="25x25-swap"),
+    pytest.param(partition_surface(2.0, 1.5, 1, WL, n_h=25, n_v=25, grid=(1, 1)), 4, id="25x25-unequal-pitch"),
+]
+
+
+class TestModelCache:
+    """The dense field model kept on disk under $XDG_CACHE_HOME/fires, which
+    the autouse fixture points at each test's own tmp_path."""
+
+    @staticmethod
+    def assert_same_model(got, want):
+        assert len(got.roots) == len(want.roots)
+        for a, b in zip(got.roots + (got.to_blocks, got.from_blocks, got.pairs),
+                        want.roots + (want.to_blocks, want.from_blocks, want.pairs)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (got.runs, got.shape) == (want.runs, want.shape)
+
+    @staticmethod
+    def cached_files(tmp_path):
+        return sorted((tmp_path / "fires").iterdir())
+
+    @staticmethod
+    def build_counted(monkeypatch):
+        builds = []
+        plain_build = harness.correlation_matrix
+
+        def counting(geom):
+            builds.append(geom)
+            return plain_build(geom)
+
+        monkeypatch.setattr(harness, "correlation_matrix", counting)
+        return builds
+
+    @pytest.mark.parametrize("geom, roots", CACHED_LATTICES)
+    def test_warm_cache_loads_the_built_model_bit_for_bit(self, geom, roots, tmp_path, monkeypatch):
+        _field_model.cache_clear()
+        built = _field_model(geom)
+        assert len(built.roots) == roots and len(self.cached_files(tmp_path)) == 1
+        _field_model.cache_clear()
+        builds = self.build_counted(monkeypatch)
+        loaded = _field_model(geom)
+        _field_model.cache_clear()
+        assert builds == []
+        self.assert_same_model(loaded, correlation_matrix(geom))
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-root-byte", "another-lattice"])
+    def test_damaged_file_is_rebuilt_and_replaced(self, damage, tmp_path, monkeypatch):
+        geom = partition_surface(2.0, 2.0, 1, WL, n_h=25, n_v=25)
+        _field_model.cache_clear()
+        built = _field_model(geom)
+        [path] = self.cached_files(tmp_path)
+        raw = bytearray(path.read_bytes())
+        if damage == "truncated":
+            raw = raw[: len(raw) // 2]
+        elif damage == "flipped-root-byte":
+            at = raw.index(built.roots[-1].tobytes()) + built.roots[-1].nbytes // 2
+            raw[at] ^= 0x10
+        else:  # a whole, readable model of a 9 x 9 lattice
+            with path.open("wb") as fh:
+                correlation_matrix(partition_surface(2.0, 2.0, 1, WL, n_h=9, n_v=9)).save(fh)
+            raw = path.read_bytes()
+        path.write_bytes(raw)
+        _field_model.cache_clear()
+        builds = self.build_counted(monkeypatch)
+        rebuilt = _field_model(geom)
+        _field_model.cache_clear()
+        assert builds == [geom]
+        self.assert_same_model(rebuilt, built)
+        assert self.cached_files(tmp_path) == [path]
+        self.assert_same_model(CorrelationModel.load(path, built.shape), built)
+
+    def test_unwritable_cache_still_returns_the_model(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-folder"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        geom = partition_surface(2.0, 2.0, 1, WL, n_h=9, n_v=9)
+        _field_model.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = _field_model(geom)
+        _field_model.cache_clear()
+        self.assert_same_model(model, correlation_matrix(geom))
+        assert blocker.read_text() == ""
+
+    def test_key_holds_the_blas_kernel_and_thread_count(self, monkeypatch):
+        geom = partition_surface(2.0, 2.0, 1, WL, n_h=9, n_v=9)
+        paths = {}
+        for blas in [(1, "OpenBLAS Haswell"), (1, "OpenBLAS SkylakeX"), (2, "OpenBLAS Haswell")]:
+            monkeypatch.setattr(harness, "_openblas", lambda blas=blas: blas)
+            paths[blas] = harness._model_file(geom)
+        assert len(set(paths.values())) == 3
+        assert all(p.parent == paths[1, "OpenBLAS Haswell"].parent for p in paths.values())
+
+    def test_no_openblas_keeps_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_openblas", lambda: (None, None))
+        geom = partition_surface(2.0, 2.0, 1, WL, n_h=9, n_v=9)
+        _field_model.cache_clear()
+        model = _field_model(geom)
+        _field_model.cache_clear()
+        self.assert_same_model(model, correlation_matrix(geom))
+        assert not (tmp_path / "fires").exists()
+
+    def test_key_of_another_openblas_kernel_differs(self):
+        threads, config = harness._openblas()
+        if config is None or "DYNAMIC_ARCH" not in config:
+            pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS ({config or 'no OpenBLAS found'})")
+        core = "Prescott" if "Haswell" in config.split() else "Haswell"
+        probe = (
+            "import json; from fires import harness; from fires.geometry import partition_surface; "
+            "geom = partition_surface(2.0, 2.0, 1, 0.0856, n_h=9, n_v=9); "
+            "print(json.dumps([*harness._openblas(), str(harness._model_file(geom))]))"
+        )
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        other_threads, other_config, other_path = json.loads(done.stdout)
+        assert other_threads == threads and core in other_config.split()
+        here = harness._model_file(partition_surface(2.0, 2.0, 1, WL, n_h=9, n_v=9))
+        assert other_path != str(here) and Path(other_path).parent == here.parent
+
+    def test_pooled_sweep_on_an_empty_cache_matches_serial(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(sweep="area", area_sweep_m2=(1.0, 4.0), **{**FAST, "n_trials": 2})
+        csv = {}
+        for threads in (1, 2):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"threads{threads}"))
+            _field_model.cache_clear()  # or the forked workers would inherit the models
+            emit_results(run_sweep(cfg, threads=threads), tmp_path / f"{threads}.csv", "csv")
+            csv[threads] = (tmp_path / f"{threads}.csv").read_bytes()
+        _field_model.cache_clear()
+        assert csv[2] == csv[1]
+        kept = self.cached_files(tmp_path / "threads2")
+        assert len(kept) == len(cfg.area_sweep_m2) and all(p.suffix == ".npz" for p in kept)
 
 
 class TestEmission:

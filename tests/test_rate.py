@@ -261,6 +261,18 @@ def test_split_and_rates_is_the_closed_form_max_min_rate(m):
         assert np.all(np.abs(split_and_rates(a_t, a_r, power, noise) - got) <= rounding)
         assert np.all(np.abs(split_and_rates(a_r, a_t, 37.0 * power, 37.0 * noise) - got) <= rounding)
         assert np.all(got[:25] == 0.0) and np.all(got[25:] > 0.0)
+        # as lattice_rates of the elements in another order, row by row
+        weights = (a_r.ravel(), a_t.ravel())
+        order = np.arange(a_r.size).reshape(a_r.shape)
+        assert np.array_equal(lattice_rates(weights, order, power, noise), got)
+        permuted = lattice_rates(weights, rng.permuted(order, axis=-1), power, noise)
+        assert np.all(np.abs(permuted - got) <= rounding)
+        # a larger product of one element, on either side, never lowers the rate
+        rows, raised = np.arange(len(got)), rng.integers(0, m, size=len(got))
+        for side in (0, 1):
+            bumped = [a_r.copy(), a_t.copy()]
+            bumped[side][rows, raised] += rng.uniform(0.0, 2.0, size=len(got))
+            assert np.all(split_and_rates(*bumped, power, noise) >= got - rounding)
 
 
 @pytest.mark.parametrize("scorer", ["optimize", "evaluate_baseline"])
