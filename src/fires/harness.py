@@ -270,15 +270,15 @@ def _field_model(geom: SurfaceGeometry) -> CorrelationModel | PlaneWaveField:
 
 
 def _model_file(geom: SurfaceGeometry) -> Path | None:
-    """Where the dense model of `geom` is kept: `<key>.npz` under fires/ in
-    the user's cache, `$XDG_CACHE_HOME` or else ~/.cache, read when called.
+    """Where the dense model of `geom` is kept: `<lattice>-<source>.npz`
+    under fires/ in the user's cache, `$XDG_CACHE_HOME` or else ~/.cache.
 
-    The key is the SHA-256 of what the model's bits depend on: the fires
-    sources, numpy's version, the OpenBLAS kernel and thread count in force,
-    and the lattice's sinc table (`_sinc_table`), so a file holds exactly
-    the model this process would build. None, and no file, where numpy's
-    BLAS is not an OpenBLAS this process can query or no home folder is
-    known.
+    The keys are SHA-256 digests of what the model's bits depend on: numpy's
+    version, the OpenBLAS kernel and thread count in force and the lattice's
+    sinc table (`_sinc_table`), then the fires sources, so a file holds
+    exactly the model this process would build. None, and no file, where
+    numpy's BLAS is not an OpenBLAS this process can query or no home
+    folder is known.
     """
     threads, config = _openblas()
     base = os.environ.get("XDG_CACHE_HOME", "")
@@ -287,16 +287,17 @@ def _model_file(geom: SurfaceGeometry) -> Path | None:
     if config is None or not os.path.isabs(base):
         return None
     table = _sinc_table(geom)
-    key = hashlib.sha256(_source_digest())
-    key.update(repr((np.__version__, config, threads, table.shape)).encode())
-    key.update(table.tobytes())
-    return Path(base) / "fires" / f"{key.hexdigest()}.npz"
+    lattice = hashlib.sha256(repr((np.__version__, config, threads, table.shape)).encode())
+    lattice.update(table.tobytes())
+    return Path(base) / "fires" / f"{lattice.hexdigest()}-{_source_digest().hex()}.npz"
 
 
 def _store(model: CorrelationModel, path: Path) -> None:
     """Write `model` to `path` through a temporary file in its folder, which
-    replaces `path` at once, so readers see a whole file or none. Where the
-    folder or the file cannot be written, the model stays in memory only."""
+    replaces `path` at once, so readers see a whole file or none, then delete
+    the lattice's files of other source versions, which these sources never
+    read. Where the folder or the file cannot be written, the model stays in
+    memory only."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -304,6 +305,9 @@ def _store(model: CorrelationModel, path: Path) -> None:
         with open(fd, "wb") as fh:  # a file object: np.savez adds .npz to a bare path
             model.save(fh)
         os.replace(tmp, path)
+        for stale in set(path.parent.glob(f"{path.name.split('-')[0]}-*.npz")) - {path}:
+            with suppress(OSError):
+                stale.unlink()
     except OSError:
         if tmp is not None:
             with suppress(OSError):

@@ -1,17 +1,13 @@
 """Max-min rates of placements under the closed-form phases and energy split.
 
-With every element's phase aligned, a user's SNR depends only on the sum
-over the elements of |h_f| |h_u|, and the equalizing split fixes the rest.
-`split_and_rates` is that closed form and the one scoring primitive: it
-returns the max-min rate itself, and every rate the program reports comes
-from it, fed the per-preset amplitude products of the realization
-(`amplitude_weights`) gathered at a placement's presets by `lattice_rates`.
-Every scorer takes those weights, not the realization, so a trial converts
-its channel once. The per-user rates and SNRs are not computed here.
-
-`split_and_rates` and `lattice_rates` reduce over the last axis, so they
-accept one placement's (M,) products or indices, or a batch shaped
-(..., M), and return matching leading dimensions.
+With every element's phase aligned and the equalizing split, a placement's
+max-min rate depends only on the sums over its elements of |h_f| |h_r| and
+|h_f| |h_t|. `split_and_rates` is that closed form and the one scoring
+primitive: every rate the program reports comes from it, fed the
+per-preset products of a realization (`amplitude_weights`) gathered at a
+placement's presets by `lattice_rates`, so a trial converts its channel
+once. Both reduce over the last axis: one placement's (M,) products or
+indices, or a batch shaped (..., M), give matching leading dimensions.
 """
 
 from __future__ import annotations
@@ -24,20 +20,19 @@ from .geometry import SurfaceGeometry
 
 def split_and_rates(a_r, a_t, power, noise_power):
     """Max-min rates (bits/s/Hz) of placements under optimal phases and the
-    equalizing split.
+    equalizing split: log2(1 + (P/N) S_r^2 S_t^2 / (S_r^2 + S_t^2)).
 
-    `a_r` and `a_t` are arrays of each element's amplitude products
-    |h_f| |h_r| and |h_f| |h_t|, shaped (..., M). With every element's
-    phase aligned, a user's gain is power * (sum of its products)^2 / noise;
-    the reflect-side share g_t / (g_r + g_t) equalizes the two users' SNRs,
-    and the rate is log2(1 + min of the two). With either gain zero the min
-    is 0 whatever the share, so the divisor is guarded only where both are.
+    `a_r` and `a_t` hold each element's amplitude products |h_f| |h_r| and
+    |h_f| |h_t|, shaped (..., M), and S_r, S_t are their sums. The form is
+    symmetric in the users and keeps its precision when one gain dwarfs the
+    other. The sums combine before the scaling by P/N, which a config
+    may set near 1e304. The rate is 0 where either sum is, so the divisor
+    is guarded only where both are. The name stays from the split this once
+    returned: the benchmark's tracer times the scoring under it.
     """
-    g_r = power * a_r.sum(axis=-1) ** 2 / noise_power
-    g_t = power * a_t.sum(axis=-1) ** 2 / noise_power
-    total = g_r + g_t
-    beta_r = g_t / np.where(total > 0, total, 1.0)
-    return np.log2(1.0 + np.minimum(beta_r * g_r, (1.0 - beta_r) * g_t))
+    s_r2, s_t2 = a_r.sum(axis=-1) ** 2, a_t.sum(axis=-1) ** 2
+    total = s_r2 + s_t2
+    return np.log2(1.0 + power * (s_r2 * s_t2 / np.where(total > 0, total, 1.0)) / noise_power)
 
 
 def amplitude_weights(realization: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:

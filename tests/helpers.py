@@ -2,7 +2,9 @@
 reference forms of the channel, lattice and rate models that only tests
 need, among them the exhaustive lattice oracle."""
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -321,6 +323,35 @@ def rate_report(a_r, a_t, power, noise_power) -> UserRates:
     snr_r = beta_r * g_r
     snr_t = (1.0 - beta_r) * g_t
     return UserRates(np.log2(1.0 + snr_r), np.log2(1.0 + snr_t), snr_r, snr_t)
+
+
+def exact_rates(a_r, a_t, power, noise_power) -> np.ndarray:
+    """The max-min rate log2(1 + (P/N) S_r^2 S_t^2 / (S_r^2 + S_t^2)) of
+    each (..., M) row of amplitude products, with S_r and S_t the rows'
+    sums, from the exact rational values of the floats (`Fraction`). The
+    log2 of y = 1 + x goes through y's binary exponent e: e + log2(y / 2^e)
+    with y / 2^e in [1, 2), so the only roundings are that quotient's, the
+    log2's and the final sum's, about 2 eps x max(rate, 1) in all."""
+    a_r, a_t = np.asarray(a_r, dtype=float), np.asarray(a_t, dtype=float)
+    snr = Fraction(power) / Fraction(noise_power)
+    out = np.empty(a_r.shape[:-1])
+    for i in np.ndindex(out.shape):
+        s_r2 = sum(map(Fraction, a_r[i].tolist()), Fraction(0)) ** 2
+        s_t2 = sum(map(Fraction, a_t[i].tolist()), Fraction(0)) ** 2
+        y = 1 + (snr * s_r2 * s_t2 / (s_r2 + s_t2) if s_r2 + s_t2 else 0)
+        e = y.numerator.bit_length() - y.denominator.bit_length()
+        if y < Fraction(2) ** e:
+            e -= 1
+        out[i] = e + math.log2(float(y / Fraction(2) ** e))
+    return out
+
+
+def assert_near_exact(rates, a_r, a_t, power, noise_power) -> None:
+    """`rates` are within 4 eps x max(rate, 1) of the `exact_rates` of the
+    amplitude products `a_r` and `a_t`."""
+    exact = exact_rates(a_r, a_t, power, noise_power)
+    error = np.abs(np.asarray(rates) - exact) / np.maximum(exact, 1.0)
+    assert error.max() <= 4 * np.finfo(float).eps, f"{error.max() / np.finfo(float).eps:.2f} eps"
 
 
 def channel_rates(h_f, h_r, h_t, power, noise_power) -> UserRates:

@@ -321,29 +321,10 @@ class TestTrials:
 
 class TestPinnedRecords:
     """Literals from one build (Python 3.11, numpy 2.4, OpenBLAS): on another
-    BLAS or LAPACK build, drift in the records fails here instead of going
-    unseen."""
+    BLAS or LAPACK build, drift in the field models' draws fails here instead
+    of going unseen. The trial records are pinned by test_record_corpus.py."""
 
-    # (fires_rate, baseline_rate, history[-1]) of trials 0-2 at defaults
-    NONE_AXIS = [
-        (12.250326918289252, 10.016909176360924, 11.979745171218106),
-        (12.374621478098923, 9.801403645274812, 11.891548199905605),
-        (12.175038786385004, 10.289664125619518, 11.938717350417647),
-    ]
-    # the same trials at 20 dBm on the power axis: the swarm runs at 40 dBm
-    POWER_AXIS_20DBM = [
-        (5.635492130956638, 3.5047124813774855, 11.979745171218106),
-        (5.757413030946422, 3.309338486970174, 11.891548199905605),
-        (5.561742363551964, 3.7556270448412237, 11.938717350417647),
-    ]
-
-    def test_default_records_and_plane_wave_draw(self):
-        cfgs = (ExperimentConfig(), ExperimentConfig(sweep="power", power_dbm=20.0))
-        for cfg, pinned in zip(cfgs, (self.NONE_AXIS, self.POWER_AXIS_20DBM)):
-            for trial, expected in enumerate(pinned):
-                rec = run_trial(cfg, trial)
-                got = (rec.fires_rate, rec.baseline_rate, rec.history[-1])
-                assert got == pytest.approx(expected, rel=1e-9, abs=0)
+    def test_plane_wave_draw(self):
         geom = partition_surface(0.5, 0.5, 4, 0.0856, n_h=6, n_v=6)
         h = plane_wave_field(geom).draw(np.random.default_rng(7), size=3)
         assert float(np.sum(np.abs(h) ** 2)) == pytest.approx(432.809754258341, rel=1e-9, abs=0)
@@ -664,6 +645,22 @@ class TestModelCache:
         _field_model.cache_clear()
         self.assert_same_model(model, correlation_matrix(geom))
         assert blocker.read_text() == ""
+
+    def test_a_source_version_evicts_its_lattices_files_of_other_versions(self, tmp_path, monkeypatch):
+        other = partition_surface(2.0, 2.0, 1, WL, n_h=8, n_v=8)
+        geom = partition_surface(2.0, 2.0, 1, WL, n_h=9, n_v=9)
+        _field_model.cache_clear()
+        _field_model(other)
+        [untouched] = self.cached_files(tmp_path)
+        paths = []
+        for source in (b"first", b"second"):
+            monkeypatch.setattr(harness, "_source_digest", lambda source=source: source)
+            _field_model.cache_clear()
+            _field_model(geom)
+            paths.append(harness._model_file(geom))
+        _field_model.cache_clear()
+        assert paths[0] != paths[1] and paths[0].name.split("-")[0] == paths[1].name.split("-")[0]
+        assert self.cached_files(tmp_path) == sorted([untouched, paths[1]])
 
     def test_key_holds_the_blas_kernel_and_thread_count(self, monkeypatch):
         geom = partition_surface(2.0, 2.0, 1, WL, n_h=9, n_v=9)

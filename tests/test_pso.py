@@ -24,9 +24,10 @@ from fires.pso import (
     repair_spacing,
     update_velocity,
 )
-from fires.rate import amplitude_weights
+from fires.rate import amplitude_weights, lattice_rates
 from helpers import (
     WL,
+    assert_near_exact,
     brute_force_oracle,
     complex_rows,
     default_links,
@@ -160,9 +161,10 @@ class TestFitness:
         geom, w = tiny_instance()
         pl = np.array([[0.5, 1.0], [1.5, 1.0]])
         cfg = PsoConfig()
-        assert fitness(pl, w, geom, P, S2, cfg) == pytest.approx(
-            evaluate(w, pl, geom, P, S2).effective, abs=0
-        )
+        idx = snap_to_subarea_presets(pl, geom)
+        rate = lattice_rates(w, idx, P, S2)
+        assert fitness(pl, w, geom, P, S2, cfg) == rate
+        assert_near_exact(rate, w[0][idx], w[1][idx], P, S2)
 
     def test_violation_dominates(self):
         geom, w = tiny_instance(d_min=0.5)

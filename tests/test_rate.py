@@ -13,6 +13,7 @@ from fires.pso import PsoConfig, optimize
 from fires.rate import amplitude_weights, lattice_rates, split_and_rates
 from helpers import (
     WL,
+    assert_near_exact,
     channel_rates,
     complex_rows,
     default_links,
@@ -232,10 +233,11 @@ class TestLatticeRates:
                 rng.integers(20, 25, size=(5, m)),
             ]
         )
+        w_r, w_t = amplitude_weights(real)
         for power, noise in ((1.0, 1.0), (10.0, 1e-12), (0.1, 1e-12)):
-            got = lattice_rates(amplitude_weights(real), idx, power, noise)
-            expect = channel_rates(real.h_f[idx], real.h_r[idx], real.h_t[idx], power, noise)
-            assert np.array_equal(got, np.minimum(expect.rate_r, expect.rate_t))
+            got = lattice_rates((w_r, w_t), idx, power, noise)
+            assert np.array_equal(got, split_and_rates(w_r[idx], w_t[idx], power, noise))
+            assert_near_exact(got, w_r[idx], w_t[idx], power, noise)
         assert np.all(got[-15:] == 0.0)
 
 
@@ -243,22 +245,24 @@ class TestLatticeRates:
 def test_split_and_rates_is_the_closed_form_max_min_rate(m):
     # the equalizing split leaves each user (P/N) Sr^2 St^2 / (Sr^2 + St^2),
     # with Sr and St the two amplitude sums; pytest makes any RuntimeWarning
-    # (a 0/0 on the zero-gain rows) an error
+    # (a 0/0 on the zero-gain rows, an overflow) an error. Rows 300 on are
+    # Rayleigh products, where one user's gain may dwarf the other's. The
+    # last power and noise are 40 dBm over -3000 dBm, which a config loads:
+    # P/N = 1e304, where (P/N) Sr^2 St^2 would overflow.
     rng = np.random.default_rng(50 + m)
-    h = rng.uniform(0.2, 2.0, size=(3, 300, m))
+    h = np.concatenate(
+        [rng.uniform(0.2, 2.0, size=(3, 300, m)), np.abs(complex_rows(rng, (3, 300, m)))], axis=1
+    )
     a_r, a_t = h[0] * h[1], h[0] * h[2]
     a_r[:10] = 0.0  # no reflect gain
     a_t[10:20] = 0.0  # no transmit gain
     a_r[20:25] = a_t[20:25] = 0.0  # neither
-    s_r2, s_t2 = a_r.sum(axis=-1) ** 2, a_t.sum(axis=-1) ** 2
-    total = s_r2 + s_t2
     ulp = 16 * np.finfo(float).eps
-    for power, noise in ((1.0, 1.0), (10.0, 1e-12), (0.1, 1e-12)):
+    for power, noise in ((1.0, 1.0), (10.0, 1e-12), (0.1, 1e-12), (10.0, 1e-303)):
         got = split_and_rates(a_r, a_t, power, noise)
-        closed = np.log2(1.0 + power / noise * s_r2 * s_t2 / np.where(total > 0, total, 1.0))
-        np.testing.assert_allclose(got, closed, rtol=1e-12, atol=0)
+        assert_near_exact(got, a_r, a_t, power, noise)
+        assert np.array_equal(split_and_rates(a_t, a_r, power, noise), got)
         rounding = ulp * np.maximum(got, 1.0)
-        assert np.all(np.abs(split_and_rates(a_t, a_r, power, noise) - got) <= rounding)
         assert np.all(np.abs(split_and_rates(a_r, a_t, 37.0 * power, 37.0 * noise) - got) <= rounding)
         assert np.all(got[:25] == 0.0) and np.all(got[25:] > 0.0)
         # as lattice_rates of the elements in another order, row by row
