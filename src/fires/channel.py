@@ -98,19 +98,10 @@ class CorrelationModel:
     (even, even) and (odd, odd) blocks split further into a swap-symmetric
     and a swap-antisymmetric half (`_swap_halves`).
 
-    The block coordinates of a folded field f, flattened row-major over the
-    (rows, cols) mirror basis, are read through the permutation `to_blocks`
-    after an in-place butterfly (`_pair_butterfly`) over `pairs`, the
-    entries (i, j) and (j, i), i < j, of the diagonal quadrants of a
-    swap-symmetric lattice, which it turns into their swap-half coordinates;
-    there the (odd, even) quadrant is read with its axes swapped, and
-    elsewhere `pairs` is empty. The butterfly is symmetric and orthogonal,
-    so the way back is `from_blocks`, the inverse permutation, and the same
-    butterfly; the maps hold 2 L + 2 P integers. The coordinates run root by
-    root: `roots[i]` colors `runs[i]` consecutive runs of len(roots[i])
-    coordinates, two for the (even, odd) root of a swap-symmetric lattice,
-    which also colors the axis-swapped (odd, even) quadrant, and one for
-    every other root.
+    The model holds only `roots` and the lattice `shape`. Where each root's
+    coordinates sit is `_block_maps(rows, cols, swap)`, shared by every
+    model of that shape, with `swap` true for a model of five roots (rooted
+    through the axis swap) and false for one of four.
 
     Each root is the block's symmetric square root V sqrt(Λ) V^T from its
     eigendecomposition V Λ V^T, with negative eigenvalues clamped to zero.
@@ -127,10 +118,6 @@ class CorrelationModel:
     """
 
     roots: tuple[np.ndarray, ...]  # (k, k) block roots, in coordinate order
-    runs: tuple[int, ...]  # coordinate runs each root colors
-    to_blocks: np.ndarray  # (L,) folded position each block coordinate reads
-    from_blocks: np.ndarray  # (L,) block coordinate of each folded position, the inverse
-    pairs: np.ndarray  # (2, P) folded positions (i, j) and (j, i), i < j, of the swap butterfly
     shape: tuple[int, int]  # (lattice_rows, lattice_cols)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -146,52 +133,51 @@ class CorrelationModel:
         gathered back, butterflied and unfolded onto the lattice.
         """
         rows, cols = self.shape
+        runs, to_blocks, from_blocks, pairs = _block_maps(rows, cols, len(self.roots) == 5)
         fold_y, fold_x = _fold_matrix(rows), _fold_matrix(cols)
         white = rng.standard_normal((2 * size, rows, cols))
         folded = (fold_y @ (white.reshape(-1, cols) @ fold_x.T).reshape(-1, rows, cols)).reshape(2 * size, -1)
-        _pair_butterfly(folded, self.pairs)
-        coords = np.take(folded, self.to_blocks, axis=1)  # C-ordered, as the root products' bits need
+        _pair_butterfly(folded, pairs)
+        coords = np.take(folded, to_blocks, axis=1)  # C-ordered, as the root products' bits need
         start = 0
-        for root, runs in zip(self.roots, self.runs):
-            stop = start + runs * len(root)
-            run = coords[:, start:stop].reshape(2 * size * runs, len(root))
+        for root, count in zip(self.roots, runs):
+            stop = start + count * len(root)
+            run = coords[:, start:stop].reshape(2 * size * count, len(root))
             coords[:, start:stop] = (run @ root.T).reshape(2 * size, -1)
             start = stop
-        folded = np.take(coords, self.from_blocks, axis=1)
-        _pair_butterfly(folded, self.pairs)
+        folded = np.take(coords, from_blocks, axis=1)
+        _pair_butterfly(folded, pairs)
         field = (fold_y.T @ folded.reshape(2 * size, rows, cols)).reshape(-1, cols) @ fold_x
         return _complex_pairs(field.reshape(size, 2, rows * cols))
 
     def save(self, file) -> None:
         """Write the model to `file`, an open binary file, as one
-        uncompressed `.npz`: each root, the runs, the maps and the shape as
-        arrays of their own, so `load` gives back the same bits."""
-        roots = {f"root{i}": root for i, root in enumerate(self.roots)}
-        np.savez(file, runs=np.array(self.runs), to_blocks=self.to_blocks, from_blocks=self.from_blocks,
-                 pairs=self.pairs, shape=np.array(self.shape), **roots)
+        uncompressed `.npz` of the shape and each root, `root0` on, so
+        `load` gives back the same bits."""
+        np.savez(file, shape=np.array(self.shape), **{f"root{i}": root for i, root in enumerate(self.roots)})
 
     @classmethod
     def load(cls, file, shape: tuple[int, int]) -> CorrelationModel:
         """The model that `save` wrote to `file`, a path or an open binary
         file. Raises ValueError where it does not fit a lattice of `shape`:
-        another shape, maps of another length, or roots that are not square
-        or whose runs do not cover the lattice. zipfile checks every array's
-        CRC as it is read, so a damaged file raises too."""
+        another shape, roots that are not square, or roots whose runs
+        (`_block_maps`) do not cover the lattice. zipfile checks every
+        array's CRC as it is read, so a damaged file raises too."""
         with np.load(file, allow_pickle=False) as npz:
-            runs = tuple(int(r) for r in npz["runs"])
-            roots = tuple(npz[f"root{i}"] for i in range(len(runs)))
-            model = cls(roots, runs, npz["to_blocks"], npz["from_blocks"], npz["pairs"],
-                        tuple(int(n) for n in npz["shape"]))
-        n = shape[0] * shape[1]
+            stored = tuple(int(n) for n in npz["shape"])
+            roots = []
+            while f"root{len(roots)}" in npz.files:
+                roots.append(npz[f"root{len(roots)}"])
+        rows, cols = shape
+        swap = len(roots) == 5
         if (
-            model.shape != shape
-            or len(model.to_blocks) != n
-            or len(model.from_blocks) != n
+            stored != shape
+            or len(roots) not in ((4, 5) if rows == cols else (4,))
             or any(root.ndim != 2 or len(root) != root.shape[1] for root in roots)
-            or sum(r * len(root) for r, root in zip(runs, roots)) != n
+            or sum(r * len(root) for r, root in zip(_block_maps(rows, cols, swap)[0], roots)) != rows * cols
         ):
-            raise ValueError(f"stored correlation model does not fit a {shape[0]} x {shape[1]} lattice")
-        return model
+            raise ValueError(f"stored correlation model does not fit a {rows} x {cols} lattice")
+        return cls(tuple(roots), shape)
 
 
 def _pair_butterfly(x: np.ndarray, pairs: np.ndarray) -> None:
@@ -324,13 +310,28 @@ def _mirror_roots(table: np.ndarray, swap: bool) -> tuple[np.ndarray, ...]:
     return tuple(_block_root(table, odd_y, odd_x) for odd_y, odd_x in _PARITIES)
 
 
+@cache
 def _block_maps(rows: int, cols: int, swap: bool) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
-    """`CorrelationModel.runs`, `to_blocks`, `from_blocks` and `pairs` of
-    the roots that `_mirror_roots` builds for a rows x cols lattice.
+    """Layout of the roots that `_mirror_roots` builds for a rows x cols
+    lattice, through the axis swap when `swap`: `runs` and the maps
+    `to_blocks`, `from_blocks` and `pairs`, 2 L + 2 P integers, read-only
+    as the cache shares them with every model of that shape.
 
-    After the butterfly, a diagonal quadrant holds its swap-symmetric
-    coordinates on and above the diagonal and the antisymmetric ones below,
-    in the order of the halves their roots come from (`_swap_halves`).
+    The block coordinates of a folded field f, flattened row-major over the
+    (rows, cols) mirror basis, are read through the permutation `to_blocks`
+    after an in-place butterfly (`_pair_butterfly`) over `pairs`, the
+    entries (i, j) and (j, i), i < j, of the diagonal quadrants of a
+    swap-symmetric lattice, which it turns into their swap-half coordinates;
+    there the (odd, even) quadrant is read with its axes swapped, and
+    elsewhere `pairs` is empty. After the butterfly, a diagonal quadrant
+    holds its swap-symmetric coordinates on and above the diagonal and the
+    antisymmetric ones below, in the order of the halves their roots come
+    from (`_swap_halves`). The butterfly is symmetric and orthogonal, so the
+    way back is `from_blocks`, the inverse permutation, and the same
+    butterfly. The coordinates run root by root: root i colors `runs[i]`
+    consecutive runs of its size, two for the (even, odd) root of a
+    swap-symmetric lattice, which also colors the axis-swapped (odd, even)
+    quadrant, and one for every other root.
     """
     half_y, half_x = rows - rows // 2, cols - cols // 2
     grid = np.arange(rows * cols).reshape(rows, cols)
@@ -351,6 +352,8 @@ def _block_maps(rows: int, cols: int, swap: bool) -> tuple[tuple, np.ndarray, np
     to_blocks = np.concatenate([q.ravel() for q in reads])
     from_blocks = np.empty_like(to_blocks)
     from_blocks[to_blocks] = np.arange(rows * cols)
+    for maps in (to_blocks, from_blocks, pairs):
+        maps.flags.writeable = False
     return runs, to_blocks, from_blocks, pairs
 
 
@@ -413,15 +416,7 @@ def correlation_matrix(geom: SurfaceGeometry) -> CorrelationModel:
     # a square table that equals its transpose is unchanged by swapping the
     # lattice axes
     swap = l_h == l_v and np.array_equal(table, table.T)
-    runs, to_blocks, from_blocks, pairs = _block_maps(l_v, l_h, swap)
-    return CorrelationModel(
-        roots=_mirror_roots(table, swap),
-        runs=runs,
-        to_blocks=to_blocks,
-        from_blocks=from_blocks,
-        pairs=pairs,
-        shape=(l_v, l_h),
-    )
+    return CorrelationModel(roots=_mirror_roots(table, swap), shape=(l_v, l_h))
 
 
 def _sinc_table(geom: SurfaceGeometry) -> np.ndarray:

@@ -13,6 +13,7 @@ from fires.channel import (
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
+    _block_maps,
     _complex_pairs,
     _fold_matrix,
     _symmetric_sqrt,
@@ -116,15 +117,22 @@ def sinc_matrix(geom: SurfaceGeometry) -> np.ndarray:
     return np.sinc(2.0 / geom.wavelength * np.hypot(dx, dy))
 
 
+def block_layout(corr: CorrelationModel):
+    """`runs`, `to_blocks`, `from_blocks` and `pairs` of a mirror-block
+    model (`channel._block_maps`): five roots came through the axis swap."""
+    return _block_maps(*corr.shape, len(corr.roots) == 5)
+
+
 def block_basis(corr: CorrelationModel, folded: np.ndarray) -> np.ndarray:
     """The rows of `folded`, indexed by folded lattice positions, carried
     into a mirror-block model's block coordinates: the butterfly over the
     swap pairs (`pairs`), then the permutation `to_blocks`."""
+    _, to_blocks, _, pairs = block_layout(corr)
     basis = np.array(folded, dtype=float)
-    upper, lower = basis[corr.pairs[0]], basis[corr.pairs[1]]
-    basis[corr.pairs[0]] = (upper + lower) * np.sqrt(0.5)
-    basis[corr.pairs[1]] = (upper - lower) * np.sqrt(0.5)
-    return basis[corr.to_blocks]
+    upper, lower = basis[pairs[0]], basis[pairs[1]]
+    basis[pairs[0]] = (upper + lower) * np.sqrt(0.5)
+    basis[pairs[1]] = (upper - lower) * np.sqrt(0.5)
+    return basis[to_blocks]
 
 
 def dense_coloring(corr: CorrelationModel) -> np.ndarray:
@@ -135,7 +143,7 @@ def dense_coloring(corr: CorrelationModel) -> np.ndarray:
     basis = block_basis(corr, np.kron(_fold_matrix(rows), _fold_matrix(cols)))
     colored = np.empty_like(basis)
     start = 0
-    for root, runs in zip(corr.roots, corr.runs, strict=True):
+    for root, runs in zip(corr.roots, block_layout(corr)[0], strict=True):
         for _ in range(runs):
             stop = start + len(root)
             colored[start:stop] = root @ basis[start:stop]
@@ -145,7 +153,7 @@ def dense_coloring(corr: CorrelationModel) -> np.ndarray:
 
 def folded_matrix(shape: tuple[int, int], blocks) -> np.ndarray:
     """The L x L matrix over the folded lattice positions that
-    `CorrelationModel.to_blocks` reads whose four mirror blocks, in the order
+    `to_blocks` (`block_layout`) reads whose four mirror blocks, in the order
     of `channel._PARITIES`, are `blocks`, and which is zero between them."""
     rows, cols = shape
     half_y, half_x = rows - rows // 2, cols - cols // 2
@@ -165,7 +173,7 @@ def coordinate_runs(corr: CorrelationModel, folded: np.ndarray):
     per run, in coordinate order."""
     basis = block_basis(corr, np.eye(len(folded)))
     start = 0
-    for root, runs in zip(corr.roots, corr.runs, strict=True):
+    for root, runs in zip(corr.roots, block_layout(corr)[0], strict=True):
         for _ in range(runs):
             run = basis[start : start + len(root)]
             yield root, run @ folded @ run.T

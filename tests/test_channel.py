@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from fires import channel
 from fires.channel import (
     _PARITIES,
+    CorrelationModel,
     LinkParams,
     PlaneWaveField,
+    _block_maps,
     _fold_block,
     _fold_matrix,
     _sinc_table,
@@ -25,6 +28,7 @@ from fires.rate import amplitude_weights, lattice_rates
 from helpers import (
     WL,
     DenseModel,
+    block_layout,
     block_root,
     channel_batches,
     coordinate_runs,
@@ -280,26 +284,30 @@ def test_fold_matrix_holds_the_exact_mirror_rows(n):
 
 class TestBlockMaps:
     """A draw reads the block coordinates through one permutation after a
-    butterfly over the swap pairs of the two diagonal quadrants."""
+    butterfly over the swap pairs of the two diagonal quadrants. The layout
+    is worked out once per lattice shape and swap, and shared."""
 
     @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
     def test_to_blocks_is_a_permutation_and_from_blocks_its_inverse(self, geom):
-        corr = correlation_matrix(geom)
+        _, to_blocks, from_blocks, _ = block_layout(correlation_matrix(geom))
         every = np.arange(geom.n_presets)
-        assert np.array_equal(np.sort(corr.to_blocks), every)
-        assert np.array_equal(corr.from_blocks[corr.to_blocks], every)
-        assert np.array_equal(corr.to_blocks[corr.from_blocks], every)
+        assert np.array_equal(np.sort(to_blocks), every)
+        assert np.array_equal(from_blocks[to_blocks], every)
+        assert np.array_equal(to_blocks[from_blocks], every)
 
     @pytest.mark.parametrize("geom", BUILD_LATTICES, ids=BUILD_LATTICE_IDS)
     def test_pairs_mirror_each_other_in_the_diagonal_quadrants(self, geom):
         corr = correlation_matrix(geom)
+        pairs = block_layout(corr)[3]
         rows, cols = corr.shape
+        # five roots exactly where the lattice is unchanged by the axis swap
+        assert (len(corr.roots) == 5) == swaps_axes(geom)
         if not swaps_axes(geom):
-            assert corr.pairs.size == 0
+            assert pairs.size == 0
             return
-        assert len(np.unique(corr.pairs)) == corr.pairs.size
+        assert len(np.unique(pairs)) == pairs.size
         half = rows - rows // 2
-        (i, j), (i_t, j_t) = (np.divmod(p, cols) for p in corr.pairs)
+        (i, j), (i_t, j_t) = (np.divmod(p, cols) for p in pairs)
         odd = i >= half
         # both positions in one quadrant, (even, even) or (odd, odd)
         assert np.array_equal(j >= half, odd) and np.array_equal(i_t >= half, odd)
@@ -307,7 +315,96 @@ class TestBlockMaps:
         assert np.all(i < j)
         assert np.array_equal(i_t - half * odd, j) and np.array_equal(j_t - half * odd, i)
         # every entry above the diagonal of both quadrants
-        assert corr.pairs.shape[1] == half * (half - 1) // 2 + (rows // 2) * (rows // 2 - 1) // 2
+        assert pairs.shape[1] == half * (half - 1) // 2 + (rows // 2) * (rows // 2 - 1) // 2
+
+    @pytest.mark.parametrize("swap", [True, False])
+    def test_layout_is_read_only_and_shared(self, swap):
+        layout = _block_maps(6, 6, swap)
+        assert _block_maps(6, 6, swap) is layout
+        for array in layout[1:]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_an_area_sweep_shares_one_layout(self):
+        # M = 9 over 1, 4 and 16 m^2: three geometries of one 30 x 30 lattice
+        # shape, whose draws read one layout object
+        cfg = ExperimentConfig(sweep="area", n_subareas=9, m_hat=9)
+        layouts = []
+        for area in cfg.area_sweep_m2:
+            corr = correlation_matrix(geometry_from_config(cfg, area))
+            assert corr.shape == (30, 30) and len(corr.roots) == 5
+            layouts.append(block_layout(corr))
+        assert len(layouts) == 3 and all(layout is layouts[0] for layout in layouts)
+
+
+# a lattice rooted through the axis swap and one of unequal pitches, rooted
+# through the four mirror blocks
+SAVED_LATTICES = [
+    pytest.param(BUILD_LATTICES[2], 5, id="7x7-swap"),
+    pytest.param(BUILD_LATTICES[-1], 4, id="10x10-unequal-pitch"),
+]
+
+
+class TestSavedModel:
+    """`save` writes the lattice shape and the roots; `load` works the
+    layout out again from the shape and the root count, and refuses a file
+    that does not fit the lattice."""
+
+    @staticmethod
+    def members(corr):
+        return {"shape": np.array(corr.shape), **{f"root{i}": root for i, root in enumerate(corr.roots)}}
+
+    @staticmethod
+    def npz(**arrays):
+        file = io.BytesIO()
+        np.savez(file, **arrays)
+        file.seek(0)
+        return file
+
+    @pytest.mark.parametrize("geom, roots", SAVED_LATTICES)
+    def test_load_gives_back_the_built_model_and_its_draws(self, geom, roots):
+        built = correlation_matrix(geom)
+        file = io.BytesIO()
+        built.save(file)
+        file.seek(0)
+        assert sorted(np.load(file).files) == sorted(self.members(built))
+        file.seek(0)
+        loaded = CorrelationModel.load(file, built.shape)
+        assert loaded.shape == built.shape and len(loaded.roots) == roots
+        for a, b in zip(loaded.roots, built.roots, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        got, want = (m.draw(np.random.default_rng(5), size=3) for m in (loaded, built))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("geom, roots", SAVED_LATTICES)
+    @pytest.mark.parametrize(
+        "damage", ["last-root-dropped", "first-root-dropped", "non-square-root", "another-shape", "wider-lattice"]
+    )
+    def test_a_file_that_does_not_fit_raises_value_error(self, geom, roots, damage):
+        corr = correlation_matrix(geom)
+        arrays = self.members(corr)
+        shape = corr.shape
+        if damage == "last-root-dropped":
+            del arrays[f"root{roots - 1}"]
+        elif damage == "first-root-dropped":
+            del arrays["root0"]
+        elif damage == "non-square-root":
+            arrays["root1"] = corr.roots[1][:, :-1]
+        elif damage == "another-shape":  # a whole model of a 6 x 6 lattice
+            arrays = self.members(correlation_matrix(BUILD_LATTICES[1]))
+        else:  # the same roots stored and loaded as a lattice two columns wider
+            shape = (shape[0], shape[1] + 2)
+            arrays["shape"] = np.array(shape)
+        with pytest.raises(ValueError, match="does not fit"):
+            CorrelationModel.load(self.npz(**arrays), shape)
+
+    def test_a_file_without_its_shape_raises(self):
+        corr = correlation_matrix(BUILD_LATTICES[2])
+        arrays = self.members(corr)
+        del arrays["shape"]
+        with pytest.raises(KeyError):
+            CorrelationModel.load(self.npz(**arrays), corr.shape)
 
 
 class TestNlosField:
