@@ -15,20 +15,15 @@ every power's record carries that swarm's own history.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import math
-import os
 import sys
-import tempfile
-from contextlib import suppress
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
 from numbers import Integral, Real
 from operator import ge, gt
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +33,6 @@ from .channel import (
     CorrelationModel,
     LinkParams,
     PlaneWaveField,
-    _sinc_table,
     correlation_matrix,
     plane_wave_field,
     synthesize_channel,
@@ -46,6 +40,7 @@ from .channel import (
 from .geometry import SurfaceGeometry, partition_surface
 from .pso import PsoConfig, optimize
 from .rate import amplitude_weights, lattice_rates
+from .runtime import model_file, store
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -241,13 +236,14 @@ def _field_model(geom: SurfaceGeometry) -> CorrelationModel | PlaneWaveField:
 
     The dense model's roots take one block-sized eigendecomposition and four
     half-block ones on a square lattice of equal pitches, four block-sized
-    ones on others. So it is also kept on disk (`_model_file`): a process
-    that does not hold it yet loads it from there, and where no readable
-    file fits the lattice, it builds the model and writes it for the next.
+    ones on others. So it is also kept on disk (`runtime.model_file`): a
+    process that does not hold it yet loads it from there, and where no
+    readable file fits the lattice, it builds the model and writes it for
+    the next (`runtime.store`).
     """
     if geom.n_presets > DENSE_MAX_PRESETS:
         return plane_wave_field(geom)
-    path = _model_file(geom)
+    path = model_file(geom)
     if path is not None:
         try:
             model = CorrelationModel.load(path, (geom.lattice_rows, geom.lattice_cols))
@@ -265,99 +261,8 @@ def _field_model(geom: SurfaceGeometry) -> CorrelationModel | PlaneWaveField:
             return model
     model = correlation_matrix(geom)
     if path is not None:
-        _store(model, path)
+        store(model, path)
     return model
-
-
-def _model_file(geom: SurfaceGeometry) -> Path | None:
-    """Where the dense model of `geom` is kept: `<lattice>-<source>.npz`
-    under fires/ in the user's cache, `$XDG_CACHE_HOME` or else ~/.cache.
-
-    The keys are SHA-256 digests of what the model's bits depend on: numpy's
-    version, the OpenBLAS kernel and thread count in force and the lattice's
-    sinc table (`_sinc_table`), then the fires sources, so a file holds
-    exactly the model this process would build. None, and no file, where
-    numpy's BLAS is not an OpenBLAS this process can query or no home
-    folder is known.
-    """
-    threads, config = _openblas()
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    if config is None or not os.path.isabs(base):
-        return None
-    table = _sinc_table(geom)
-    lattice = hashlib.sha256(repr((np.__version__, config, threads, table.shape)).encode())
-    lattice.update(table.tobytes())
-    return Path(base) / "fires" / f"{lattice.hexdigest()}-{_source_digest().hex()}.npz"
-
-
-def _store(model: CorrelationModel, path: Path) -> None:
-    """Write `model` to `path` through a temporary file in its folder, which
-    replaces `path` at once, so readers see a whole file or none, then delete
-    the lattice's files of other source versions, which these sources never
-    read. Where the folder or the file cannot be written, the model stays in
-    memory only."""
-    tmp = None
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
-        with open(fd, "wb") as fh:  # a file object: np.savez adds .npz to a bare path
-            model.save(fh)
-        os.replace(tmp, path)
-        for stale in set(path.parent.glob(f"{path.name.split('-')[0]}-*.npz")) - {path}:
-            with suppress(OSError):
-                stale.unlink()
-    except OSError:
-        if tmp is not None:
-            with suppress(OSError):
-                os.unlink(tmp)
-
-
-@cache
-def _source_digest() -> bytes:
-    """SHA-256 of the fires package's sources, read once per process."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        source = path.read_bytes()
-        digest.update(f"{path.name}\0{len(source)}\0".encode() + source)
-    return digest.digest()
-
-
-def _openblas() -> tuple[int | None, str | None]:
-    """(threads in force, configuration) of the OpenBLAS library numpy
-    loaded, (None, None) where none is found. The configuration names the
-    kernel in force on a DYNAMIC_ARCH build."""
-    calls = _openblas_calls()
-    if calls is None:
-        return None, None
-    get_threads, get_config = calls
-    return get_threads(), get_config().decode()
-
-
-@cache
-def _openblas_calls():
-    """OpenBLAS's get_num_threads and get_config, found among the libraries
-    this process has mapped, or None."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            get_config = getattr(lib, f"{prefix}_get_config{suffix}", None)
-            if get_threads is not None and get_config is not None:
-                get_threads.argtypes = get_config.argtypes = []
-                get_threads.restype = ctypes.c_int
-                get_config.restype = ctypes.c_char_p
-                return get_threads, get_config
-    return None
 
 
 def trial_links(cfg: ExperimentConfig, rng: np.random.Generator) -> tuple[LinkParams, LinkParams, LinkParams]:

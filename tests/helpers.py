@@ -5,6 +5,7 @@ need, among them the exhaustive lattice oracle."""
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -180,29 +181,41 @@ def coordinate_runs(corr: CorrelationModel, folded: np.ndarray):
             start += len(root)
 
 
-def dense_mirror_blocks(geom: SurfaceGeometry):
+@cache
+def dense_mirror_blocks(geom: SurfaceGeometry) -> tuple[np.ndarray, ...]:
     """The four mirror blocks, in the order of `channel._PARITIES`, of the
     dense sinc matrix (`sinc_matrix`) carried into the mirror basis by the
     Kronecker product of the two axes' fold matrices, one quadrant each; the
     reference the blocks read off the offset table are checked against.
-    Yields (k_y, k_x, k_y, k_x) arrays."""
+    (k_y, k_x, k_y, k_x) arrays, read-only: they are built once per geometry
+    and shared by every test that asks for them."""
     rows, cols = geom.lattice_rows, geom.lattice_cols
     fold = np.kron(_fold_matrix(rows), _fold_matrix(cols))
     folded = fold @ sinc_matrix(geom) @ fold.T
     half_y, half_x = rows - rows // 2, cols - cols // 2
     grid = np.arange(rows * cols).reshape(rows, cols)
+    blocks = []
     for odd_y, odd_x in _PARITIES:
         quadrant = grid[half_y:] if odd_y else grid[:half_y]
         quadrant = quadrant[:, half_x:] if odd_x else quadrant[:, :half_x]
         idx = quadrant.ravel()
-        yield folded[np.ix_(idx, idx)].reshape(quadrant.shape * 2)
+        blocks.append(folded[np.ix_(idx, idx)].reshape(quadrant.shape * 2))
+    return _read_only(blocks)
 
 
-def dense_mirror_roots(geom: SurfaceGeometry) -> list[np.ndarray]:
+@cache
+def dense_mirror_roots(geom: SurfaceGeometry) -> tuple[np.ndarray, ...]:
     """The roots of the four-block build (`channel._mirror_roots` without
     the swap split) of the dense reference blocks (`dense_mirror_blocks`),
-    each block rooted by its own eigendecomposition, (k, k) each."""
-    return [block_root(block) for block in dense_mirror_blocks(geom)]
+    each block rooted by its own eigendecomposition, (k, k) each; read-only
+    and built once per geometry."""
+    return _read_only([block_root(block) for block in dense_mirror_blocks(geom)])
+
+
+def _read_only(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
 
 
 def block_root(block: np.ndarray) -> np.ndarray:

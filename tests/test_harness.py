@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fires import baseline, harness, pso, rate
+from fires import baseline, harness, pso, rate, runtime
 from fires.baseline import fixed_surface_presets
 from fires.channel import (
     ChannelRealization,
@@ -655,25 +656,54 @@ class TestModelCache:
         [untouched] = self.cached_files(tmp_path)
         paths = []
         for source in (b"first", b"second"):
-            monkeypatch.setattr(harness, "_source_digest", lambda source=source: source)
+            monkeypatch.setattr(runtime, "_source_digest", lambda source=source: source)
             _field_model.cache_clear()
             _field_model(geom)
-            paths.append(harness._model_file(geom))
+            paths.append(runtime.model_file(geom))
         _field_model.cache_clear()
         assert paths[0] != paths[1] and paths[0].name.split("-")[0] == paths[1].name.split("-")[0]
         assert self.cached_files(tmp_path) == sorted([untouched, paths[1]])
+
+    @pytest.mark.parametrize("edited, shared", [("harness.py", True), ("channel.py", False)])
+    def test_only_an_edit_of_channel_py_rekeys_the_cached_file(self, edited, shared, tmp_path):
+        # two checkouts that share one cache folder, the second with one more
+        # line in a fires module: each builds a 9 x 9 model in a process of its own
+        probe = (
+            "import json; from fires import harness, runtime; from fires.geometry import partition_surface; "
+            "builds = []; build = harness.correlation_matrix; "
+            "harness.correlation_matrix = lambda geom: builds.append(geom) or build(geom); "
+            "geom = partition_surface(2.0, 2.0, 1, 0.0856, n_h=9, n_v=9); harness._field_model(geom); "
+            "print(json.dumps([len(builds), str(runtime.model_file(geom))]))"
+        )
+        cache = tmp_path / "cache"
+        runs = []
+        for checkout in ("unedited", "edited"):
+            package = tmp_path / checkout / "fires"
+            shutil.copytree(Path(harness.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+            if checkout == "edited":
+                with (package / edited).open("a") as fh:
+                    fh.write("# one more line\n")
+            env = {**os.environ, "PYTHONPATH": str(package.parent), "XDG_CACHE_HOME": str(cache)}
+            done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout))
+        (first_builds, first_path), (builds, path) = runs
+        assert first_builds == 1
+        assert (builds, path == first_path) == ((0, True) if shared else (1, False))
+        # the second process's file only: the same one, or the first's evicted
+        assert [p.name for p in (cache / "fires").iterdir()] == [Path(path).name]
 
     def test_key_holds_the_blas_kernel_and_thread_count(self, monkeypatch):
         geom = partition_surface(2.0, 2.0, 1, WL, n_h=9, n_v=9)
         paths = {}
         for blas in [(1, "OpenBLAS Haswell"), (1, "OpenBLAS SkylakeX"), (2, "OpenBLAS Haswell")]:
-            monkeypatch.setattr(harness, "_openblas", lambda blas=blas: blas)
-            paths[blas] = harness._model_file(geom)
+            monkeypatch.setattr(runtime, "openblas", lambda blas=blas: blas)
+            paths[blas] = runtime.model_file(geom)
         assert len(set(paths.values())) == 3
         assert all(p.parent == paths[1, "OpenBLAS Haswell"].parent for p in paths.values())
 
     def test_no_openblas_keeps_no_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_openblas", lambda: (None, None))
+        monkeypatch.setattr(runtime, "openblas", lambda: (None, None))
         geom = partition_surface(2.0, 2.0, 1, WL, n_h=9, n_v=9)
         _field_model.cache_clear()
         model = _field_model(geom)
@@ -682,14 +712,14 @@ class TestModelCache:
         assert not (tmp_path / "fires").exists()
 
     def test_key_of_another_openblas_kernel_differs(self):
-        threads, config = harness._openblas()
+        threads, config = runtime.openblas()
         if config is None or "DYNAMIC_ARCH" not in config:
             pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS ({config or 'no OpenBLAS found'})")
         core = "Prescott" if "Haswell" in config.split() else "Haswell"
         probe = (
-            "import json; from fires import harness; from fires.geometry import partition_surface; "
+            "import json; from fires import runtime; from fires.geometry import partition_surface; "
             "geom = partition_surface(2.0, 2.0, 1, 0.0856, n_h=9, n_v=9); "
-            "print(json.dumps([*harness._openblas(), str(harness._model_file(geom))]))"
+            "print(json.dumps([*runtime.openblas(), str(runtime.model_file(geom))]))"
         )
         src = str(Path(harness.__file__).resolve().parents[1])
         env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": src}
@@ -697,7 +727,7 @@ class TestModelCache:
         assert done.returncode == 0, done.stderr
         other_threads, other_config, other_path = json.loads(done.stdout)
         assert other_threads == threads and core in other_config.split()
-        here = harness._model_file(partition_surface(2.0, 2.0, 1, WL, n_h=9, n_v=9))
+        here = runtime.model_file(partition_surface(2.0, 2.0, 1, WL, n_h=9, n_v=9))
         assert other_path != str(here) and Path(other_path).parent == here.parent
 
     def test_pooled_sweep_on_an_empty_cache_matches_serial(self, tmp_path, monkeypatch):
