@@ -26,18 +26,22 @@ class SurfaceGeometry:
     a_h: float  # aperture width (m)
     a_v: float  # aperture height (m)
     n_subareas: int  # number of fluid elements (= subareas)
-    grid_cols: int  # subarea grid shape, horizontal
-    grid_rows: int  # subarea grid shape, vertical
     n_h: int  # presets per subarea row
     n_v: int  # presets per subarea column
     d_min: float  # minimum element spacing (m)
     wavelength: float  # carrier wavelength (m)
+    grid_cols: int | None = None  # subarea grid shape, horizontal and vertical;
+    grid_rows: int | None = None  # both None infers square cells (subarea_grid_shape)
 
     def __post_init__(self):
         if self.a_h <= 0 or self.a_v <= 0:
             raise ValueError(f"aperture extents must be positive, got {self.a_h} x {self.a_v}")
         if self.n_subareas < 1:
             raise ValueError(f"need at least one subarea, got {self.n_subareas}")
+        if self.grid_cols is None and self.grid_rows is None:
+            cols, rows = subarea_grid_shape(self.a_h, self.a_v, self.n_subareas)
+            object.__setattr__(self, "grid_cols", cols)
+            object.__setattr__(self, "grid_rows", rows)
         if self.grid_cols * self.grid_rows != self.n_subareas:
             raise ValueError(
                 f"subarea grid {self.grid_cols} x {self.grid_rows} does not hold "
@@ -175,14 +179,7 @@ def partition_surface(
     come out square (perfect-square counts on square apertures); counts with
     no such factorization raise. `d_min` defaults to half a wavelength.
     """
-    if a_h <= 0 or a_v <= 0:
-        raise ValueError(f"aperture extents must be positive, got {a_h} x {a_v}")
-    if n_subareas < 1:
-        raise ValueError(f"need at least one subarea, got {n_subareas}")
-    if grid is None:
-        cols, rows = subarea_grid_shape(a_h, a_v, n_subareas)
-    else:
-        cols, rows = grid
+    cols, rows = grid or (None, None)
     return SurfaceGeometry(
         a_h=a_h,
         a_v=a_v,

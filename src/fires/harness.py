@@ -280,7 +280,7 @@ def trial_links(cfg: ExperimentConfig, rng: np.random.Generator) -> tuple[LinkPa
 
 @dataclass(frozen=True, eq=False)
 class TrialRecord:
-    """Outcome of one Monte Carlo repetition."""
+    """Outcome of one Monte Carlo repetition; `history` is its swarm's tuple, unchanged."""
 
     trial_index: int
     fires_rate: float
@@ -291,8 +291,8 @@ class TrialRecord:
 @dataclass(frozen=True, eq=False)
 class _TrialSwarm:
     """A trial's channel draw as its `amplitude_weights`, the flat presets of
-    the swarm's placement, and the swarm's best-so-far history at the
-    reference power."""
+    the swarm's placement, and the history tuple `optimize` returned at the
+    reference power, which every record of the trial keeps unchanged."""
 
     geom: SurfaceGeometry
     weights: tuple[np.ndarray, np.ndarray]
@@ -327,7 +327,7 @@ def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -
     presets, _, history = optimize(
         weights, geom, pso_cfg, power, dbm_to_watts(cfg.noise_dbm), initial_presets=injected
     )
-    return _TrialSwarm(geom, weights, presets, _float_tuple(history))
+    return _TrialSwarm(geom, weights, presets, history)
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = None) -> TrialRecord:
@@ -357,16 +357,6 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
         baseline_rate=float(evaluate_baseline(swarm.weights, swarm.geom, power, noise, cfg.m_hat)),
         history=swarm.history,
     )
-
-
-def _float_tuple(history) -> tuple[float, ...]:
-    """A best-so-far history as a tuple of floats, one float object per run
-    of equal values. Such a history is flat between its few improvements, so
-    this keeps it at about a third of the memory of one object per entry."""
-    values: list[float] = []
-    for h in np.asarray(history, dtype=float).tolist():
-        values.append(values[-1] if values and values[-1] == h else h)
-    return tuple(values)
 
 
 @dataclass(frozen=True, eq=False)

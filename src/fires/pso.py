@@ -187,20 +187,20 @@ def optimize(
     power: float,
     noise_power: float,
     initial_presets: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, np.ndarray]:
+) -> tuple[np.ndarray, float, tuple[float, ...]]:
     """Run the swarm on a realization's `amplitude_weights` and return (the
     (M,) flat presets of the best placement, their max-min rate, history).
 
+    The history is the swarm's own tuple of floats, without the polish:
     history[k] is the best fitness seen after k iterations (entry 0 covers
-    the initial swarm) and is nondecreasing. The run is fully determined by
-    cfg.seed. `initial_presets` is a (k, M) integer array, 1 <= k <=
-    n_particles: row j puts particle j on the `preset_points` of its
-    presets, one of each element's own subarea, which lower-bounds the
-    result by the fitness of every injected placement. The swarm's best
-    placement is snapped to its presets once; if two of them lie closer
-    than d_min, a repair pass rebuilds them, and best-response sweeps
-    (`best_response`) then polish them. The rate is the final presets'.
-    The history is the swarm's own and does not include the polish.
+    the initial swarm), nondecreasing, one float object per run of equal
+    values. The run is fully determined by cfg.seed. `initial_presets` is a
+    (k, M) integer array, 1 <= k <= n_particles: row j puts particle j on
+    the `preset_points` of its presets, one of each element's own subarea,
+    which lower-bounds the result by the fitness of every injected
+    placement. The swarm's best placement is snapped to its presets once; if
+    two of them lie closer than d_min, a repair pass rebuilds them, and
+    `best_response` sweeps then polish them; the rate is the final presets'.
     """
     _check_weights(weights, geom)
     rng = np.random.default_rng(cfg.seed)
@@ -234,4 +234,4 @@ def optimize(
     if preset_violations(presets, geom):
         presets = repair_spacing(presets, weights, geom, power, noise_power)
     presets = best_response(presets, weights, geom, power, noise_power, cfg)
-    return presets, float(lattice_rates(weights, presets, power, noise_power)), np.asarray(history)
+    return presets, float(lattice_rates(weights, presets, power, noise_power)), tuple(history)

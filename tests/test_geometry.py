@@ -81,7 +81,7 @@ class TestPartition:
         ],
     )
     def test_bad_geometry_fields_rejected(self, field, value, match):
-        # partition_surface checks some of these before the geometry does
+        # partition_surface leaves every check to the geometry, which rejects each field
         with pytest.raises(ValueError, match=match):
             replace(square_geom(4), **{field: value})
 

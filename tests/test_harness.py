@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -417,6 +418,31 @@ class TestSweeps:
             assert rec.baseline_rate == alone[power, t].baseline_rate
             # the swarm's own history, at the power it ran at
             assert rec.history == alone[top, t].history
+
+    def test_power_records_share_the_swarm_history(self, monkeypatch):
+        # every power's record keeps the tuple optimize returned, which holds
+        # one float object per run of equal values: the records of a sweep
+        # cost one history per trial, not one per power and iteration
+        returned = []
+        plain_optimize = harness.optimize
+
+        def keeping(*args, **kwargs):
+            returned.append(plain_optimize(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(harness, "optimize", keeping)
+        cfg = ExperimentConfig(sweep="power", **FAST)
+        variants = [(replace(cfg, power_dbm=p), None) for p in cfg.power_sweep_dbm]
+        records = harness._sweep_worker((0, variants))
+        ((_, _, history),) = returned
+        assert type(history) is tuple
+        assert len({id(v) for v in history}) == len(set(history)) < len(history)
+        assert all(rec.history is history for rec in records)
+        # a pooled sweep returns records pickled, which keeps one tuple for
+        # all the powers of a trial; pickle writes every float on its own
+        pooled = pickle.loads(pickle.dumps(records))
+        assert all(rec.history is pooled[0].history for rec in pooled)
+        assert pooled[0].history == history
 
     @pytest.mark.parametrize("axis", harness.SWEEP_AXES)
     def test_one_swarm_per_trial_on_the_power_axis(self, axis, monkeypatch):

@@ -329,7 +329,7 @@ class TestOptimize:
         w = amplitude_weights(real)
         pl, _, hist = optimize(w, geom, PsoConfig(n_particles=8, n_iterations=5, seed=seed), P, S2)
         assert preset_points(geom, pl).tolist() == positions
-        assert hist.tolist() == history
+        assert list(hist) == history
         assert_spaced(pl, geom)
 
     def test_spacing_respected_when_feasible_exists(self):
