@@ -20,6 +20,7 @@ from .harness import (
     emit_results,
     run_sweep,
     run_trial,
+    sweep_trials,
     wavelength,
 )
 from .pso import PsoConfig, best_response, optimize
@@ -46,6 +47,7 @@ __all__ = [
     "plane_wave_field",
     "run_sweep",
     "run_trial",
+    "sweep_trials",
     "synthesize_channel",
     "wavelength",
 ]

@@ -246,7 +246,8 @@ def _field_model(geom: SurfaceGeometry) -> CorrelationModel | PlaneWaveField:
     path = model_file(geom)
     if path is not None:
         try:
-            model = CorrelationModel.load(path, (geom.lattice_rows, geom.lattice_cols))
+            with open(path, "rb") as fh:  # closed also where np.load cannot read the zip
+                model = CorrelationModel.load(fh, (geom.lattice_rows, geom.lattice_cols))
         except Exception:
             # absent, unreadable, damaged or of another lattice: build anew
             # (a damaged zip raises any of half a dozen types)
@@ -280,23 +281,27 @@ def trial_links(cfg: ExperimentConfig, rng: np.random.Generator) -> tuple[LinkPa
 
 @dataclass(frozen=True, eq=False)
 class TrialRecord:
-    """Outcome of one Monte Carlo repetition; `history` is its swarm's tuple, unchanged."""
+    """Outcome of one Monte Carlo repetition at one sweep value (the area on
+    the area axis, the power in dBm elsewhere); `history` and `presets`, the
+    final flat presets, are its swarm's tuples, shared across the trial."""
 
     trial_index: int
     fires_rate: float
     baseline_rate: float
     history: tuple[float, ...]
+    sweep_value: float
+    presets: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class _TrialSwarm:
-    """A trial's channel draw as its `amplitude_weights`, the flat presets of
-    the swarm's placement, and the history tuple `optimize` returned at the
-    reference power, which every record of the trial keeps unchanged."""
+    """A trial's channel draw as its `amplitude_weights`, then the flat presets
+    of the swarm's placement (ints) and the history `optimize` returned at the
+    reference power, as the tuples every record of the trial keeps."""
 
     geom: SurfaceGeometry
     weights: tuple[np.ndarray, np.ndarray]
-    presets: np.ndarray
+    presets: tuple[int, ...]
     history: tuple[float, ...]
 
 
@@ -327,7 +332,7 @@ def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -
     presets, _, history = optimize(
         weights, geom, pso_cfg, power, dbm_to_watts(cfg.noise_dbm), initial_presets=injected
     )
-    return _TrialSwarm(geom, weights, presets, history)
+    return _TrialSwarm(geom, weights, tuple(presets.tolist()), history)
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = None) -> TrialRecord:
@@ -336,10 +341,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
 
     On the power axis the swarm runs at the highest sweep power: the rates
     are that placement's at cfg.power_dbm, and the history is the swarm's
-    own at the highest sweep power. Inside run_sweep the powers of one trial
-    share that swarm; the records are the same either way. Every power reads
-    the max-min rates of the swarm's presets and of the fixed surface off
-    the trial's weights, without another snap or conversion.
+    own at the highest sweep power. Inside sweep_trials the powers of one
+    trial share that swarm; the records are the same either way. Every power
+    reads the max-min rates of the swarm's presets and of the fixed surface
+    off the trial's weights, without another snap or conversion.
     """
     share = _power_share.get()
     if share:
@@ -353,9 +358,11 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
     noise = dbm_to_watts(cfg.noise_dbm)
     return TrialRecord(
         trial_index=trial_index,
-        fires_rate=float(lattice_rates(swarm.weights, swarm.presets, power, noise)),
+        fires_rate=float(lattice_rates(swarm.weights, np.array(swarm.presets), power, noise)),
         baseline_rate=float(evaluate_baseline(swarm.weights, swarm.geom, power, noise, cfg.m_hat)),
         history=swarm.history,
+        sweep_value=float(cfg.power_dbm if area_m2 is None else area_m2),
+        presets=swarm.presets,
     )
 
 
@@ -392,23 +399,21 @@ def _sweep_worker(job) -> list[TrialRecord]:
         _power_share.reset(token)
 
 
-def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
-    """One ResultRecord per sweep value, each over cfg.n_trials trials.
+def sweep_trials(cfg: ExperimentConfig, threads: int = 1) -> list[list[TrialRecord]]:
+    """The records of cfg.n_trials trials: row t holds trial t, one record
+    per sweep value in sweep order (one at cfg.power_dbm off the power and
+    area axes).
 
     Trial substreams depend only on (seed, trial index), so every sweep value
     reuses the same channel draws. Each job is one trial at every sweep
-    value; the powers of a power-axis trial share one swarm. The iterations
-    axis runs each trial once at the full schedule and reads its records off
-    the best-so-far history.
+    value; the powers of a power-axis trial share one swarm. With threads > 1
+    the jobs run in a process pool of at most one worker per trial.
     """
     if cfg.sweep == "power":
-        values = cfg.power_sweep_dbm
-        variants = [(replace(cfg, power_dbm=float(p)), None) for p in values]
+        variants = [(replace(cfg, power_dbm=float(p)), None) for p in cfg.power_sweep_dbm]
     elif cfg.sweep == "area":
-        values = cfg.area_sweep_m2
-        variants = [(cfg, float(a)) for a in values]
+        variants = [(cfg, float(a)) for a in cfg.area_sweep_m2]
     else:  # none, iterations
-        values = (cfg.power_dbm,)
         variants = [(cfg, None)]
 
     jobs = [(t, variants) for t in range(cfg.n_trials)]
@@ -417,10 +422,16 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
         from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            by_trial = list(pool.map(_sweep_worker, jobs, chunksize=1))
-    else:
-        by_trial = [_sweep_worker(job) for job in jobs]
-    # pool.map keeps job order, so row t holds trial t at every sweep value
+            return list(pool.map(_sweep_worker, jobs, chunksize=1))  # in job order
+    return [_sweep_worker(job) for job in jobs]
+
+
+def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
+    """One ResultRecord per sweep value, each over cfg.n_trials trials: the
+    column means of `sweep_trials`. The iterations axis runs each trial once
+    at the full schedule and reads its records off the best-so-far history."""
+    by_trial = sweep_trials(cfg, threads)
+    values = [rec.sweep_value for rec in by_trial[0]]
     fires = np.array([[rec.fires_rate for rec in recs] for recs in by_trial])
     baselines = np.array([[rec.baseline_rate for rec in recs] for recs in by_trial])
     if cfg.sweep == "iterations":  # one column per swarm iteration

@@ -3,21 +3,20 @@ holds the program to, from the program as it stands:
 
     PYTHONPATH=src python tests/make_record_corpus.py
 
-The file holds one entry per (config, sweep value, trial) of CONFIGS: the
-flat presets of the trial's swarm (`harness._run_swarm`), the fires and
-baseline rates, and the last value of the swarm's best-so-far history,
-floats written by repr. A change meant to leave every placement where it is
-must pass the test with the file unchanged. Regenerate the file only with a
-CHANGES.md entry that lists the entries that moved and why.
+One entry per (config, sweep value, trial) of CONFIGS, off the records of
+`harness.sweep_trials`: the trial's flat presets, fires and baseline rates,
+and last best-so-far fitness, floats by repr. The bytes depend on the BLAS
+thread count: at one and two OpenBLAS threads 97 rates differ, by up to
+1.6e-10 relative (on lattices finer than half a wavelength), and no preset.
+A change meant to leave every placement where it is must pass the test with
+the file unchanged. Regenerate the file only with a CHANGES.md entry that
+lists the entries that moved and why.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import replace
 from pathlib import Path
 
-from fires.harness import ExperimentConfig, _power_share, run_trial
+from fires.harness import ExperimentConfig, sweep_trials
 
 CORPUS = Path(__file__).with_name("record_corpus.json")
 
@@ -35,42 +34,21 @@ CONFIGS = {
 }
 
 
-def sweep_points(cfg: ExperimentConfig) -> list[tuple[float, ExperimentConfig, float | None]]:
-    """(sweep value, config, area) of each sweep value, as `run_sweep`
-    varies them."""
-    if cfg.sweep == "power":
-        return [(p, replace(cfg, power_dbm=float(p)), None) for p in cfg.power_sweep_dbm]
-    if cfg.sweep == "area":
-        return [(a, cfg, float(a)) for a in cfg.area_sweep_m2]
-    return [(cfg.power_dbm, cfg, None)]
-
-
 def config_entries(cfg: ExperimentConfig) -> list[dict]:
     """The corpus entries of `cfg`'s trials, trial by trial, each at every
-    sweep value in order. The powers of a trial share one swarm, as in
-    `run_sweep`; `run_trial` leaves the swarm it ran in the share list."""
-    entries = []
-    for trial in range(cfg.n_trials):
-        share = []
-        for value, point, area in sweep_points(cfg):
-            if cfg.sweep != "power":
-                share = []
-            token = _power_share.set(share)
-            try:
-                rec = run_trial(point, trial, area)
-            finally:
-                _power_share.reset(token)
-            entries.append(
-                {
-                    "sweep_value": float(value),
-                    "trial": trial,
-                    "presets": [int(p) for p in share[0].presets],
-                    "fires_rate": rec.fires_rate,
-                    "baseline_rate": rec.baseline_rate,
-                    "history_last": rec.history[-1],
-                }
-            )
-    return entries
+    sweep value in order: the records of `sweep_trials`."""
+    return [
+        {
+            "sweep_value": rec.sweep_value,
+            "trial": rec.trial_index,
+            "presets": list(rec.presets),
+            "fires_rate": rec.fires_rate,
+            "baseline_rate": rec.baseline_rate,
+            "history_last": rec.history[-1],
+        }
+        for row in sweep_trials(cfg)
+        for rec in row
+    ]
 
 
 def main() -> None:

@@ -34,6 +34,7 @@ from fires.harness import (
     geometry_from_config,
     run_sweep,
     run_trial,
+    sweep_trials,
     wavelength,
 )
 from helpers import WL, block_layout
@@ -396,18 +397,9 @@ class TestSweeps:
         assert len(builds) == len(set(builds)) == len(areas)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_power_records_equal_separate_runs(self, seed, monkeypatch):
+    def test_power_records_equal_separate_runs(self, seed):
         cfg = ExperimentConfig(sweep="power", seed=seed, **FAST)
-        swept = {}
-        plain_run_trial = harness.run_trial
-
-        def recording(c, trial_index, area_m2=None):
-            swept[c.power_dbm, trial_index] = rec = plain_run_trial(c, trial_index, area_m2)
-            return rec
-
-        monkeypatch.setattr(harness, "run_trial", recording)
-        run_sweep(cfg)
-        monkeypatch.undo()
+        swept = {(rec.sweep_value, rec.trial_index): rec for row in sweep_trials(cfg) for rec in row}
         assert len(swept) == len(cfg.power_sweep_dbm) * cfg.n_trials
         alone = {
             (power, t): run_trial(replace(cfg, sweep="none", power_dbm=power), t) for power, t in swept
@@ -431,9 +423,7 @@ class TestSweeps:
             return returned[-1]
 
         monkeypatch.setattr(harness, "optimize", keeping)
-        cfg = ExperimentConfig(sweep="power", **FAST)
-        variants = [(replace(cfg, power_dbm=p), None) for p in cfg.power_sweep_dbm]
-        records = harness._sweep_worker((0, variants))
+        (records,) = sweep_trials(ExperimentConfig(sweep="power", **{**FAST, "n_trials": 1}))
         ((_, _, history),) = returned
         assert type(history) is tuple
         assert len({id(v) for v in history}) == len(set(history)) < len(history)
@@ -443,6 +433,27 @@ class TestSweeps:
         pooled = pickle.loads(pickle.dumps(records))
         assert all(rec.history is pooled[0].history for rec in pooled)
         assert pooled[0].history == history
+
+    @pytest.mark.parametrize("axis", ["power", "area", "none"])
+    def test_sweep_trials_rows_are_trials(self, axis):
+        cfg = ExperimentConfig(sweep=axis, power_sweep_dbm=(20.0, 40.0), area_sweep_m2=(1.0, 4.0), **FAST)
+        rows = sweep_trials(cfg)
+        values = {"power": [20.0, 40.0], "area": [1.0, 4.0], "none": [cfg.power_dbm]}[axis]
+        assert [[(rec.trial_index, rec.sweep_value) for rec in row] for row in rows] == [
+            [(t, v) for v in values] for t in range(cfg.n_trials)
+        ]
+        # a trial's records share its swarm's tuples, also as a pool returns them
+        for row in (*rows, *pickle.loads(pickle.dumps(rows))):
+            assert all(type(p) is int for p in row[0].presets)
+            assert len(row[0].presets) == cfg.n_subareas
+            if axis != "area":  # every area is its own geometry and swarm
+                assert all(rec.presets is row[0].presets and rec.history is row[0].history for rec in row)
+        for threads in (1, 2):
+            means = [(r.fires_mean, r.baseline_mean) for r in run_sweep(cfg, threads=threads)]
+            assert means == [
+                (np.mean([row[j].fires_rate for row in rows]), np.mean([row[j].baseline_rate for row in rows]))
+                for j in range(len(values))
+            ]
 
     @pytest.mark.parametrize("axis", harness.SWEEP_AXES)
     def test_one_swarm_per_trial_on_the_power_axis(self, axis, monkeypatch):
