@@ -81,7 +81,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, threads = _resolve_config(args)
-        fmt = args.format or ("json" if str(args.out).endswith(".json") else "csv")
+        fmt = args.format or ("json" if str(args.out).lower().endswith(".json") else "csv")
         records = run_sweep(cfg, threads=threads)
         emit_results(records, args.out, fmt, config=cfg)
     except (ValueError, OSError) as exc:

@@ -295,9 +295,9 @@ class TrialRecord:
 
 @dataclass(frozen=True, eq=False)
 class _TrialSwarm:
-    """A trial's channel draw as its `amplitude_weights`, then the flat presets
-    of the swarm's placement (ints) and the history `optimize` returned at the
-    reference power, as the tuples every record of the trial keeps."""
+    """A trial's channel draw as its `amplitude_weights`, the flat presets of
+    its swarm's placement and the history `optimize` returned at the reference
+    power, as the tuples every record keeps: one per trial on the power axis."""
 
     geom: SurfaceGeometry
     weights: tuple[np.ndarray, np.ndarray]
@@ -305,9 +305,9 @@ class _TrialSwarm:
     history: tuple[float, ...]
 
 
-# while _sweep_worker runs one power-axis trial at its sweep powers: a list
-# that the first power's run_trial fills with the trial's swarm
-_power_share: ContextVar[list[_TrialSwarm] | None] = ContextVar("power_share", default=None)
+# while _sweep_worker runs one power-axis trial at its sweep powers: the
+# trial's swarm, which it ran before the first power's run_trial
+_power_share: ContextVar[_TrialSwarm | None] = ContextVar("power_share", default=None)
 
 
 def _run_swarm(cfg: ExperimentConfig, trial_index: int, area_m2: float | None) -> _TrialSwarm:
@@ -339,21 +339,14 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, area_m2: float | None = N
     """One repetition: draw angles and channels, optimize the fluid surface,
     evaluate the fixed baseline. Deterministic in (cfg.seed, trial_index).
 
-    On the power axis the swarm runs at the highest sweep power: the rates
-    are that placement's at cfg.power_dbm, and the history is the swarm's
-    own at the highest sweep power. Inside sweep_trials the powers of one
-    trial share that swarm; the records are the same either way. Every power
-    reads the max-min rates of the swarm's presets and of the fixed surface
-    off the trial's weights, without another snap or conversion.
+    On the power axis the swarm runs at the highest sweep power, which gives
+    the history; the rates are its placement's at cfg.power_dbm. Inside
+    sweep_trials the sweep worker runs that swarm and run_trial only scores
+    it, to the same records. Every power reads the max-min rates of the
+    swarm's presets and of the fixed surface off the trial's weights,
+    without another snap or conversion.
     """
-    share = _power_share.get()
-    if share:
-        swarm = share[0]
-    else:
-        swarm = _run_swarm(cfg, trial_index, area_m2)
-        if share is not None:
-            share.append(swarm)
-
+    swarm = _power_share.get() or _run_swarm(cfg, trial_index, area_m2)
     power = dbm_to_watts(float(cfg.power_dbm))
     noise = dbm_to_watts(cfg.noise_dbm)
     return TrialRecord(
@@ -389,10 +382,11 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 def _sweep_worker(job) -> list[TrialRecord]:
     """Records of one trial at each (config, area) variant of the job, in
-    variant order. Power-axis variants differ only in power_dbm, so they
-    share the trial's swarm."""
+    variant order. Power-axis variants differ only in power_dbm: the worker
+    runs their trial's swarm once, and each variant's run_trial scores it."""
     trial_index, variants = job
-    token = _power_share.set([] if variants[0][0].sweep == "power" else None)
+    cfg = variants[0][0]
+    token = _power_share.set(_run_swarm(cfg, trial_index, None) if cfg.sweep == "power" else None)
     try:
         return [run_trial(c, trial_index, a) for c, a in variants]
     finally:
@@ -405,9 +399,9 @@ def sweep_trials(cfg: ExperimentConfig, threads: int = 1) -> list[list[TrialReco
     area axes).
 
     Trial substreams depend only on (seed, trial index), so every sweep value
-    reuses the same channel draws. Each job is one trial at every sweep
-    value; the powers of a power-axis trial share one swarm. With threads > 1
-    the jobs run in a process pool of at most one worker per trial.
+    reuses the same channel draws. Each job is one trial at every sweep value;
+    a power-axis job runs the trial's swarm once, for every power. With
+    threads > 1 the jobs run in a process pool of at most one worker per trial.
     """
     if cfg.sweep == "power":
         variants = [(replace(cfg, power_dbm=float(p)), None) for p in cfg.power_sweep_dbm]

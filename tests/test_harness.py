@@ -457,19 +457,30 @@ class TestSweeps:
 
     @pytest.mark.parametrize("axis", harness.SWEEP_AXES)
     def test_one_swarm_per_trial_on_the_power_axis(self, axis, monkeypatch):
-        calls = []
-        plain_optimize = harness.optimize
+        # per optimize call: whether a run_trial call was open when it started
+        calls, open_trials = [], []
+        plain_optimize, plain_run_trial = harness.optimize, harness.run_trial
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(bool(open_trials))
             return plain_optimize(*args, **kwargs)
 
+        def tracking(*args, **kwargs):
+            open_trials.append(1)
+            try:
+                return plain_run_trial(*args, **kwargs)
+            finally:
+                open_trials.pop()
+
         monkeypatch.setattr(harness, "optimize", counting)
+        monkeypatch.setattr(harness, "run_trial", tracking)
         cfg = ExperimentConfig(sweep=axis, area_sweep_m2=(1.0, 4.0), **FAST)
         run_sweep(cfg)
         # every area is its own geometry, so only the powers share a swarm
         per_trial = len(cfg.area_sweep_m2) if axis == "area" else 1
         assert len(calls) == per_trial * cfg.n_trials
+        # the power axis's sweep worker runs the swarm, and run_trial only scores it
+        assert calls == [axis != "power"] * len(calls)
         calls.clear()
         run_trial(cfg, 0)
         run_trial(cfg, 0)
@@ -867,6 +878,14 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["config"]["sweep"] == "power"
         assert len(doc["records"]) == 5
+
+    @pytest.mark.parametrize("name", ["r.JSON", "r.Json"])
+    def test_json_suffix_in_any_case(self, name, tmp_path, capsys):
+        out = tmp_path / name
+        code = cli_main(["single", "--config", str(self.write_cfg(tmp_path)), "--out", str(out), "--trials", "2"])
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["sweep"] == "none"
+        capsys.readouterr()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
         cfg = self.write_cfg(tmp_path)
